@@ -21,7 +21,29 @@ let widen a b =
       | Ty.Bool, Ty.Bool -> Ty.Bool
       | _ -> Ty.String)
 
+(* Complete records in a prefix cut at a newline, by the rule the full
+   structure uses: a CSV row ends at a newline outside quotes (as in
+   {!Positional_map}), a JSON-lines object at the newline after a
+   non-empty line (as in {!Semi_index}). Inference reads only a prefix
+   holding more than [sample] of them, so the sampled records are exactly
+   those of the whole file. *)
+let csv_rows s =
+  let rows = ref 0 and quoted = ref false in
+  String.iter
+    (function '"' -> quoted := not !quoted | '\n' when not !quoted -> incr rows | _ -> ())
+    s;
+  !rows
+
+let json_objects s =
+  let objects = ref 0 in
+  String.iteri
+    (fun i c -> if c = '\n' && i > 0 && s.[i - 1] <> '\n' then incr objects)
+    s;
+  !objects
+
 let csv_schema ?(delim = ',') ?(header = true) ?(sample = 100) buf =
+  let header_rows = if header then 1 else 0 in
+  let buf = Raw_buffer.prefix buf ~enough:(fun s -> csv_rows s > sample + header_rows) in
   let pm = Positional_map.build ~delim ~header buf in
   let names = Positional_map.column_names pm in
   let ncols =
@@ -68,6 +90,7 @@ let xml_element ?(sample = 50) buf =
   match go None 0 with Some t -> t | None -> Ty.Any
 
 let json_element ?(sample = 50) buf =
+  let buf = Raw_buffer.prefix buf ~enough:(fun s -> json_objects s > sample) in
   let si = Semi_index.build buf in
   let n = min sample (Semi_index.object_count si) in
   let rec go acc i =

@@ -5,7 +5,13 @@
     case: sample the first [sample] data rows and pick, per column, the
     narrowest scalar type every sampled value converts to (Int ⊂ Float;
     anything ⊂ String), treating empty/NULL/NA as wildcards. JSON element
-    types are learned by unifying sampled objects' types. *)
+    types are learned by unifying sampled objects' types.
+
+    CSV and JSON-lines inference read only a newline-cut prefix of the
+    file holding more than [sample] complete records
+    ({!Vida_raw.Raw_buffer.prefix}), never the whole file; the result is
+    the same as sampling the whole file. XML inference indexes the whole
+    document. *)
 
 (** [csv_schema ?delim ?header ?sample buf] infers an attribute schema.
     Columns of a headerless file are named [c0, c1, ...]. *)

@@ -116,7 +116,7 @@ let type_env t =
 let stale_sources t = List.filter Source.stale (sources t)
 
 let refresh t name =
-  (* snapshot/inference run outside the lock (they scan the file); only
+  (* snapshot/inference run outside the lock (they read the file); only
      the table reads and the final replace are guarded *)
   match locked t (fun () -> Hashtbl.find_opt t.table name) with
   | None -> None

@@ -22,35 +22,33 @@ let mid_window n =
   else if n < 3 * window then Some (window, n - (2 * window))
   else Some (window + (mix_size n mod (n - (3 * window) + 1)), window)
 
-(* Fingerprint from a random-access reader, shared by the in-memory and
-   on-file constructions so both always digest identical windows. *)
-let of_reader ~size read =
-  let head = read ~pos:0 ~len:(min window size) in
-  let head = Digest.string head in
+(* Fingerprint from a random-access window digester, shared by the
+   in-memory and on-file constructions so both always digest identical
+   windows. *)
+let of_reader ~size digest =
+  let head = digest ~pos:0 ~len:(min window size) in
   let mid =
     match mid_window size with
     | None -> head
-    | Some (pos, len) -> Digest.string (read ~pos ~len)
+    | Some (pos, len) -> digest ~pos ~len
   in
-  let tail =
-    if size <= window then head
-    else Digest.string (read ~pos:(size - window) ~len:window)
-  in
+  let tail = if size <= window then head else digest ~pos:(size - window) ~len:window in
   { size; head; mid; tail }
 
-let of_sub s ~size =
-  of_reader ~size (fun ~pos ~len -> String.sub s pos len)
+let of_sub s ~size = of_reader ~size (fun ~pos ~len -> Digest.substring s pos len)
 
 let of_contents s = of_sub s ~size:(String.length s)
 
-let of_buffer buf = of_contents (Raw_buffer.slice buf ~pos:0 ~len:(Raw_buffer.length buf))
+(* Digests the three windows in place: revalidating a loaded source must
+   not copy the file or count as raw access. *)
+let of_buffer buf = of_contents (Raw_buffer.contents buf)
 
 (* Direct read, bypassing Raw_buffer and Io_stats: validation probes must
    not count as raw-data access or force a buffer reload. *)
 let probe_channel ic ~size =
   of_reader ~size (fun ~pos ~len ->
       seek_in ic pos;
-      really_input_string ic len)
+      Digest.channel ic len)
 
 let with_channel path f =
   match open_in_bin path with

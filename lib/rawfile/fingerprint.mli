@@ -29,8 +29,9 @@ val of_contents : string -> t
     fingerprint a file holding exactly that prefix would have. *)
 val of_sub : string -> size:int -> t
 
-(** [of_buffer buf] fingerprints a raw buffer (forces it; counts as a raw
-    read). *)
+(** [of_buffer buf] fingerprints a raw buffer: the three windows are
+    digested in place over the loaded bytes (loading them first if
+    needed). No copy of the file, no {!Io_stats} accounting. *)
 val of_buffer : Raw_buffer.t -> t
 
 (** [probe path] fingerprints a file directly — no {!Io_stats} accounting,

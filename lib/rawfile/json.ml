@@ -142,18 +142,12 @@ let rec parse_value ~source ~depth s pos =
 let parse ?(source = default_source) s =
   let v, pos = parse_value ~source ~depth:0 s 0 in
   let pos = skip_ws s pos in
-  if pos <> String.length s then error ~source pos "trailing input"
-  else (
-    Io_stats.add_objects_parsed 1;
-    v)
+  if pos <> String.length s then error ~source pos "trailing input" else v
 
 let parse_substring ?(source = default_source) s ~pos ~len =
   let v, stop = parse_value ~source ~depth:0 s pos in
   let stop = skip_ws s stop in
-  if stop > pos + len then error ~source stop "value extends past range"
-  else (
-    Io_stats.add_objects_parsed 1;
-    v)
+  if stop > pos + len then error ~source stop "value extends past range" else v
 
 (* Structural skip: navigate past a value without building it. *)
 let rec skip_value_at ~source ~depth s pos =

@@ -15,8 +15,9 @@
 val parse : ?source:string -> string -> Vida_data.Value.t
 
 (** [parse_substring s ~pos ~len] parses one JSON value occupying exactly
-    [s.[pos .. pos+len)] (surrounding whitespace tolerated). Counts one
-    parsed object. *)
+    [s.[pos .. pos+len)] (surrounding whitespace tolerated). The parser
+    counts nothing: raw-data callers ({!Semi_index}) charge
+    {!Io_stats.add_objects_parsed}, so protocol frames are not raw access. *)
 val parse_substring : ?source:string -> string -> pos:int -> len:int -> Vida_data.Value.t
 
 (** [skip_value s pos] returns the offset just past the JSON value starting

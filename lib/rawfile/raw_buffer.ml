@@ -16,20 +16,36 @@ let path t = t.path
 let validate_load : (source:string -> string -> unit) ref =
   ref (fun ~source:_ _ -> ())
 
-(* One load attempt; transient failures surface as [Io_failure] so the
-   governed retry loop below can distinguish them from corruption. *)
-let load_once t =
+(* Opens the file for one load attempt; transient failures surface as
+   [Io_failure] so the governed retry loop below can distinguish them from
+   corruption. *)
+let with_file t read =
   Io_fault.on_load ~source:t.path;
   match open_in_bin t.path with
   | exception Sys_error reason -> Vida_error.io_failure ~source:t.path "%s" reason
-  | ic ->
-    let len = in_channel_length ic in
-    (try
-       Fun.protect
-         ~finally:(fun () -> close_in ic)
-         (fun () -> really_input_string ic len)
-     with Sys_error reason | Failure reason ->
-       Vida_error.io_failure ~source:t.path "%s" reason)
+  | ic -> (
+    try Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read ic)
+    with Sys_error reason | Failure reason ->
+      Vida_error.io_failure ~source:t.path "%s" reason)
+
+(* The governed load path shared by whole-file loads and prefix reads. *)
+let governed_read t read =
+  (* the per-source circuit breaker sheds immediately while open — a
+     hashtable probe instead of a failing load plus backoffs *)
+  Vida_governor.Governor.Breaker.check ~source:t.path;
+  (* transient IO errors are retried with bounded exponential backoff
+     under the ambient governor session; persistent ones keep their
+     structured [Io_failure] and count against the breaker (one failure
+     per exhausted retry loop, not per attempt) *)
+  let s =
+    try
+      Vida_governor.Governor.with_retries ~source:t.path (fun () -> with_file t read)
+    with Vida_error.Error (Vida_error.Io_failure { reason; _ }) as e ->
+      Vida_governor.Governor.Breaker.failure ~source:t.path ~reason;
+      raise e
+  in
+  Vida_governor.Governor.Breaker.success ~source:t.path;
+  s
 
 let force t =
   match t.contents with
@@ -39,23 +55,7 @@ let force t =
       match t.backing with
       | Memory s -> s
       | File ->
-        (* the per-source circuit breaker sheds immediately while open —
-           a hashtable probe instead of a failing load plus backoffs *)
-        Vida_governor.Governor.Breaker.check ~source:t.path;
-        (* transient IO errors are retried with bounded exponential
-           backoff under the ambient governor session; persistent ones
-           keep their structured [Io_failure] and count against the
-           breaker (one failure per exhausted retry loop, not per
-           attempt) *)
-        let s =
-          try
-            Vida_governor.Governor.with_retries ~source:t.path (fun () ->
-                load_once t)
-          with Vida_error.Error (Vida_error.Io_failure { reason; _ }) as e ->
-            Vida_governor.Governor.Breaker.failure ~source:t.path ~reason;
-            raise e
-        in
-        Vida_governor.Governor.Breaker.success ~source:t.path;
+        let s = governed_read t (fun ic -> really_input_string ic (in_channel_length ic)) in
         (* a load (or reload) mid-query must not hand the query a newer
            generation than the one it pinned at start *)
         !validate_load ~source:t.path s;
@@ -64,6 +64,32 @@ let force t =
     Io_stats.add_file_loads 1;
     t.contents <- Some s;
     s
+
+let prefix_window = 65536
+
+(* The prefix grows by doubling; each read is cut at its last newline and
+   handed to [enough], and a read with no newline yet just grows. *)
+let prefix t ~enough =
+  match (t.contents, t.backing) with
+  | Some _, _ | None, Memory _ -> t
+  | None, File ->
+    (* the same governed path as a load, minus the epoch validation: a
+       prefix is not a generation *)
+    let s =
+      governed_read t (fun ic ->
+          let b = Buffer.create prefix_window in
+          let rec grow want =
+            match Buffer.add_channel b ic (want - Buffer.length b) with
+            | exception End_of_file -> Buffer.contents b
+            | () -> (
+              let s = Buffer.contents b in
+              match String.rindex_opt s '\n' with
+              | Some i when enough (String.sub s 0 (i + 1)) -> String.sub s 0 (i + 1)
+              | _ -> grow (2 * want))
+          in
+          grow prefix_window)
+    in
+    { path = t.path; backing = Memory s; contents = Some s }
 
 let length t = String.length (force t)
 

@@ -37,6 +37,18 @@ val length : t -> int
     @raise Vida_error.Error ([Io_failure]) if the file cannot be read. *)
 val contents : t -> string
 
+(** [prefix t ~enough] is an in-memory buffer over the first bytes of the
+    file, for samplers that need only its head (schema inference). The
+    prefix grows from 64 KiB by doubling and is cut at its last newline;
+    it stops at the first cut for which [enough] holds, or at EOF (then it
+    is the whole file, trailing partial line included). The read goes
+    through the same governed path as a load (fault hook, breaker,
+    retries, typed [Io_failure]) but not through epoch validation, and
+    counts no file load. A buffer whose bytes are already in memory is
+    returned as it is.
+    @raise Vida_error.Error ([Io_failure]) if the file cannot be read. *)
+val prefix : t -> enough:(string -> bool) -> t
+
 (** [slice t ~pos ~len] copies bytes out of the view. Counts toward
     [bytes_read].
     @raise Vida_error.Error ([Truncated]) if out of range. *)

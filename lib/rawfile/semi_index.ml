@@ -96,7 +96,9 @@ let object_bounds t i =
 let object_value t i =
   let pos, len = object_bounds t i in
   let text = Raw_buffer.slice t.buf ~pos ~len in
-  Json.parse_substring ~source:(Raw_buffer.path t.buf) text ~pos:0 ~len
+  let v = Json.parse_substring ~source:(Raw_buffer.path t.buf) text ~pos:0 ~len in
+  Io_stats.add_objects_parsed 1;
+  v
 
 let table t obj =
   match t.tables.(obj) with
@@ -127,8 +129,12 @@ let field_value t ~obj ~field =
   match field_string t ~obj ~field with
   | None -> Value.Null
   | Some text ->
-    Json.parse_substring ~source:(Raw_buffer.path t.buf) text ~pos:0
-      ~len:(String.length text)
+    let v =
+      Json.parse_substring ~source:(Raw_buffer.path t.buf) text ~pos:0
+        ~len:(String.length text)
+    in
+    Io_stats.add_objects_parsed 1;
+    v
 
 let indexed_objects t = t.indexed
 

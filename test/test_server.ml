@@ -134,6 +134,37 @@ let test_serve_roundtrip () =
       check_int "shed" 0 st.Server.shed);
   rm path
 
+(* A cached framed round trip is no raw access: the request and reply
+   frames are parsed without charging [objects_parsed], and revalidating
+   the warm sources reads no bytes. The spliced ok frame is exactly the
+   canonical encoding of the reply record. *)
+let test_cached_roundtrip_reads_nothing () =
+  let db, path = numbers_db () in
+  let regions = tmp_file "{\"id\": 1, \"v\": 2.5}\n{\"id\": 2, \"v\": 4.0}\n" in
+  Vida.json db ~name:"Regions" ~path:regions ();
+  let q = "for { n <- Nums, r <- Regions, n.n = r.id } yield sum r.v" in
+  with_server db (fun srv ->
+      with_client srv (fun c ->
+          let first = Server.Client.query c q in
+          check_string "first status" "ok" (fld_str first "status");
+          let before = Vida_raw.Io_stats.current () in
+          let reply = Server.Client.query c q in
+          let io = Vida_raw.Io_stats.diff (Vida_raw.Io_stats.current ()) before in
+          check_string "result-cache hit" "hit" (fld_str reply "result_cache");
+          check_string "value" "6.5" (Value.to_json (fld reply "value"));
+          check_int "bytes_read" 0 io.Vida_raw.Io_stats.bytes_read;
+          check_int "objects_parsed" 0 io.Vida_raw.Io_stats.objects_parsed;
+          let raw =
+            Server.Client.roundtrip c
+              (Value.to_json
+                 (Value.Record
+                    [ ("id", Value.Int 9); ("query", Value.String q);
+                      ("syntax", Value.String "comp") ]))
+          in
+          check_string "canonical frame" (Value.to_json (Vida_raw.Json.parse raw)) raw));
+  rm path;
+  rm regions
+
 let test_serve_unix_socket () =
   let db, path = numbers_db () in
   let sock = sock_path () in
@@ -584,6 +615,8 @@ let tests =
        Alcotest.test_case "guards" `Quick test_frame_guards ]);
     ("serve",
      [ Alcotest.test_case "roundtrip" `Quick test_serve_roundtrip;
+       Alcotest.test_case "cached roundtrip reads nothing" `Quick
+         test_cached_roundtrip_reads_nothing;
        Alcotest.test_case "unix socket" `Quick test_serve_unix_socket;
        Alcotest.test_case "bad request" `Quick test_bad_request ]);
     ("plan cache",

@@ -49,6 +49,242 @@ let test_infer_json () =
   check_bool "conflicting objects fall back to Any" true
     (Ty.equal (Infer.json_element (Vida_raw.Raw_buffer.of_path path2)) Ty.Any)
 
+(* --- prefix inference vs whole-file inference --- *)
+
+module Raw = Vida_raw
+
+(* Reference: whole-file inference — index the whole file, then sample
+   its first rows or objects. Written apart from [Infer] so the
+   differential does not check the sampler against itself. *)
+let oracle_sniff s =
+  if s = "" || s = "NULL" || s = "null" || s = "NA" then None
+  else if int_of_string_opt s <> None then Some Ty.Int
+  else if float_of_string_opt s <> None then Some Ty.Float
+  else if s = "true" || s = "false" then Some Ty.Bool
+  else Some Ty.String
+
+let oracle_widen a b =
+  match a, b with
+  | None, t | t, None -> t
+  | Some Ty.Int, Some Ty.Int -> Some Ty.Int
+  | Some (Ty.Int | Ty.Float), Some (Ty.Int | Ty.Float) -> Some Ty.Float
+  | Some Ty.Bool, Some Ty.Bool -> Some Ty.Bool
+  | _ -> Some Ty.String
+
+let whole_csv_schema ?(header = true) ?(sample = 100) path =
+  let buf = Raw.Raw_buffer.of_path path in
+  let pm = Raw.Positional_map.build ~header buf in
+  let row r =
+    let start, stop = Raw.Positional_map.row_bounds pm r in
+    Raw.Csv.split_line ~delim:',' (Raw.Raw_buffer.slice buf ~pos:start ~len:(stop - start))
+  in
+  let names =
+    match Raw.Positional_map.column_names pm with
+    | [] when Raw.Positional_map.row_count pm = 0 -> []
+    | [] -> List.mapi (fun i _ -> Printf.sprintf "c%d" i) (row 0)
+    | names -> names
+  in
+  let types = Array.make (List.length names) None in
+  for r = 0 to min sample (Raw.Positional_map.row_count pm) - 1 do
+    List.iteri
+      (fun c f -> if c < Array.length types then types.(c) <- oracle_widen types.(c) (oracle_sniff f))
+      (row r)
+  done;
+  Schema.of_pairs
+    (List.mapi (fun c n -> (n, Option.value types.(c) ~default:Ty.Any)) names)
+
+let whole_json_element ?(sample = 50) path =
+  let si = Raw.Semi_index.build (Raw.Raw_buffer.of_path path) in
+  List.init (min sample (Raw.Semi_index.object_count si)) (fun i ->
+      Value.typeof (Raw.Semi_index.object_value si i))
+  |> List.fold_left
+       (fun acc ty ->
+         match acc with
+         | None -> Some ty
+         | Some prev -> Some (Option.value (Ty.unify prev ty) ~default:Ty.Any))
+       None
+  |> Option.value ~default:Ty.Any
+
+let file_size path = In_channel.with_open_bin path In_channel.length |> Int64.to_int
+
+(* Prefix inference must equal the oracle; [~prefix:true] also asserts
+   that it read well under the whole file. *)
+let same_csv ?header ?(prefix = false) what path =
+  let before = Raw.Io_stats.current () in
+  let got = Infer.csv_schema ?header (Raw.Raw_buffer.of_path path) in
+  let read = (Raw.Io_stats.diff (Raw.Io_stats.current ()) before).Raw.Io_stats.bytes_read in
+  check_bool (what ^ ": same schema as whole-file inference") true
+    (Schema.equal got (whole_csv_schema ?header path));
+  if prefix then check_bool (what ^ ": read a prefix") true (2 * read < file_size path);
+  got
+
+let same_json ?(prefix = false) what path =
+  let before = Raw.Io_stats.current () in
+  let got = Infer.json_element (Raw.Raw_buffer.of_path path) in
+  let read = (Raw.Io_stats.diff (Raw.Io_stats.current ()) before).Raw.Io_stats.bytes_read in
+  check_bool (what ^ ": same type as whole-file inference") true
+    (Ty.equal got (whole_json_element path));
+  if prefix then check_bool (what ^ ": read a prefix") true (2 * read < file_size path);
+  got
+
+let lines ?(sep = "\n") rows = String.concat "" (List.map (fun r -> r ^ sep) rows)
+
+let test_infer_prefix_hbp () =
+  let dir = Filename.temp_file "vida_infer" "" in
+  Sys.remove dir;
+  let p = Vida_workload.Hbp_data.(generate (config_of_scale 0.03) ~dir) in
+  let files = Vida_workload.Hbp_data.[ p.patients; p.genetics; p.regions ] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Sys.remove files;
+      Sys.rmdir dir)
+    (fun () ->
+      ignore (same_csv ~prefix:true "patients" p.Vida_workload.Hbp_data.patients);
+      ignore (same_csv ~prefix:true "genetics" p.Vida_workload.Hbp_data.genetics);
+      ignore (same_json ~prefix:true "regions" p.Vida_workload.Hbp_data.regions))
+
+(* Quoted fields with embedded newlines (CR LF and bare LF) and CRLF row
+   ends in the sampled rows: a newline inside quotes ends no row, so the
+   prefix must be counted in rows, not lines. Row 99 widens [score] to
+   float; from row 100 on it turns to text, which the sample ignores. *)
+let test_infer_prefix_quoted_crlf () =
+  let pad = String.make 700 'x' in
+  let row i =
+    let score = if i = 99 then "1.5" else if i >= 100 then "n/a" else string_of_int i in
+    Printf.sprintf "%d,\"line one\r\nline, \"\"two\"\"\nthree\",%s,%s" i score pad
+  in
+  let path = tmp_file (lines ~sep:"\r\n" ("id,note,score,pad" :: List.init 1000 row)) in
+  let schema = same_csv ~prefix:true "quoted crlf" path in
+  check_bool "score widened by row 99 only" true
+    (Ty.equal (Schema.attr schema 2).Schema.ty Ty.Float)
+
+(* A first row wider than the initial 64 KiB read: the prefix grows until
+   it holds a newline at all. *)
+let test_infer_prefix_long_first_row () =
+  let long = String.make 100_000 'w' in
+  let csv =
+    List.init 400 (fun i -> if i = 0 then "0," ^ long else Printf.sprintf "%d,%s" i (if i > 100 then "t" else "7"))
+  in
+  let path = tmp_file (lines csv) in
+  let schema = same_csv ~header:false "headerless long first row" path in
+  check_bool "long row's column is text" true (Ty.equal (Schema.attr schema 1).Schema.ty Ty.String);
+  let json =
+    List.init 400 (fun i ->
+        if i = 0 then Printf.sprintf {|{"id": 0, "s": "%s"}|} long
+        else Printf.sprintf {|{"id": %d, "s": "x"}|} i)
+  in
+  ignore (same_json "json long first object" (tmp_file (lines json)))
+
+(* Fewer records than the sample and no trailing newline: the prefix runs
+   to EOF and keeps the unterminated last record, which whole-file
+   inference samples too (it turns [v] into a float). *)
+let test_infer_prefix_no_trailing_newline () =
+  let pad = String.make 3000 'p' in
+  let rows = List.init 40 (fun i -> Printf.sprintf "%d,%s,%s" i (if i = 39 then "2.5" else "3") pad) in
+  let csv = tmp_file (String.concat "\n" ("id,v,pad" :: rows)) in
+  let schema = same_csv "csv no trailing newline" csv in
+  check_bool "last row sampled" true (Ty.equal (Schema.attr schema 1).Schema.ty Ty.Float);
+  let objs =
+    List.init 30 (fun i ->
+        Printf.sprintf {|{"id": %d, "v": %s, "pad": "%s"}|} i (if i = 29 then "\"s\"" else "1") pad)
+  in
+  let json = tmp_file (String.concat "\n" objs) in
+  check_bool "json last object sampled" true
+    (Ty.equal (same_json "json no trailing newline" json) Ty.Any)
+
+(* Files smaller than one read window, blank JSON lines included; a type
+   change past the sample (row 100, object 50) is ignored as before. *)
+let test_infer_prefix_small_and_past_sample () =
+  let csv =
+    tmp_file (lines ("a,b" :: List.init 150 (fun i -> Printf.sprintf "%d,%s" i (if i = 100 then "z" else "1"))))
+  in
+  let schema = same_csv "small csv" csv in
+  check_bool "row 100 ignored" true (Ty.equal (Schema.attr schema 1).Schema.ty Ty.Int);
+  let objs =
+    List.init 80 (fun i ->
+        if i = 50 then {|{"id": "fifty"}|} else Printf.sprintf {|{"id": %d}|} i)
+  in
+  let json = tmp_file (lines ~sep:"\n\n" objs) in
+  check_bool "object 50 ignored" true
+    (Ty.equal (same_json "small json" json) (Ty.Record [ ("id", Ty.Int) ]));
+  (* past the window, blank lines between objects: object 49 (the last
+     sampled) widens [id] to float, object 50 would make it [Any] *)
+  let pad = String.make 2000 'q' in
+  let big =
+    List.init 400 (fun i ->
+        let id = if i = 49 then "4.5" else if i = 50 then {|"fifty"|} else string_of_int i in
+        Printf.sprintf {|{"id": %s, "pad": "%s"}|} id pad)
+  in
+  check_bool "object 49 sampled, object 50 ignored" true
+    (Ty.equal
+       (same_json ~prefix:true "large json" (tmp_file (lines ~sep:"\n\n" big)))
+       (Ty.Record [ ("id", Ty.Float); ("pad", Ty.String) ]))
+
+(* Every sample size against one file per format: record [k] alone
+   carries a float in column [k], so the inferred type of column [k] says
+   whether record [k] was sampled. Records straddle the 64 KiB and
+   128 KiB read boundaries, and each CSV row opens with a quoted field
+   holding newlines, so a prefix cut inside it leaves a partial row. An
+   off-by-one in where the prefix stops shows up as a column that differs
+   from the whole-file answer. *)
+let test_infer_prefix_every_sample () =
+  let n = 120 and pad = String.make 300 'n' in
+  let flag i k = if i = k then "1.5" else "1" in
+  let csv =
+    tmp_file
+      (lines ~sep:"\r\n"
+         (String.concat "," ("note" :: List.init n (Printf.sprintf "f%d"))
+         :: List.init n (fun i ->
+                String.concat ","
+                  (Printf.sprintf "\"%s\r\n%s\n%s\"" pad pad pad
+                  :: List.init n (flag i)))))
+  in
+  let json =
+    tmp_file
+      (lines
+         (List.init n (fun i ->
+              "{"
+              ^ String.concat ", "
+                  (Printf.sprintf {|"pad": "%s"|} pad
+                  :: List.init n (fun k -> Printf.sprintf {|"f%d": %s|} k (flag i k)))
+              ^ "}")))
+  in
+  for sample = 0 to n do
+    let what = Printf.sprintf "sample %d" sample in
+    check_bool (what ^ ": csv") true
+      (Schema.equal
+         (Infer.csv_schema ~sample (Raw.Raw_buffer.of_path csv))
+         (whole_csv_schema ~sample csv));
+    check_bool (what ^ ": json") true
+      (Ty.equal
+         (Infer.json_element ~sample (Raw.Raw_buffer.of_path json))
+         (whole_json_element ~sample json))
+  done
+
+(* Registration reads its prefix through the governed load path: injected
+   transient failures are retried, and exhausting the retries raises a
+   typed [Io_failure], with the same injected-failure counts as a
+   whole-file load. *)
+let test_infer_prefix_io_faults () =
+  let csv = tmp_file "id,v\n1,2\n" and json = tmp_file "{\"id\": 1}\n" in
+  let register reg kind =
+    match kind with
+    | `Csv -> ignore (Registry.register_csv reg ~name:"C" ~path:csv ())
+    | `Json -> ignore (Registry.register_json reg ~name:"J" ~path:json ())
+  in
+  List.iter
+    (fun kind ->
+      Raw.Fault_inject.with_io_plan (Raw.Fault_inject.io_plan ~fail_loads:2 ()) (fun () ->
+          register (Registry.create ()) kind;
+          check_int "two transient failures retried" 2 (Raw.Fault_inject.io_failures_injected ()));
+      Raw.Fault_inject.with_io_plan (Raw.Fault_inject.io_plan ~fail_loads:5 ()) (fun () ->
+          (match register (Registry.create ()) kind with
+          | () -> Alcotest.fail "registration succeeded through exhausted retries"
+          | exception Vida_error.Error (Vida_error.Io_failure _) -> ());
+          check_int "three attempts, then a typed failure" 3
+            (Raw.Fault_inject.io_failures_injected ())))
+    [ `Csv; `Json ]
+
 (* --- registry --- *)
 
 let test_registry_csv_json_inline () =
@@ -270,7 +506,18 @@ let () =
           Alcotest.test_case "csv widening" `Quick test_infer_csv_widening;
           Alcotest.test_case "csv headerless" `Quick test_infer_csv_headerless;
           Alcotest.test_case "csv null column" `Quick test_infer_csv_all_null_column;
-          Alcotest.test_case "json" `Quick test_infer_json
+          Alcotest.test_case "json" `Quick test_infer_json;
+          Alcotest.test_case "prefix = whole: hbp" `Quick test_infer_prefix_hbp;
+          Alcotest.test_case "prefix = whole: quoted crlf" `Quick test_infer_prefix_quoted_crlf;
+          Alcotest.test_case "prefix = whole: long first row" `Quick
+            test_infer_prefix_long_first_row;
+          Alcotest.test_case "prefix = whole: no trailing newline" `Quick
+            test_infer_prefix_no_trailing_newline;
+          Alcotest.test_case "prefix = whole: small, past sample" `Quick
+            test_infer_prefix_small_and_past_sample;
+          Alcotest.test_case "prefix = whole: every sample size" `Quick
+            test_infer_prefix_every_sample;
+          Alcotest.test_case "prefix under io faults" `Quick test_infer_prefix_io_faults
         ] );
       ( "registry",
         [ Alcotest.test_case "register/find" `Quick test_registry_csv_json_inline;

@@ -91,6 +91,29 @@ let test_stats_and_cache_tracking () =
   check_int "one from cache" 1 s.Vida.queries_from_cache;
   check_bool "io accounted" true (s.Vida.io.Vida_raw.Io_stats.bytes_read > 0)
 
+(* A warm repeat reads nothing: revalidating the loaded sources digests
+   their fingerprint windows in place, so neither the query's own
+   [raw_io] nor the process counters around the whole call (source
+   refresh included) move — with and without result reuse. *)
+let test_warm_repeat_reads_nothing () =
+  let db = make_db () in
+  let q = "for { p <- Patients, r <- Regions, p.id = r.id } yield sum r.volume" in
+  let run reuse =
+    let before = Vida_raw.Io_stats.current () in
+    match Vida.query ~reuse db q with
+    | Ok r -> (r.Vida.raw_io, Vida_raw.Io_stats.diff (Vida_raw.Io_stats.current ()) before)
+    | Error e -> Alcotest.fail (Vida.error_to_string e)
+  in
+  ignore (run true);
+  List.iter
+    (fun reuse ->
+      let raw_io, whole_call = run reuse in
+      let what = if reuse then "result-cache hit" else "warm rerun" in
+      check_bool (what ^ ": raw_io all zero") true (raw_io = Vida_raw.Io_stats.zero);
+      check_bool (what ^ ": no raw access around the call") true
+        (whole_call = Vida_raw.Io_stats.zero))
+    [ false; true ]
+
 let test_explain () =
   let db = make_db () in
   match Vida.explain db "for { p <- Patients, p.age > 30 } yield count p" with
@@ -257,6 +280,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_error_paths;
           Alcotest.test_case "params" `Quick test_params;
           Alcotest.test_case "stats/cache" `Quick test_stats_and_cache_tracking;
+          Alcotest.test_case "warm repeat reads nothing" `Quick test_warm_repeat_reads_nothing;
           Alcotest.test_case "explain" `Quick test_explain;
           Alcotest.test_case "explain sql" `Quick test_explain_sql;
           Alcotest.test_case "stale transparent" `Quick test_staleness_transparent;
