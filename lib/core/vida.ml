@@ -10,6 +10,19 @@ type engine = Jit | Generic
 (** How much the plan verifier participates in the query pipeline. *)
 type verify = Off | Warn | Strict
 
+(* A result-cache entry: the value, the sources it was computed from with
+   their file fingerprints at computation time, and a memo of the value's
+   wire encoding, filled by the first reply that needs it. Concurrent
+   sessions may race to fill the memo; both compute the same bytes. The
+   memo lives and dies with the entry, so a purge or a stale drop discards
+   it too. *)
+type cached_result = {
+  c_value : Value.t;
+  c_sources : string list;
+  c_stamps : (string * string) list;
+  c_encoded : Value.encoded option Atomic.t;
+}
+
 type t = {
   registry : Registry.t;
   mutable ctx : Plugins.ctx;
@@ -20,9 +33,8 @@ type t = {
   mutable queries_run : int;
   mutable queries_from_cache : int;
   mutable session_io : Vida_raw.Io_stats.snapshot;
-  (* §5 result re-use: optimized plan text -> (result, referenced sources,
-     per-source file fingerprints at computation time) *)
-  result_cache : (string, Value.t * string list * (string * string) list) Hashtbl.t;
+  (* §5 result re-use, keyed on the optimized plan text *)
+  result_cache : (string, cached_result) Hashtbl.t;
   mutable result_hits : int;
   mutable result_stale_drops : int;
   (* plan cache (serving layer): query text -> optimized plan, stamped
@@ -174,8 +186,7 @@ let purge_results t source =
   locked t (fun () ->
       let victims =
         Hashtbl.fold
-          (fun key (_, sources, _) acc ->
-            if List.mem source sources then key :: acc else acc)
+          (fun key c acc -> if List.mem source c.c_sources then key :: acc else acc)
           t.result_cache []
       in
       List.iter (Hashtbl.remove t.result_cache) victims;
@@ -253,7 +264,18 @@ type result = {
   epochs : (string * string) list;
       (* the query's pinned generations: source name -> encoded
          fingerprint of the file version every served value came from *)
+  encoded : Value.encoded option Atomic.t;
+      (* memo of [value]'s wire encoding, shared with its result-cache
+         entry; read through {!encoded} *)
 }
+
+let encoded r =
+  match Atomic.get r.encoded with
+  | Some e -> e
+  | None ->
+    let e = Value.encode r.value in
+    if Atomic.compare_and_set r.encoded None (Some e) then e
+    else Option.get (Atomic.get r.encoded)
 
 type stats = {
   queries_run : int;
@@ -286,31 +308,47 @@ let type_env t =
   Registry.type_env t.registry
   @ List.map (fun (name, v) -> (name, Value.typeof v)) t.params
 
+let typecheck env expr =
+  Result.map_error
+    (fun e -> Type_error (Format.asprintf "%a" Typecheck.pp_error e))
+    (Typecheck.check env expr)
+
 (* Bring sources the expression references up to date (paper §2.1,
    refined): appends extend the derived state incrementally, anything
    else drops it. Either way results computed against the old generation
-   are purged. *)
+   are purged. Returns the fingerprints probed for sources found
+   unchanged, so pinning does not probe them again. *)
 let refresh_referenced t refs =
-  List.iter
+  List.filter_map
     (fun v ->
       match Registry.find t.registry v with
       | Some source -> (
         match Plugins.refresh_source t.ctx source with
-        | `Unchanged -> ()
-        | `Extended | `Rebuilt -> purge_results t v)
-      | None -> ())
+        | `Unchanged, Some fp -> Some (v, fp)
+        | `Unchanged, None -> None
+        | (`Extended | `Rebuilt), _ ->
+          purge_results t v;
+          None)
+      | None -> None)
     refs
 
-(* Pin the current generation of every referenced file-backed source.
-   Each is pinned under both its registry name (cache stamping, producer
-   ticks) and its backing path (raw-buffer loads, scan loops) — see
-   {!Vida_raw.Epoch.pin}. Returns the pins for the query result. *)
-let pin_referenced t epoch refs =
+(* Pin the current generation of every referenced file-backed source:
+   the fingerprint the refresh just probed when the source was unchanged,
+   a fresh probe otherwise. Each is pinned under both its registry name
+   (cache stamping, producer ticks) and its backing path (raw-buffer
+   loads, scan loops) — see {!Vida_raw.Epoch.pin}. Returns the pins for
+   the query result. *)
+let pin_referenced t epoch ~probed refs =
   List.filter_map
     (fun v ->
       match Registry.find t.registry v with
       | Some { Source.name; path = Some path; _ } -> (
-        match Vida_raw.Fingerprint.probe path with
+        let fp =
+          match List.assoc_opt v probed with
+          | Some _ as fp -> fp
+          | None -> Vida_raw.Fingerprint.probe path
+        in
+        match fp with
         | Some fp ->
           Vida_raw.Epoch.pin epoch ~source:name ~path fp;
           if not (String.equal name path) then
@@ -353,12 +391,67 @@ let firing_check t ~env stage ~rule ~before ~after =
     | Ok () -> ()
     | Error e -> if t.verify = Strict then raise (Vida_error.Error e) else note_verify t e)
 
+(* --- plan cache (serving layer) ---
+
+   Keyed on the query text (plus syntax, engine and optimize flag); an
+   entry is only served while the catalog revision it was derived under is
+   current AND every file-backed source it references still has the
+   fingerprint it had then — a changed file can change an inferred schema
+   and hence the valid plan. The revision is checked at lookup; the
+   fingerprints are checked inside the query's epoch, against the pins the
+   query runs under, so validating a cached plan costs no probe of its
+   own. Serving a cached plan skips parse, typecheck, translation and
+   optimization; execution (epochs, governor, result cache) is identical.
+   A cached plan intentionally freezes the optimizer decision:
+   runtime-feedback-driven replans only happen on a miss. *)
+
+let plan_cache_key ~syntax ~engine ~optimize text =
+  String.concat "|"
+    [ syntax; (match engine with Jit -> "jit" | Generic -> "gen");
+      (if optimize then "opt" else "raw"); text ]
+
+(* stored under the revision read {e before} the plan was derived: if a
+   concurrent catalog change bumped the revision meanwhile, the entry
+   self-invalidates on first lookup *)
+let plan_cache_store t key ~rev plan =
+  let stamps = source_fingerprints t (Vida_algebra.Plan.free_vars plan) in
+  locked t (fun () -> Hashtbl.replace t.plan_cache key (plan, stamps, rev))
+
+(* A plan-cache candidate on its way to execution. Its stamps are checked
+   inside the epoch; a stale candidate is dropped, counted as a miss, and
+   the query re-derives its plan from [reparse] in the same epoch. *)
+type cached_plan = {
+  key : string;
+  plan : Vida_algebra.Plan.t;
+  stamps : (string * string) list;
+  reparse : unit -> (Expr.t, error) Result.t;
+}
+
+(* In-epoch validation of a plan-cache candidate: a hit, or — stamps stale
+   against the pins — the re-parsed expression, with the revision read
+   after this query's own refresh, under which its new plan is stored. *)
+let validate_cached t (cp : cached_plan) =
+  if fingerprints_fresh t cp.stamps then (
+    locked t (fun () -> t.plan_hits <- t.plan_hits + 1);
+    `Hit)
+  else
+    let rev =
+      locked t (fun () ->
+          (match Hashtbl.find_opt t.plan_cache cp.key with
+          | Some (plan, _, _) when plan == cp.plan ->
+            Hashtbl.remove t.plan_cache cp.key
+          | _ -> ());
+          t.plan_misses <- t.plan_misses + 1;
+          t.catalog_rev)
+    in
+    `Stale rev
+
 (* A unit of execution: a freshly parsed expression going through the
    whole pipeline, or an optimized plan served by the plan cache that
-   skips straight to execution. *)
+   skips straight to execution once its stamps validate. *)
 let rec run_job ?(engine = Jit) ?(optimize = true) ?(reuse = true) ?domains
     ?(note_plan = fun _ -> ()) t
-    (job : [ `Expr of Expr.t | `Plan of Vida_algebra.Plan.t ]) :
+    (job : [ `Expr of Expr.t | `Plan of cached_plan ]) :
     (result, error) Result.t =
   let checked =
     match job with
@@ -367,10 +460,7 @@ let rec run_job ?(engine = Jit) ?(optimize = true) ?(reuse = true) ?domains
          (catalog revision + source fingerprints) vouches the environment
          has not changed since *)
       Ok ()
-    | `Expr expr -> (
-      match Typecheck.check (type_env t) expr with
-      | Error e -> Error (Type_error (Format.asprintf "%a" Typecheck.pp_error e))
-      | Ok () -> Ok ())
+    | `Expr expr -> typecheck (type_env t) expr
   in
   match checked with
   | Error e -> Error e
@@ -402,7 +492,7 @@ and run_governed ~engine ~optimize ~reuse ~domains ~note_plan ~session t job :
   let refs =
     match job with
     | `Expr expr -> Expr.free_vars expr
-    | `Plan plan -> Vida_algebra.Plan.free_vars plan
+    | `Plan cp -> Vida_algebra.Plan.free_vars cp.plan
   in
   (* (registry name, backing path) of every file-backed source the query
      touches — the keys of their circuit breakers *)
@@ -427,9 +517,9 @@ and run_governed ~engine ~optimize ~reuse ~domains ~note_plan ~session t job :
         List.iter
           (fun (_, path) -> Governor.Breaker.check ~source:path)
           breaker_keys;
-        refresh_referenced t refs;
+        let probed = refresh_referenced t refs in
         let epoch = Vida_raw.Epoch.create () in
-        let epochs = pin_referenced t epoch refs in
+        let epochs = pin_referenced t epoch ~probed refs in
         Vida_raw.Epoch.with_epoch epoch (fun () ->
             run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session
               ~epochs t job)
@@ -481,28 +571,45 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs t
           { t.ctx with Plugins.domains = max 1 d }
         | _ -> t.ctx
       in
-      let venv = type_env t in
-      let plan, plan_from_cache =
-        match job with
-        | `Plan plan -> (plan, true)
-        | `Expr expr ->
-          let normalized = Rewrite.normalize expr in
-          let plan = Vida_algebra.Translate.plan_of_comp normalized in
-          verify_stage t ~env:venv "translate" plan;
-          let plan =
-            if optimize then (
-              let plan =
-                Vida_optimizer.Rules.with_checker
-                  (firing_check t ~env:venv "optimize")
-                  (fun () -> Vida_optimizer.Optimizer.optimize ctx plan)
-              in
-              verify_stage t ~env:venv "optimize" plan;
-              plan)
-            else plan
-          in
-          note_plan plan;
-          (plan, false)
+      (* only plan derivation and the verifier read the type environment:
+         a plan-cache hit whose result is cached never builds it *)
+      let venv = lazy (type_env t) in
+      let derive note_plan expr =
+        let venv = Lazy.force venv in
+        let normalized = Rewrite.normalize expr in
+        let plan = Vida_algebra.Translate.plan_of_comp normalized in
+        verify_stage t ~env:venv "translate" plan;
+        let plan =
+          if optimize then (
+            let plan =
+              Vida_optimizer.Rules.with_checker
+                (firing_check t ~env:venv "optimize")
+                (fun () -> Vida_optimizer.Optimizer.optimize ctx plan)
+            in
+            verify_stage t ~env:venv "optimize" plan;
+            plan)
+          else plan
+        in
+        note_plan plan;
+        plan
       in
+      let compiled =
+        match job with
+        | `Expr expr -> Ok (derive note_plan expr, false)
+        | `Plan cp -> (
+          match validate_cached t cp with
+          | `Hit -> Ok (cp.plan, true)
+          | `Stale rev -> (
+            match cp.reparse () with
+            | Error e -> Error e
+            | Ok expr ->
+              Result.map
+                (fun () -> (derive (plan_cache_store t cp.key ~rev) expr, false))
+                (typecheck (Lazy.force venv) expr)))
+      in
+      match compiled with
+      | Error e -> Error e
+      | Ok (plan, plan_from_cache) ->
       let cache_key =
         (match engine with Jit -> "jit|" | Generic -> "gen|")
         ^ Vida_algebra.Plan.to_string plan
@@ -515,8 +622,8 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs t
             locked t (fun () -> Hashtbl.find_opt t.result_cache cache_key)
           else None
         with
-        | Some (value, _, stamps) ->
-          if fingerprints_fresh t stamps then Some value
+        | Some c ->
+          if fingerprints_fresh t c.c_stamps then Some c
           else (
             locked t (fun () ->
                 Hashtbl.remove t.result_cache cache_key;
@@ -525,16 +632,16 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs t
         | None -> None
       in
       match cached with
-      | Some value ->
+      | Some c ->
         locked t (fun () ->
             t.queries_run <- t.queries_run + 1;
             t.queries_from_cache <- t.queries_from_cache + 1;
             t.result_hits <- t.result_hits + 1);
         Ok
-          { value; plan; compile_ms = now_ms () -. t0; exec_ms = 0.;
+          { value = c.c_value; plan; compile_ms = now_ms () -. t0; exec_ms = 0.;
             raw_io = Vida_raw.Io_stats.zero; served_from_cache = true;
             from_result_cache = true; plan_from_cache;
-            governor = Governor.report session; epochs }
+            governor = Governor.report session; epochs; encoded = c.c_encoded }
       | None -> (
       let run_generic () = (Interp.query ctx plan) () in
       (* degradation ladder, rung 1: a JIT code-generation or execution
@@ -569,7 +676,9 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs t
             if ctx.Plugins.domains > 1 then
               match
                 Parallel.with_checker
-                  (firing_check t ~env:venv "parallel")
+                  (fun ~rule ~before ~after ->
+                    firing_check t ~env:(Lazy.force venv) "parallel" ~rule
+                      ~before ~after)
                   (fun () -> Parallel.try_query ctx plan)
               with
               | Some value -> value
@@ -609,15 +718,17 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs t
                  index_probes = t.session_io.index_probes + raw_io.index_probes;
                  file_loads = t.session_io.file_loads + raw_io.file_loads
                }));
+        let encoded = Atomic.make None in
         if reuse then (
-          let sources = Vida_algebra.Plan.free_vars plan in
-          let stamps = source_fingerprints t sources in
+          let c_sources = Vida_algebra.Plan.free_vars plan in
+          let c_stamps = source_fingerprints t c_sources in
           locked t (fun () ->
-              Hashtbl.replace t.result_cache cache_key (value, sources, stamps)));
+              Hashtbl.replace t.result_cache cache_key
+                { c_value = value; c_sources; c_stamps; c_encoded = encoded }));
         Ok
           { value; plan; compile_ms = t1 -. t0; exec_ms = t2 -. t1; raw_io;
             served_from_cache; from_result_cache = false; plan_from_cache;
-            governor = Governor.report session; epochs }
+            governor = Governor.report session; epochs; encoded }
       | exception Plugins.Engine_error msg -> Error (Engine_error msg)
       | exception Eval.Error msg -> Error (Engine_error msg)
       | exception Value.Type_error msg -> Error (Engine_error msg))
@@ -627,22 +738,6 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs t
          resource-limit or deadline/budget/cancellation hits — surfaces as
          a typed error, never a crash *)
       Error (Data_error e)
-
-(* --- plan cache (serving layer) ---
-
-   Keyed on the query text (plus syntax, engine and optimize flag); an
-   entry is only served while the catalog revision it was derived under is
-   current AND every file-backed source it references still has the
-   fingerprint it had then — a changed file can change an inferred schema
-   and hence the valid plan. Serving a cached plan skips parse, typecheck,
-   translation and optimization; execution (epochs, governor, result
-   cache) is identical. A cached plan intentionally freezes the optimizer
-   decision: runtime-feedback-driven replans only happen on a miss. *)
-
-let plan_cache_key ~syntax ~engine ~optimize text =
-  String.concat "|"
-    [ syntax; (match engine with Jit -> "jit" | Generic -> "gen");
-      (if optimize then "opt" else "raw"); text ]
 
 (* A live-cache miss consults the warm spill loaded from the state
    directory: an entry whose source fingerprints all still match is
@@ -659,11 +754,14 @@ let plan_spill_find t key =
           Hashtbl.remove t.plan_spill key;
           t.plan_warm_hits <- t.plan_warm_hits + 1;
           Hashtbl.replace t.plan_cache key (plan, stamps, t.catalog_rev));
-      Some plan)
+      Some (plan, stamps))
     else (
       locked t (fun () -> Hashtbl.remove t.plan_spill key);
       None)
 
+(* Plan-cache lookup by revision only: the candidate's stamps are
+   checked later, inside the query's epoch ({!validate_cached}), where
+   the hit is counted. A revision mismatch drops the entry. *)
 let plan_cache_find t key =
   match locked t (fun () -> (Hashtbl.find_opt t.plan_cache key, t.catalog_rev)) with
   | None, _ -> (
@@ -673,21 +771,12 @@ let plan_cache_find t key =
       locked t (fun () -> t.plan_misses <- t.plan_misses + 1);
       None)
   | Some (plan, stamps, rev), current_rev ->
-    if rev = current_rev && fingerprints_fresh t stamps then (
-      locked t (fun () -> t.plan_hits <- t.plan_hits + 1);
-      Some plan)
+    if rev = current_rev then Some (plan, stamps)
     else (
       locked t (fun () ->
           Hashtbl.remove t.plan_cache key;
           t.plan_misses <- t.plan_misses + 1);
       None)
-
-(* stored under the revision read {e before} the pipeline ran: if a
-   concurrent catalog change (or this query's own source refresh) bumped
-   the revision meanwhile, the entry self-invalidates on first lookup *)
-let plan_cache_store t key ~rev plan =
-  let stamps = source_fingerprints t (Vida_algebra.Plan.free_vars plan) in
-  locked t (fun () -> Hashtbl.replace t.plan_cache key (plan, stamps, rev))
 
 (* Quarantine ledgers loaded at warm boot wait here until their source is
    registered (registration order is the caller's business, not ours); a
@@ -723,9 +812,10 @@ let run_text ?(engine = Jit) ?(optimize = true) ?(reuse = true) ?domains ~syntax
   let parse =
     match syntax with `Comp -> Parser.parse | `Sql -> Vida_sql.Sql.translate
   in
+  let reparse () = Result.map_error (fun msg -> Parse_error msg) (parse text) in
   let run_parsed ?note_plan () =
-    match parse text with
-    | Error msg -> Error (Parse_error msg)
+    match reparse () with
+    | Error e -> Error e
     | Ok expr -> run_job ~engine ~optimize ~reuse ?domains ?note_plan t (`Expr expr)
   in
   if not reuse then run_parsed ()
@@ -736,7 +826,8 @@ let run_text ?(engine = Jit) ?(optimize = true) ?(reuse = true) ?domains ~syntax
         ~engine ~optimize text
     in
     match plan_cache_find t key with
-    | Some plan -> run_job ~engine ~optimize ~reuse ?domains t (`Plan plan)
+    | Some (plan, stamps) ->
+      run_job ~engine ~optimize ~reuse ?domains t (`Plan { key; plan; stamps; reparse })
     | None ->
       let rev = locked t (fun () -> t.catalog_rev) in
       run_parsed ~note_plan:(fun plan -> plan_cache_store t key ~rev plan) ()

@@ -144,9 +144,10 @@ type result = {
   plan_from_cache : bool;
       (** the optimized plan was served by the instance plan cache —
           parse, typecheck, translation and optimization were skipped.
-          Entries are validated against the catalog revision and every
-          referenced source's fingerprint, so a schema change or file
-          mutation forces a re-plan, never a stale plan. *)
+          Entries are validated against the catalog revision at lookup
+          and against every referenced source's fingerprint inside the
+          query's epoch, so a schema change or file mutation forces a
+          re-plan (in the same epoch), never a stale plan. *)
   governor : Vida_governor.Governor.report;
       (** the query's resource-governance trace: wall time, cooperative
           polls, bytes charged against the memory budget, transient-IO
@@ -160,7 +161,19 @@ type result = {
           rather than ever mixing generations; the instance's
           {!Vida_governor.Governor.change_policy} decides whether the
           query transparently re-pins and retries first. *)
+  encoded : Vida_data.Value.encoded option Atomic.t;
+      (** memo of [value]'s canonical JSON text and its
+          {!Vida_data.Value.fnv64} tag, filled by the first {!encoded}
+          call. A result computed with reuse on shares the memo with its
+          result-cache entry, so every later hit on that entry gets the
+          bytes without encoding again; purging or stale-dropping the
+          entry discards the memo with it. *)
 }
+
+(** [encoded r] is [Value.encode r.value], computed at most once per
+    result-cache entry. Safe under concurrent sessions: racing callers
+    compute identical bytes and one memo wins. *)
+val encoded : result -> Vida_data.Value.encoded
 
 (** [query t text] runs a comprehension query end to end: parse → validate
     against the catalog → normalize → translate → optimize → generate the

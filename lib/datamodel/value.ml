@@ -278,3 +278,20 @@ let to_json v =
   in
   go v;
   Buffer.contents buf
+
+(* FNV-1a over native ints. OCaml ints wrap mod 2^63, and the low 63 bits
+   of a product mod 2^64 depend only on the low 63 bits of its operands, so
+   starting from the offset basis 0xcbf29ce484222325 cut to 63 bits gives
+   the 64-bit hash's low bits exactly; 62 of them are kept. *)
+let fnv64 s =
+  let h = ref 0x4bf29ce484222325 in
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x100000001b3
+  done;
+  !h land 0x3FFFFFFFFFFFFFFF
+
+type encoded = { json : string; crc : int }
+
+let encode v =
+  let json = to_json v in
+  { json; crc = fnv64 json }

@@ -72,3 +72,14 @@ val to_string : t -> string
 (** Compact single-line JSON rendering (sets/bags/lists all as JSON arrays;
     arrays as nested JSON arrays by dimension). *)
 val to_json : t -> string
+
+(** [fnv64 s] is FNV-1a over the bytes of [s], masked to 62 bits so it is
+    a non-negative [Int]. The serving protocol's integrity tag: a request
+    carries the tag of its query text, an ok reply the tag of its value's
+    {!to_json} text. *)
+val fnv64 : string -> int
+
+(** A value's canonical JSON text and that text's {!fnv64} tag. *)
+type encoded = { json : string; crc : int }
+
+val encode : t -> encoded

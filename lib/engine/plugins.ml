@@ -848,29 +848,30 @@ let refresh_source ctx (source : Source.t) =
   let name = source.Source.name in
   let rebuilt () = invalidate ctx name; `Rebuilt in
   match source.Source.path with
-  | None -> `Unchanged
+  | None -> (`Unchanged, None)
   | Some path -> (
     match Structures.peek_buffer ctx.structures name with
     | Some buf when Vida_raw.Raw_buffer.loaded buf -> (
       let old_fp = Vida_raw.Fingerprint.of_buffer buf in
-      match Vida_raw.Delta.classify ~old_fp path with
+      let delta, probed = Vida_raw.Delta.classify ~old_fp path in
+      match delta with
       | Vida_raw.Delta.Unchanged ->
         (* content is current; a drifted cheap snapshot (mtime-only
            change, e.g. touch(1)) just re-snapshots the registry *)
         if Source.stale source then ignore (Registry.refresh ctx.registry name);
-        `Unchanged
+        (`Unchanged, probed)
       | Vida_raw.Delta.Appended _ -> (
         match try_extend ctx source with
         | () ->
           ignore (Registry.refresh ctx.registry name);
-          `Extended
-        | exception _ -> rebuilt ())
+          (`Extended, probed)
+        | exception _ -> (rebuilt (), probed))
       | Vida_raw.Delta.Rewritten | Vida_raw.Delta.Truncated _
       | Vida_raw.Delta.Vanished ->
-        rebuilt ())
+        (rebuilt (), probed))
     | _ ->
       (* nothing derived yet: the registration-time snapshot decides *)
-      if Source.stale source then rebuilt () else `Unchanged)
+      ((if Source.stale source then rebuilt () else `Unchanged), None))
 
 let set_cleaning ctx ~source policy =
   locked ctx (fun () -> Hashtbl.replace ctx.cleaning source policy);

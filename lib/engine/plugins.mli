@@ -116,9 +116,15 @@ val invalidate : ctx -> string -> unit
       unrecognized payload shapes fall back to dropping the caches (the
       structures stay extended);
     - [`Rebuilt] — rewritten/truncated/vanished, or no structures built
-      yet and the snapshot drifted: full {!invalidate} (paper §2.1). *)
+      yet and the snapshot drifted: full {!invalidate} (paper §2.1).
+
+    The verdict comes with the fingerprint the classification probed from
+    the file, or [None] when no probe was needed (nothing derived yet, no
+    backing file) or the file vanished. *)
 val refresh_source :
-  ctx -> Vida_catalog.Source.t -> [ `Unchanged | `Extended | `Rebuilt ]
+  ctx ->
+  Vida_catalog.Source.t ->
+  [ `Unchanged | `Extended | `Rebuilt ] * Vida_raw.Fingerprint.t option
 
 (** [set_cleaning ctx ~source policy] attaches a cleaning policy; the
     source's caches are dropped so already-decoded columns are re-read

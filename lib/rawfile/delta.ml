@@ -27,19 +27,22 @@ let classify_contents ~old_fp s =
 let classify ~old_fp path =
   let old_size = old_fp.Fingerprint.size in
   match Fingerprint.probe path with
-  | None -> Vanished
-  | Some now ->
-    if now.Fingerprint.size = old_size then
-      if Fingerprint.equal now old_fp then Unchanged else Rewritten
-    else if now.Fingerprint.size < old_size then
-      Truncated { old_size; new_size = now.Fingerprint.size }
-    else (
-      (* grew: append iff the old prefix is byte-identical (old-prefix
-         fingerprint unchanged), which the prefix probe re-digests *)
-      match Fingerprint.probe_prefix path ~size:old_size with
-      | Some prefix when Fingerprint.equal prefix old_fp ->
-        Appended { old_size; new_size = now.Fingerprint.size }
-      | Some _ | None -> Rewritten)
+  | None -> (Vanished, None)
+  | Some now as probed ->
+    let delta =
+      if now.Fingerprint.size = old_size then
+        if Fingerprint.equal now old_fp then Unchanged else Rewritten
+      else if now.Fingerprint.size < old_size then
+        Truncated { old_size; new_size = now.Fingerprint.size }
+      else
+        (* grew: append iff the old prefix is byte-identical (old-prefix
+           fingerprint unchanged), which the prefix probe re-digests *)
+        match Fingerprint.probe_prefix path ~size:old_size with
+        | Some prefix when Fingerprint.equal prefix old_fp ->
+          Appended { old_size; new_size = now.Fingerprint.size }
+        | Some _ | None -> Rewritten
+    in
+    (delta, probed)
 
 let describe = function
   | Unchanged -> "unchanged"

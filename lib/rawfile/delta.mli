@@ -16,8 +16,10 @@ type t =
   | Vanished  (** the file cannot be read any more *)
 
 (** [classify ~old_fp path] probes the file directly (no {!Io_stats}
-    accounting, no buffer load). *)
-val classify : old_fp:Fingerprint.t -> string -> t
+    accounting, no buffer load) and returns the verdict with the
+    fingerprint it probed ([None] when the file is [Vanished]), so a caller
+    pinning the file's current generation need not probe it again. *)
+val classify : old_fp:Fingerprint.t -> string -> t * Fingerprint.t option
 
 (** [classify_contents ~old_fp s] classifies in-memory bytes [s] against
     the old fingerprint — for revalidating a freshly loaded buffer. *)

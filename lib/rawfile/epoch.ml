@@ -82,8 +82,8 @@ let reset_check_stride () = Atomic.set stride default_stride
 let probe_now e ~source ~path fp =
   Atomic.incr e.probes;
   match Delta.classify ~old_fp:fp path with
-  | Delta.Unchanged -> ()
-  | delta -> changed ~source delta
+  | Delta.Unchanged, _ -> ()
+  | delta, _ -> changed ~source delta
 
 let check ~source () =
   match current () with

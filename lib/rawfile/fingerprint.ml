@@ -61,7 +61,12 @@ let with_channel path f =
         | fp -> Some fp
         | exception (Sys_error _ | End_of_file) -> None)
 
+let probe_count = Atomic.make 0
+
+let probes () = Atomic.get probe_count
+
 let probe path =
+  Atomic.incr probe_count;
   with_channel path (fun ic -> probe_channel ic ~size:(in_channel_length ic))
 
 (* Fingerprint of the file's first [size] bytes — what the file's

@@ -38,6 +38,10 @@ val of_buffer : Raw_buffer.t -> t
     no buffer load. [None] when the file cannot be read. *)
 val probe : string -> t option
 
+(** [probes ()] counts {!probe} calls since the process started — how
+    many times revalidation went to a file. *)
+val probes : unit -> int
+
 (** [probe_prefix path ~size] fingerprints the first [size] bytes of the
     file at [path] — what {!probe} returned before the file grew, iff the
     prefix is unchanged. [None] when the file is shorter than [size] or

@@ -38,12 +38,14 @@ type request = {
    domain and back. Queries must run on a domain of their own — the
    governor session and epoch are ambient per {e domain}, while every
    connection thread shares domain 0 — so connection threads only do
-   socket IO and hand the work to the executor pool. *)
+   socket IO and hand the work to the executor pool. The executor wakes
+   the waiting connection thread through [wake], the write end of that
+   connection's wake pipe. *)
 type job = {
   run : unit -> string;
   mutable reply : string option;
   j_lock : Vida_sync.Lock.t;
-  j_done : Condition.t;
+  wake : Unix.file_descr;
 }
 
 type conn = { c_fd : Unix.file_descr; c_thread : Thread.t }
@@ -98,29 +100,19 @@ let field name v rest = (name, v) :: rest
 
 let respond fields = Value.to_json (Value.Record fields)
 
-(* FNV-1a over canonical JSON text, masked to 62 bits (a [Value.Int]).
-   End-to-end integrity tag for the payloads that matter: a request
-   carries the checksum of its query text ([q_crc]) and an ok reply the
-   checksum of its value ([v_crc]). TCP's own checksum is per-hop; a
+(* End-to-end integrity tags ({!Value.fnv64}) for the payloads that
+   matter: a request carries the tag of its query text ([q_crc]) and an ok
+   reply the tag of its value ([v_crc]). TCP's own checksum is per-hop; a
    fault-injecting proxy (or a flaky middlebox) can flip bits that still
    parse as valid JSON, and without these tags a corrupted-but-parseable
    answer would be silently accepted. *)
-let fnv64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h :=
-        Int64.mul
-          (Int64.logxor !h (Int64.of_int (Char.code c)))
-          0x100000001b3L)
-    s;
-  Int64.to_int (Int64.logand !h 0x3FFFFFFFFFFFFFFFL)
 
-(* The value is encoded once: its checksum is taken over the same text
-   that is spliced into the frame as the last field, so the payload is
-   byte-identical to [respond] over the whole record. *)
+(* The value's encoding and tag come from the result's memo, so a
+   result-cache hit splices bytes already encoded for an earlier reply.
+   The tag covers exactly the text spliced in as the last field, so the
+   payload is byte-identical to [respond] over the whole record. *)
 let ok_payload req_id (r : Vida.result) =
-  let value = Value.to_json r.Vida.value in
+  let { Value.json = value; crc } = Vida.encoded r in
   let head =
     respond
       (field "id" req_id
@@ -131,7 +123,7 @@ let ok_payload req_id (r : Vida.result) =
            (Value.String (if r.Vida.from_result_cache then "hit" else "miss"))
       @@ field "compile_ms" (Value.Float r.Vida.compile_ms)
       @@ field "exec_ms" (Value.Float r.Vida.exec_ms)
-      @@ field "v_crc" (Value.Int (fnv64 value)) [])
+      @@ field "v_crc" (Value.Int crc) [])
   in
   String.concat "" [ String.sub head 0 (String.length head - 1); {|,"value":|}; value; "}" ]
 
@@ -221,7 +213,7 @@ let parse_request payload =
         | Error msg -> `Bad msg
         | Ok _
           when match Value.field_opt v "q_crc" with
-               | Some (Value.Int crc) -> crc <> fnv64 query
+               | Some (Value.Int crc) -> crc <> Value.fnv64 query
                | _ -> false -> `Corrupt req_id
         | Ok syntax ->
           `Query
@@ -367,6 +359,18 @@ let execute srv session req =
 
 (* --- executor domains --- *)
 
+(* One byte on a connection's wake pipe per completed job. The write end
+   is non-blocking, so the executor never blocks on it under the job
+   lock: a pipe too full to take the byte already holds unread wakes. *)
+let wake_conn fd =
+  let rec go () =
+    match Unix.write_substring fd "!" 0 1 with
+    | _ -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  go ()
+
 let exec_loop srv () =
   let rec next () =
     Vida_sync.Lock.lock srv.lock;
@@ -396,18 +400,21 @@ let exec_loop srv () =
              every other session is untouched *)
           bad_request_payload ("internal error: " ^ Printexc.to_string e)
       in
+      (* the wake is written under the same lock as the reply: a
+         connection thread that sees the reply knows the write is done,
+         so it may close the pipe without this write landing on a
+         descriptor number reused meanwhile *)
       Vida_sync.Lock.protect job.j_lock (fun () ->
           job.reply <- Some reply;
-          Condition.broadcast job.j_done);
+          wake_conn job.wake);
       next ()
   in
   next ()
 
-let submit_job srv run =
+let submit_job srv ~wake run =
   let job =
     { run; reply = None;
-      j_lock = Vida_sync.Lock.create ~rank:30 ~name:"server.job" ();
-      j_done = Condition.create () }
+      j_lock = Vida_sync.Lock.create ~rank:30 ~name:"server.job" (); wake }
   in
   Vida_sync.Lock.protect srv.lock (fun () ->
       if srv.stopping then
@@ -437,7 +444,67 @@ let peer_gone fd =
 
 (* --- connection handling (systhreads: socket IO and cancellation only) --- *)
 
-let handle_conn srv fd =
+(* How often a connection thread whose peer has a pipelined request
+   buffered re-checks that the peer is still there. The buffered bytes
+   keep the socket readable, so it cannot wait on the socket itself. *)
+let peer_check_s = 0.05
+
+let drain_wakes fd =
+  let b = Bytes.create 64 in
+  let rec go () =
+    match Unix.read fd b 0 (Bytes.length b) with
+    | n when n = Bytes.length b -> go ()
+    | _ -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  go ()
+
+(* Wait for [job]'s reply without polling: the executor writes the wake
+   pipe on completion, and the client socket is watched meanwhile, so a
+   client that dies mid-query cancels its work instead of occupying an
+   admission slot until completion. Once the socket turns readable with a
+   live peer (a pipelined request), it stays readable: from then on it is
+   re-checked every [peer_check_s] instead. [None] when the query was
+   cancelled for a gone client. *)
+let await_reply srv session fd ~wake_r job =
+  let cancel () =
+    Vida.cancel session ~reason:"client disconnected";
+    Vida_sync.Lock.protect srv.lock (fun () ->
+        srv.disconnect_cancels <- srv.disconnect_cancels + 1)
+  in
+  (* [watch]: [`Socket] selects on the socket, [`Poll] re-checks the peer
+     on a timeout, [`Cancelled] only waits for the wake *)
+  let rec wait watch =
+    match Vida_sync.Lock.protect job.j_lock (fun () -> job.reply) with
+    | Some r -> if watch = `Cancelled then None else Some r
+    | None -> (
+      let fds, timeout =
+        match watch with
+        | `Socket -> ([ wake_r; fd ], -1.)
+        | `Poll -> ([ wake_r ], peer_check_s)
+        | `Cancelled -> ([ wake_r ], -1.)
+      in
+      match Unix.select fds [] [] timeout with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait watch
+      | ready, _, _ ->
+        let woken = List.mem wake_r ready in
+        if woken then drain_wakes wake_r;
+        (* a reply that is ready wins over a peer check *)
+        let check_peer =
+          match watch with
+          | `Socket -> List.mem fd ready && not woken
+          | `Poll -> ready = []
+          | `Cancelled -> false
+        in
+        if check_peer && peer_gone fd then (
+          cancel ();
+          wait `Cancelled)
+        else wait (if check_peer then `Poll else watch))
+  in
+  wait `Socket
+
+let handle_conn srv fd ~wake_r ~wake_w =
   let session =
     Vida.open_session srv.db
       ~name:(Printf.sprintf "conn-%d" (Thread.id (Thread.self ())))
@@ -493,30 +560,14 @@ let handle_conn srv fd =
             Some (data_error_payload req.req_id e)
           | ticket ->
           let job =
-            submit_job srv (fun () ->
+            submit_job srv ~wake:wake_w (fun () ->
                 (* the slot is returned on every completion path — a
                    failing query, a cancelled one, a dead client *)
                 Fun.protect
                   ~finally:(fun () -> G.Admission.release srv.adm ticket)
                   (fun () -> execute srv session req))
           in
-          (* wait for the executor; watch the socket meanwhile so a
-             client that dies mid-query cancels its work instead of
-             occupying an admission slot until completion *)
-          let cancelled = ref false in
-          let rec await () =
-            match Vida_sync.Lock.protect job.j_lock (fun () -> job.reply) with
-            | Some r -> if !cancelled then None else Some r
-            | None ->
-              if (not !cancelled) && peer_gone fd then (
-                cancelled := true;
-                Vida.cancel session ~reason:"client disconnected";
-                Vida_sync.Lock.protect srv.lock (fun () ->
-                    srv.disconnect_cancels <- srv.disconnect_cancels + 1));
-              Thread.delay 0.002;
-              await ()
-          in
-          await ())
+          await_reply srv session fd ~wake_r job)
       in
       (match reply with
       | Some r -> (
@@ -532,8 +583,24 @@ let handle_conn srv fd =
   (try serve () with
   | Vida_error.Error _ -> () (* framing violation: drop the connection *)
   | Unix.Unix_error _ -> ());
-  Vida.close_session session;
-  (try Unix.close fd with Unix.Unix_error _ -> ())
+  Vida.close_session session
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* Each connection owns a wake pipe for the lifetime of the connection;
+   both ends close with it. Without descriptors for the pipe (EMFILE,
+   ENFILE) the connection is dropped, as the acceptor drops what it cannot
+   accept, and the client reconnects later. *)
+let serve_conn srv fd =
+  match Unix.pipe ~cloexec:true () with
+  | exception Unix.Unix_error _ -> close_quietly fd
+  | wake_r, wake_w ->
+    Fun.protect
+      ~finally:(fun () -> List.iter close_quietly [ wake_r; wake_w; fd ])
+      (fun () ->
+        Unix.set_nonblock wake_r;
+        Unix.set_nonblock wake_w;
+        handle_conn srv fd ~wake_r ~wake_w)
 
 (* Each connection thread registers itself (so [stop] can force it to
    EOF and join it) and prunes itself on exit (so [active_connections] is
@@ -550,9 +617,9 @@ let conn_main srv fd () =
           srv.conns <- me :: srv.conns;
           true))
   in
-  if not registered then (try Unix.close fd with Unix.Unix_error _ -> ())
+  if not registered then close_quietly fd
   else (
-    handle_conn srv fd;
+    serve_conn srv fd;
     Vida_sync.Lock.protect srv.lock (fun () ->
         srv.conns <- List.filter (fun c -> c != me) srv.conns))
 
@@ -765,7 +832,7 @@ module Client = struct
   let request_fields ?tenant ?deadline_ms ~syntax ~id text =
     field "id" id
     @@ field "query" (Value.String text)
-    @@ field "q_crc" (Value.Int (fnv64 text))
+    @@ field "q_crc" (Value.Int (Value.fnv64 text))
     @@ field "syntax"
          (Value.String (match syntax with `Comp -> "comp" | `Sql -> "sql"))
          ((match deadline_ms with
@@ -914,7 +981,7 @@ module Client = struct
             Value.field_opt reply "v_crc" )
         with
         | Some rid, Some v, Some (Value.Int crc) ->
-          rid = id && crc = fnv64 (Value.to_json v)
+          rid = id && crc = Value.fnv64 (Value.to_json v)
         | Some rid, Some _, None -> rid = id (* untagged: trust it *)
         | _ -> false)
       | Some (Value.String "error") -> (

@@ -23,8 +23,12 @@
     - success: [{"id", "status": "ok", "cache": "hit"|"miss",
       "result_cache": "hit"|"miss", "compile_ms", "exec_ms", "v_crc",
       "value"}] — [cache] marks whether the optimized plan was served by
-      the plan cache; [v_crc] is the FNV-1a tag over the value's JSON, so
-      a client can detect a corrupted-but-parseable answer end-to-end;
+      the plan cache; [v_crc] is the FNV-1a tag ({!Vida_data.Value.fnv64})
+      over the value's JSON, so a client can detect a
+      corrupted-but-parseable answer end-to-end. The value text and its
+      tag come from the result's [encoded] memo ({!Vida.encoded}): a
+      result-cache hit splices bytes encoded for an earlier reply, and
+      the frame is byte-identical to encoding the whole record;
     - failure: [{"id", "status": "error", "kind", "code", "message"}] with
       [kind]/[code] from {!Vida_error.kind_name}/{!Vida_error.exit_code};
       a shed query ([kind = "overloaded"], code 77, or
@@ -40,9 +44,12 @@
     {!Vida_governor.Governor.Admission}: a query is admitted, queued
     (bounded, deadline-aware) or shed; under elevated pressure admitted
     queries run sequentially instead of fanning out (degradation ladder).
-    A client that disconnects mid-query has its query cancelled
-    cooperatively — budget charges, epoch pins and its admission slot are
-    all released; a killed client can never leak a pool slot.
+    A connection thread waiting for its query's reply sleeps in [select]
+    on the client socket and a per-connection wake pipe that the executor
+    writes on completion — no polling. A client that disconnects
+    mid-query has its query cancelled cooperatively — budget charges,
+    epoch pins and its admission slot are all released; a killed client
+    can never leak a pool slot.
 
     Resilience: per-connection IO is deadline-bounded — an idle session is
     reaped after [idle_timeout_ms], a frame that starts and stalls

@@ -211,6 +211,34 @@ let test_schema_tuple_conforms () =
   check_bool "bad type" false
     (Schema.tuple_conforms sample_schema [| Value.Bool true; Value.String "x"; Value.Float 1. |])
 
+(* The protocol's integrity tag, as the 64-bit FNV-1a it is defined to
+   be: [Value.fnv64] runs over native ints and must agree with this on
+   every kept bit, or tags on the wire would change. *)
+let fnv64_reference s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  Int64.to_int (Int64.logand !h 0x3FFFFFFFFFFFFFFFL)
+
+let test_fnv64_vectors () =
+  (* published FNV-1a 64 vectors, masked to 62 bits *)
+  Alcotest.(check int) "empty" 0x0bf29ce484222325 (Value.fnv64 "");
+  Alcotest.(check int) "a" 0x2f63dc4c8601ec8c (Value.fnv64 "a");
+  Alcotest.(check int) "foobar" 0x05944171f73967e8 (Value.fnv64 "foobar");
+  let big = String.init 13_000 (fun i -> Char.chr (((i * 7919) + (i / 13)) land 255)) in
+  Alcotest.(check int) "13 KB" (fnv64_reference big) (Value.fnv64 big);
+  let v = Value.Record [ ("x", Value.Float 2.5); ("s", Value.String "q\"") ] in
+  let e = Value.encode v in
+  Alcotest.(check string) "encoded text" (Value.to_json v) e.Value.json;
+  Alcotest.(check int) "encoded tag" (fnv64_reference e.Value.json) e.Value.crc
+
+let prop_fnv64_reference =
+  QCheck.Test.make ~name:"fnv64 matches the Int64 reference" ~count:2000
+    QCheck.(string_gen_of_size (Gen.int_range 0 300) Gen.char)
+    (fun s -> Value.fnv64 s = fnv64_reference s)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -225,11 +253,13 @@ let () =
           Alcotest.test_case "typeof" `Quick test_typeof;
           Alcotest.test_case "typeof heterogeneous" `Quick test_typeof_heterogeneous_list;
           Alcotest.test_case "conforms" `Quick test_conforms;
-          Alcotest.test_case "to_json" `Quick test_to_json
+          Alcotest.test_case "to_json" `Quick test_to_json;
+          Alcotest.test_case "fnv64 vectors" `Quick test_fnv64_vectors
         ] );
       qsuite "value-properties"
         [ prop_compare_reflexive; prop_compare_antisymmetric; prop_compare_transitive;
-          prop_hash_equal; prop_set_idempotent; prop_conforms_typeof
+          prop_hash_equal; prop_set_idempotent; prop_conforms_typeof;
+          prop_fnv64_reference
         ];
       ( "ty",
         [ Alcotest.test_case "unify" `Quick test_unify;

@@ -59,21 +59,25 @@ let test_delta_classify () =
   let old_s = "id,v\n1,10\n2,20\n" in
   let path = tmp_file old_s in
   let fp = FP.of_contents old_s in
-  check_bool "unchanged" true (Delta.classify ~old_fp:fp path = Delta.Unchanged);
-  append_file path "3,30\n";
+  (* the verdict carries the fingerprint its probe read from the file *)
   (match Delta.classify ~old_fp:fp path with
+  | Delta.Unchanged, Some probed -> check_bool "probed fp" true (FP.equal probed fp)
+  | d, _ -> Alcotest.failf "expected Unchanged, got %s" (Delta.describe d));
+  let classify ~old_fp path = fst (Delta.classify ~old_fp path) in
+  append_file path "3,30\n";
+  (match classify ~old_fp:fp path with
   | Delta.Appended { old_size; new_size } ->
     check_int "old size" (String.length old_s) old_size;
     check_int "new size" (String.length old_s + 5) new_size
   | d -> Alcotest.failf "expected Appended, got %s" (Delta.describe d));
   write_file path "id,v\n1,99\n2,20\n3,30\n";
-  check_bool "interior rewrite" true (Delta.classify ~old_fp:fp path = Delta.Rewritten);
+  check_bool "interior rewrite" true (classify ~old_fp:fp path = Delta.Rewritten);
   write_file path "id,v\n";
-  (match Delta.classify ~old_fp:fp path with
+  (match classify ~old_fp:fp path with
   | Delta.Truncated { new_size; _ } -> check_int "truncated size" 5 new_size
   | d -> Alcotest.failf "expected Truncated, got %s" (Delta.describe d));
   rm path;
-  check_bool "vanished" true (Delta.classify ~old_fp:fp path = Delta.Vanished);
+  check_bool "vanished" true (Delta.classify ~old_fp:fp path = (Delta.Vanished, None));
   (* in-memory variant: same classification without touching disk *)
   check_bool "contents appended" true
     (match Delta.classify_contents ~old_fp:fp (old_s ^ "3,30\n") with
@@ -161,7 +165,7 @@ let test_append_extends_caches () =
   let src =
     match Vida.describe db "S" with Some s -> s | None -> Alcotest.fail "S missing"
   in
-  (match Vida_engine.Plugins.refresh_source (Vida.ctx db) src with
+  (match fst (Vida_engine.Plugins.refresh_source (Vida.ctx db) src) with
   | `Extended -> ()
   | `Unchanged -> Alcotest.fail "append not detected"
   | `Rebuilt -> Alcotest.fail "append fell back to a full rebuild");

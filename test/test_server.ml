@@ -223,11 +223,11 @@ let test_plan_cache_markers () =
           let r4 = Server.Client.query c q in
           check_string "stale plan dropped" "miss" (fld_str r4 "cache");
           check_string "fresh answer" "15" (Value.to_json (fld r4 "value"));
-          (* conservative self-invalidation: r4's own refresh bumped the
-             catalog revision after its plan was stamped, so r5 misses
-             once more (and re-primes), then r6 hits *)
+          (* r4 re-derived its plan inside its own epoch, after its
+             refresh bumped the catalog revision, and stored it under the
+             post-append revision and fingerprints: r5 hits at once *)
           let r5 = Server.Client.query c q in
-          check_string "re-primed" "miss" (fld_str r5 "cache");
+          check_string "re-primed" "hit" (fld_str r5 "cache");
           let r6 = Server.Client.query c q in
           check_string "re-cached" "hit" (fld_str r6 "cache")));
   let st = Vida.stats db in
@@ -387,6 +387,118 @@ let test_disconnect_cancels () =
       with_client srv (fun c ->
           let r = Server.Client.query c "for { s <- SlowSrc } yield count s" in
           check_string "post-cancel query ok" "ok" (fld_str r "status")))
+
+(* A request pipelined behind one still running leaves the socket
+   readable with a live peer: the connection thread must neither mistake
+   it for a disconnect nor lose it, and answers both in order. *)
+let test_pipelined_requests () =
+  let gate = Atomic.make false in
+  let db = gated_db gate in
+  with_server db (fun srv ->
+      let fd = raw_connect (Server.address srv) in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Frame.write fd {|{"id": 1, "query": "for { s <- SlowSrc } yield count s"}|};
+          Frame.write fd {|{"id": 2, "query": "for { s <- SlowSrc } yield sum s.x"}|};
+          check_bool "first admitted" true
+            (wait_for (fun () ->
+                 (Server.stats srv).Server.admission.G.Admission.running = 1));
+          (* long enough for the waiting thread to see the buffered frame *)
+          Thread.delay 0.1;
+          Atomic.set gate true;
+          let reply () =
+            match Frame.read fd with
+            | Some raw -> Vida_raw.Json.parse ~source:"reply" raw
+            | None -> Alcotest.fail "connection closed"
+          in
+          let r1 = reply () in
+          let r2 = reply () in
+          check_bool "first id" true (fld r1 "id" = Value.Int 1);
+          check_string "first value" "1" (Value.to_json (fld r1 "value"));
+          check_bool "second id" true (fld r2 "id" = Value.Int 2);
+          check_string "second value" "7" (Value.to_json (fld r2 "value")));
+      check_int "no false disconnect" 0 (Server.stats srv).Server.disconnect_cancels)
+
+(* --- revalidation cost and reply encoding ---------------------------- *)
+
+let probe_config =
+  { Vida_workload.Hbp_data.patients_rows = 60; patients_attrs = 12;
+    genetics_rows = 80; genetics_attrs = 16; regions_objects = 40;
+    regions_per_object = 2; seed = 5 }
+
+(* A cached answer to the three-source join revalidates each source with
+   exactly one file probe: the delta check's probe is the fingerprint the
+   query pins, and the cached plan and result validate against the pins. *)
+let test_cached_probes_per_source () =
+  let dir = Filename.temp_file "vida_srv_probes" "" in
+  Sys.remove dir;
+  let paths = Vida_workload.Hbp_data.generate probe_config ~dir in
+  let db = Vida.create ~domains:1 () in
+  Vida.csv db ~name:"Patients" ~path:paths.Vida_workload.Hbp_data.patients ();
+  Vida.csv db ~name:"Genetics" ~path:paths.Vida_workload.Hbp_data.genetics ();
+  Vida.json db ~name:"BrainRegions" ~path:paths.Vida_workload.Hbp_data.regions ();
+  let q =
+    "for { p <- Patients, g <- Genetics, b <- BrainRegions, p.id = g.id, \
+     g.id = b.id, p.age > 40 } yield count p"
+  in
+  let probed text =
+    let before = Vida_raw.Fingerprint.probes () in
+    match Vida.query db text with
+    | Ok r -> (r, Vida_raw.Fingerprint.probes () - before)
+    | Error e -> Alcotest.failf "query failed: %s" (Vida.error_to_string e)
+  in
+  let first, _ = probed q in
+  let hit, n = probed q in
+  check_bool "plan-cache hit" true hit.Vida.plan_from_cache;
+  check_bool "result-cache hit" true hit.Vida.from_result_cache;
+  check_int "one probe per source on a cached answer" 3 n;
+  (* another text for the same plan: a plan-cache miss answered from the
+     result cache, which also probes each source once (twice before) *)
+  let miss, n = probed (q ^ " ") in
+  check_bool "plan-cache miss" false miss.Vida.plan_from_cache;
+  check_bool "same cached result" true miss.Vida.from_result_cache;
+  check_int "one probe per source on a plan-cache miss" 3 n;
+  check_bool "same answer" true (Value.equal first.Vida.value miss.Vida.value);
+  List.iter rm
+    [ paths.Vida_workload.Hbp_data.patients; paths.Vida_workload.Hbp_data.genetics;
+      paths.Vida_workload.Hbp_data.regions ];
+  try Sys.rmdir dir with Sys_error _ -> ()
+
+(* After an append, the next reply carries the new value under a tag that
+   is right for it: the encoding memoized for the old cached result is
+   discarded with that result, never spliced into a frame. *)
+let test_append_reply_encoding () =
+  let db, path = numbers_db () in
+  let q = "for { n <- Nums } yield sum n.n" in
+  let raw_query c id =
+    Server.Client.roundtrip c
+      (Value.to_json
+         (Value.Record [ ("id", Value.Int id); ("query", Value.String q) ]))
+  in
+  let tag raw =
+    match fld (Vida_raw.Json.parse raw) "v_crc" with
+    | Value.Int crc -> crc
+    | v -> Alcotest.failf "v_crc not an int: %s" (Value.to_json v)
+  in
+  with_server db (fun srv ->
+      with_client srv (fun c ->
+          ignore (raw_query c 1);
+          let cached = raw_query c 2 in
+          check_string "cached" "hit" (fld_str (Vida_raw.Json.parse cached) "result_cache");
+          check_int "cached tag" (Value.fnv64 "10") (tag cached);
+          append_file path "5\n";
+          let fresh = raw_query c 3 in
+          let reply = Vida_raw.Json.parse fresh in
+          check_string "recomputed" "miss" (fld_str reply "result_cache");
+          check_string "new value" "15" (Value.to_json (fld reply "value"));
+          check_int "tag of the new value" (Value.fnv64 "15") (tag fresh);
+          check_string "canonical frame" (Value.to_json reply) fresh;
+          let again = raw_query c 4 in
+          check_string "new value cached" "15"
+            (Value.to_json (fld (Vida_raw.Json.parse again) "value"));
+          check_int "cached tag of the new value" (Value.fnv64 "15") (tag again)));
+  rm path
 
 (* --- session fault isolation ----------------------------------------- *)
 
@@ -621,12 +733,15 @@ let tests =
        Alcotest.test_case "bad request" `Quick test_bad_request ]);
     ("plan cache",
      [ Alcotest.test_case "markers" `Quick test_plan_cache_markers;
-       Alcotest.test_case "catalog rev" `Quick test_plan_cache_catalog_rev ]);
+       Alcotest.test_case "catalog rev" `Quick test_plan_cache_catalog_rev;
+       Alcotest.test_case "probes per source" `Quick test_cached_probes_per_source;
+       Alcotest.test_case "append re-encodes reply" `Quick test_append_reply_encoding ]);
     ("admission",
      [ Alcotest.test_case "overload shed" `Quick test_overload_shed;
        Alcotest.test_case "per-tenant cap" `Quick test_per_tenant_cap ]);
     ("cancel",
-     [ Alcotest.test_case "disconnect cancels" `Quick test_disconnect_cancels ]);
+     [ Alcotest.test_case "disconnect cancels" `Quick test_disconnect_cancels;
+       Alcotest.test_case "pipelined requests" `Quick test_pipelined_requests ]);
     ("isolation",
      [ Alcotest.test_case "fault isolation" `Quick test_fault_isolation;
        Alcotest.test_case "shared-cache stress" `Quick test_shared_cache_stress ]);
