@@ -1,61 +1,71 @@
 open Vida_data
 
-(* [next_pos] convention: a value strictly greater than [row_end] means the
-   row is exhausted; otherwise it is the start offset of the next field.
+(* The [next_pos] convention and the counting rule are stated in csv.mli.
 
    The tokenizer core works on the whole file as one immutable string:
    [row_end] is clamped to the string length once on entry, after which
    every access below is within-bounds by construction, so the hot loops
-   read with [String.unsafe_get] instead of paying a per-byte check. *)
+   read with [String.unsafe_get] instead of paying a per-byte check. The
+   primitives below count nothing; the entry points charge. *)
+
+(* Offset of the first [delim] at or after [i], or [i] itself once [i]
+   has reached [row_end]. *)
+let rec delim_from ~delim s ~row_end i =
+  if i >= row_end || String.unsafe_get s i = delim then i
+  else delim_from ~delim s ~row_end (i + 1)
+
+(* Offset of the quote closing a quoted field whose content starts at [i]
+   ([""] is an escaped quote), or [row_end] when the field never closes. *)
+let rec closing_quote s ~row_end i =
+  if i >= row_end then i
+  else if String.unsafe_get s i <> '"' then closing_quote s ~row_end (i + 1)
+  else if i + 1 < row_end && String.unsafe_get s (i + 1) = '"' then
+    closing_quote s ~row_end (i + 2)
+  else i
+
+(* [next_pos] of a field whose content stops at [stop]. *)
+let after ~row_end stop = if stop < row_end then stop + 1 else row_end + 1
+
+(* Stray bytes between a closing quote and the delimiter (e.g.
+   ["abc"x,next]) are tolerated: the field keeps its quoted content and
+   the scan resyncs at the next delimiter instead of dropping the rest of
+   the row. *)
+let after_quoted ~delim s ~row_end close =
+  after ~row_end (delim_from ~delim s ~row_end (close + 1))
+
+let is_quoted s ~row_end pos =
+  pos >= 0 && pos < row_end && String.unsafe_get s pos = '"'
+
 let field_bounds_str ~delim s ~row_end pos =
   Io_stats.add_fields_tokenized 1;
-  let row_end = min row_end (String.length s) in
-  if pos >= 0 && pos < row_end && String.unsafe_get s pos = '"' then (
-    let rec scan i =
-      if i >= row_end then i
-      else
-        match String.unsafe_get s i with
-        | '"' ->
-          if i + 1 < row_end && String.unsafe_get s (i + 1) = '"' then scan (i + 2)
-          else i
-        | _ -> scan (i + 1)
-    in
-    let close = scan (pos + 1) in
-    (* Tolerate stray bytes between the closing quote and the delimiter
-       (e.g. ["abc"x,next]): the field keeps its quoted content and the
-       scan resyncs at the next delimiter instead of dropping the rest of
-       the row. *)
-    let rec to_delim i =
-      if i >= row_end then row_end + 1
-      else if String.unsafe_get s i = delim then i + 1
-      else to_delim (i + 1)
-    in
-    (pos + 1, close, to_delim (close + 1)))
+  let row_end = Int.min row_end (String.length s) in
+  if is_quoted s ~row_end pos then (
+    let close = closing_quote s ~row_end (pos + 1) in
+    (pos + 1, close, after_quoted ~delim s ~row_end close))
   else (
-    let pos = max 0 pos in
-    let rec scan i =
-      if i >= row_end then i
-      else if String.unsafe_get s i = delim then i
-      else scan (i + 1)
-    in
-    let stop = scan pos in
-    let next = if stop < row_end then stop + 1 else row_end + 1 in
-    (pos, stop, next))
+    let pos = Int.max 0 pos in
+    let stop = delim_from ~delim s ~row_end pos in
+    (pos, stop, after ~row_end stop))
 
-let field_bounds ~delim buf ~row_end pos =
-  field_bounds_str ~delim (Raw_buffer.contents buf) ~row_end pos
+let walk_fields ~delim s ~row_end ~visited pos n =
+  let row_end = Int.min row_end (String.length s) in
+  let pos = ref pos and k = ref 0 in
+  while !k < n && !pos <= row_end do
+    let p = !pos in
+    (pos :=
+       if is_quoted s ~row_end p then
+         after_quoted ~delim s ~row_end (closing_quote s ~row_end (p + 1))
+       else after ~row_end (delim_from ~delim s ~row_end (Int.max 0 p)));
+    incr k
+  done;
+  visited := !visited + !k;
+  (* a walk cut short by the row's end lands where [field_bounds_str]
+     would: just past the row *)
+  if !k < n then row_end + 1 else !pos
 
 let skip_fields_str ~delim s ~row_end pos n =
-  let rec go pos n =
-    if n = 0 then pos
-    else
-      let _, _, next = field_bounds_str ~delim s ~row_end pos in
-      go next (n - 1)
-  in
-  go pos n
-
-let skip_fields ~delim buf ~row_end pos n =
-  skip_fields_str ~delim (Raw_buffer.contents buf) ~row_end pos n
+  Io_stats.add_fields_tokenized n;
+  walk_fields ~delim s ~row_end ~visited:(ref 0) pos n
 
 let unescape_quotes s =
   if not (String.contains s '"') then s
@@ -80,9 +90,6 @@ let field_content_str ~delim s ~row_end pos =
   let raw = String.sub s start len in
   let content = if start > pos then unescape_quotes raw else raw in
   (content, next)
-
-let field_content ~delim buf ~row_end pos =
-  field_content_str ~delim (Raw_buffer.contents buf) ~row_end pos
 
 let split_line ~delim line =
   let n = String.length line in
@@ -109,7 +116,7 @@ let split_line ~delim line =
           incr i)
       done;
       fields := Buffer.contents b :: !fields;
-      (* same trailing-byte tolerance as [field_bounds] *)
+      (* same trailing-byte tolerance as [field_bounds_str] *)
       let rec to_delim i =
         if i >= n then n + 1 else if line.[i] = delim then i + 1 else to_delim (i + 1)
       in

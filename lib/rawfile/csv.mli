@@ -6,32 +6,43 @@
     double quotes, with [""] escaping a quote; delimiters and newlines
     inside quotes are data. *)
 
-(** [field_bounds ~delim buf ~row_end pos] scans one field starting at [pos]
-    (which must be a field start), returning [(content_start, content_stop,
-    next_pos)] — content bounds exclude the quotes of a quoted field, and
-    [next_pos] is the start of the following field, or [row_end] (+1 past
-    the delimiter handling) when the row is exhausted. Counts one
-    [field_tokenized]. *)
-val field_bounds :
-  delim:char -> Raw_buffer.t -> row_end:int -> int -> int * int * int
+(** {2 Field navigation}
 
-(** [skip_fields ~delim buf ~row_end pos n] tokenizes past [n] fields,
-    returning the offset of the field that follows. *)
-val skip_fields : delim:char -> Raw_buffer.t -> row_end:int -> int -> int -> int
+    Every entry point works on the file's contents as one string (hoisted
+    once by the caller from {!Raw_buffer.contents}) and takes the offset
+    [pos] of a field start within a row ending at [row_end]; [row_end] is
+    clamped to the string length.
 
-(** [field_content ~delim buf ~row_end pos] extracts the (unescaped) string
-    content of the field starting at [pos] and the offset past it. *)
-val field_content :
-  delim:char -> Raw_buffer.t -> row_end:int -> int -> string * int
+    [next_pos] convention: each call returns the offset where the next
+    field starts, or a value strictly greater than [row_end] when the row
+    is exhausted (navigation past the end stays past the end).
 
-(** String-core variants of the three tokenizer entry points, for scan
-    loops that hoist {!Raw_buffer.contents} once and avoid per-byte bounds
-    checks. [row_end] is clamped to the string length. *)
+    Counting rule: [fields_tokenized] is charged once per field an entry
+    point is asked to cross, whether or not the row runs out first;
+    {!walk_fields} charges nothing and reports the fields it actually
+    visited instead, so its callers charge once per walk. *)
+
+(** [field_bounds_str ~delim s ~row_end pos] scans one field, returning
+    [(content_start, content_stop, next_pos)] — content bounds exclude the
+    quotes of a quoted field. Counts one field. *)
 val field_bounds_str :
   delim:char -> string -> row_end:int -> int -> int * int * int
 
+(** [walk_fields ~delim s ~row_end ~visited pos n] crosses up to [n]
+    fields from [pos] and returns the [next_pos] reached — the same offset
+    [n] applications of {!field_bounds_str} produce — without allocating
+    or counting. It stops early when the row is exhausted and adds the
+    fields it crossed before that to [visited]. *)
+val walk_fields :
+  delim:char -> string -> row_end:int -> visited:int ref -> int -> int -> int
+
+(** [skip_fields_str ~delim s ~row_end pos n] is {!walk_fields} charged
+    [n] fields. *)
 val skip_fields_str : delim:char -> string -> row_end:int -> int -> int -> int
 
+(** [field_content_str ~delim s ~row_end pos] extracts the (unescaped)
+    content of the field at [pos] and its [next_pos]. Counts one field and
+    the content's bytes. *)
 val field_content_str :
   delim:char -> string -> row_end:int -> int -> string * int
 

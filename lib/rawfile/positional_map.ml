@@ -135,35 +135,38 @@ let anchor t col =
 
 (* Fill offset [arrays] (pairs of column index and a full-length array)
    for rows [row_lo, row_hi) — the shared core of a full [populate] and
-   the tail-only pass of [extend]. *)
+   the tail-only pass of [extend]. Each row is one walk from the anchor
+   through the requested columns in ascending order, charged once for the
+   fields it visited. *)
 let populate_range t arrays ~row_lo ~row_hi =
-  match arrays with
+  match List.sort (fun (a, _) (b, _) -> compare a b) arrays with
   | [] -> ()
-  | _ ->
-    let missing = List.map fst arrays in
-    let max_col = List.fold_left max 0 missing in
-    let anchor_col, anchor_offsets = anchor t (List.fold_left min max_col missing) in
+  | (first, _) :: _ as sorted ->
+    let targets = Array.of_list sorted in
+    let anchor_col, anchor_offsets = anchor t first in
     let source = Raw_buffer.path t.buf in
     let s = Raw_buffer.contents t.buf in
+    let visited = ref 0 in
     for row = row_lo to row_hi - 1 do
       Vida_governor.Governor.poll ~source ();
       let row_end = t.row_stops.(row) in
-      (* a row too short to reach a column keeps the past-end sentinel, which
-         [field] reads back as the empty field *)
-      List.iter (fun (_, arr) -> arr.(row) <- row_end + 1) arrays;
-      let start_pos =
-        match anchor_offsets with
-        | Some offs -> offs.(row)
-        | None -> t.row_starts.(row)
+      let pos =
+        ref
+          (match anchor_offsets with
+          | Some offs -> offs.(row)
+          | None -> t.row_starts.(row))
       in
-      let pos = ref start_pos and col = ref anchor_col in
-      while !col <= max_col && !pos <= row_end do
-        List.iter (fun (c, arr) -> if c = !col then arr.(row) <- !pos) arrays;
-        if !col < max_col then (
-          let _, _, next = Csv.field_bounds_str ~delim:t.delim s ~row_end !pos in
-          pos := next);
-        incr col
-      done
+      let col = ref anchor_col in
+      visited := 0;
+      for j = 0 to Array.length targets - 1 do
+        let c, arr = targets.(j) in
+        (* a row too short to reach [c] leaves the walk at the past-end
+           sentinel, which [field] reads back as the empty field *)
+        pos := Csv.walk_fields ~delim:t.delim s ~row_end ~visited !pos (c - !col);
+        col := c;
+        arr.(row) <- !pos
+      done;
+      if !visited > 0 then Io_stats.add_fields_tokenized !visited
     done
 
 let populate t cols =

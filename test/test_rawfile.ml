@@ -54,39 +54,39 @@ let test_csv_split_line () =
   Alcotest.(check (list string)) "empty line" [ "" ] (Csv.split_line ~delim:',' "")
 
 let test_csv_field_navigation () =
-  let buf = buf_of "a,bb,ccc,dddd\n" in
+  let s = "a,bb,ccc,dddd\n" in
   let row_end = 13 in
-  let start, stop, next = Csv.field_bounds ~delim:',' buf ~row_end 0 in
+  let start, stop, next = Csv.field_bounds_str ~delim:',' s ~row_end 0 in
   check_int "f0 start" 0 start;
   check_int "f0 stop" 1 stop;
   check_int "f0 next" 2 next;
-  let pos = Csv.skip_fields ~delim:',' buf ~row_end 0 2 in
+  let pos = Csv.skip_fields_str ~delim:',' s ~row_end 0 2 in
   check_int "skip 2" 5 pos;
-  let content, next = Csv.field_content ~delim:',' buf ~row_end pos in
+  let content, next = Csv.field_content_str ~delim:',' s ~row_end pos in
   check_string "third field" "ccc" content;
-  let content, next' = Csv.field_content ~delim:',' buf ~row_end next in
+  let content, next' = Csv.field_content_str ~delim:',' s ~row_end next in
   check_string "fourth field" "dddd" content;
   check_bool "row exhausted" true (next' > row_end)
 
 let test_csv_quoted_field_navigation () =
-  let buf = buf_of "\"x,y\",2\n" in
+  let s = "\"x,y\",2\n" in
   let row_end = 7 in
-  let content, next = Csv.field_content ~delim:',' buf ~row_end 0 in
+  let content, next = Csv.field_content_str ~delim:',' s ~row_end 0 in
   check_string "quoted content" "x,y" content;
-  let content, _ = Csv.field_content ~delim:',' buf ~row_end next in
+  let content, _ = Csv.field_content_str ~delim:',' s ~row_end next in
   check_string "after quoted" "2" content
 
 (* regression: stray bytes after a closing quote ("abc"x,next) used to
    swallow the delimiter and drop every remaining field of the row *)
 let test_csv_quoted_stray_bytes () =
-  let buf = buf_of "\"abc\"x,next,3\n" in
+  let s = "\"abc\"x,next,3\n" in
   let row_end = 13 in
-  let content, next = Csv.field_content ~delim:',' buf ~row_end 0 in
+  let content, next = Csv.field_content_str ~delim:',' s ~row_end 0 in
   check_string "quoted content kept" "abc" content;
   check_int "resynced at the delimiter" 7 next;
-  let content, next = Csv.field_content ~delim:',' buf ~row_end next in
+  let content, next = Csv.field_content_str ~delim:',' s ~row_end next in
   check_string "following field intact" "next" content;
-  let content, next = Csv.field_content ~delim:',' buf ~row_end next in
+  let content, next = Csv.field_content_str ~delim:',' s ~row_end next in
   check_string "last field intact" "3" content;
   check_bool "row exhausted" true (next > row_end)
 
@@ -216,6 +216,150 @@ let prop_posmap_agrees_with_split =
             (List.init width Fun.id) expected)
         (List.init (List.length rows) Fun.id)
         rows)
+
+(* Row text for the tokenizer properties: plain bytes, delimiters, lone
+   and escaped quotes, carriage returns, empty fields (adjacent
+   delimiters) and stray bytes after a closing quote. *)
+let gen_row_text =
+  QCheck.Gen.(
+    map (String.concat "")
+    @@ list_size (int_range 0 10)
+         (oneofl [ "a"; "bb"; ","; ",,"; "\""; "\"\""; "\r"; "\"a,b\""; "\"ab\"x" ]))
+
+(* Reference navigation: [n] applications of [field_bounds_str], and the
+   steps among them taken while the row still had bytes left (the
+   pre-walk [populate] charge). Run outside any measured window, since
+   [field_bounds_str] counts. *)
+let reference_steps s ~row_end pos n =
+  let row_end' = min row_end (String.length s) in
+  let rec go pos n visited =
+    if n = 0 then (pos, visited)
+    else
+      let _, _, next = Csv.field_bounds_str ~delim:',' s ~row_end pos in
+      go next (n - 1) (if pos <= row_end' then visited + 1 else visited)
+  in
+  go pos n 0
+
+let tokenized f =
+  let result, delta = Io_stats.measure f in
+  (result, delta.Io_stats.fields_tokenized)
+
+(* property: the uncounted walk lands where repeated [field_bounds_str]
+   lands, reports the fields visited before the row ran out, and
+   [skip_fields_str] keeps the charge of [n] *)
+let prop_walk_matches_field_bounds =
+  let gen =
+    QCheck.Gen.(
+      let* row = gen_row_text and* tail = gen_row_text in
+      let* row_end =
+        oneof [ return (String.length row); int_range 0 (String.length row + 3) ]
+      in
+      let* pos = int_range 0 (row_end + 2) and* n = int_range 0 8 in
+      return (row ^ "\n" ^ tail, row_end, pos, n))
+  in
+  QCheck.Test.make ~name:"walk matches repeated field_bounds" ~count:500
+    (QCheck.make
+       ~print:(fun (s, row_end, pos, n) ->
+         Printf.sprintf "s=%S row_end=%d pos=%d n=%d" s row_end pos n)
+       gen)
+    (fun (s, row_end, pos, n) ->
+      let expected_pos, expected_visited = reference_steps s ~row_end pos n in
+      let visited = ref 0 in
+      let walked, walk_charge =
+        tokenized (fun () -> Csv.walk_fields ~delim:',' s ~row_end ~visited pos n)
+      in
+      let skipped, skip_charge =
+        tokenized (fun () -> Csv.skip_fields_str ~delim:',' s ~row_end pos n)
+      in
+      if walked <> expected_pos then
+        QCheck.Test.fail_reportf "walk reached %d, field_bounds %d" walked expected_pos;
+      if skipped <> expected_pos then
+        QCheck.Test.fail_reportf "skip reached %d, field_bounds %d" skipped expected_pos;
+      if !visited <> expected_visited then
+        QCheck.Test.fail_reportf "walk visited %d fields, expected %d" !visited
+          expected_visited;
+      if walk_charge <> 0 then QCheck.Test.fail_reportf "walk charged %d" walk_charge;
+      if skip_charge <> n then
+        QCheck.Test.fail_reportf "skip charged %d, expected %d" skip_charge n;
+      true)
+
+(* property: over a multi-row file with short rows, populating an anchor
+   column and then every column past it charges the pre-walk rule, and
+   [field] / [fields] agree with [split_line] of each row on every column *)
+let prop_posmap_populate_agrees_with_split =
+  let gen =
+    QCheck.Gen.(
+      let* rows = list_size (int_range 1 6) gen_row_text and* trailing = bool in
+      return (String.concat "\n" rows ^ if trailing then "\n" else ""))
+  in
+  QCheck.Test.make ~name:"populate then field agrees with split_line" ~count:150
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun contents ->
+      let path = tmp_file contents in
+      let pm = Positional_map.build ~header:false (Raw_buffer.of_path path) in
+      let nrows = Positional_map.row_count pm in
+      let rows = List.init nrows Fun.id in
+      let bounds = List.map (Positional_map.row_bounds pm) rows in
+      let expected =
+        List.map
+          (fun (start, stop) ->
+            Array.of_list
+              (Csv.split_line ~delim:',' (String.sub contents start (stop - start))))
+          bounds
+      in
+      let width = List.fold_left (fun w e -> max w (Array.length e)) 0 expected + 1 in
+      let all_cols = List.init (width + 1) Fun.id in
+      let expect row col =
+        let e = List.nth expected row in
+        if col < Array.length e then e.(col) else ""
+      in
+      (* the pre-walk charge of a populate walking [n] fields from the
+         offset reached by [from] fields *)
+      let reference_charge ~from n =
+        List.fold_left
+          (fun acc (start, stop) ->
+            let anchor, _ = reference_steps contents ~row_end:stop start from in
+            acc + snd (reference_steps contents ~row_end:stop anchor n))
+          0 bounds
+      in
+      let check_access label pm =
+        List.iter
+          (fun row ->
+            List.iter
+              (fun col ->
+                let got = Positional_map.field pm ~row ~col in
+                if got <> expect row col then
+                  QCheck.Test.fail_reportf "%s: field row %d col %d = %S, split %S" label
+                    row col got (expect row col))
+              all_cols;
+            let got = Positional_map.fields pm ~row ~cols:(List.rev all_cols) in
+            List.iteri
+              (fun i col ->
+                if got.(i) <> expect row col then
+                  QCheck.Test.fail_reportf "%s: fields row %d col %d = %S, split %S" label
+                    row col got.(i) (expect row col))
+              (List.rev all_cols))
+          rows
+      in
+      List.iter
+        (fun a ->
+          let pm = Positional_map.build ~header:false (Raw_buffer.of_path path) in
+          let expected_anchor = reference_charge ~from:0 a in
+          let (), anchor_charge = tokenized (fun () -> Positional_map.populate pm [ a ]) in
+          if anchor_charge <> expected_anchor then
+            QCheck.Test.fail_reportf "populate [%d] charged %d, expected %d" a anchor_charge
+              expected_anchor;
+          check_access (Printf.sprintf "anchor %d" a) pm;
+          let rest = List.filter (fun c -> c > a) all_cols in
+          let expected_rest = reference_charge ~from:a (width - a) in
+          let (), rest_charge = tokenized (fun () -> Positional_map.populate pm rest) in
+          if rest_charge <> expected_rest then
+            QCheck.Test.fail_reportf "populate past %d charged %d, expected %d" a
+              rest_charge expected_rest;
+          check_access (Printf.sprintf "anchor %d and past" a) pm)
+        all_cols;
+      Sys.remove path;
+      true)
 
 (* --- JSON --- *)
 
@@ -492,7 +636,9 @@ let () =
           Alcotest.test_case "no header" `Quick test_posmap_no_header;
           Alcotest.test_case "quoted newline" `Quick test_posmap_quoted_newline
         ] );
-      qsuite "positional_map-properties" [ prop_posmap_agrees_with_split ];
+      qsuite "positional_map-properties"
+        [ prop_posmap_agrees_with_split; prop_posmap_populate_agrees_with_split ];
+      qsuite "csv-properties" [ prop_walk_matches_field_bounds ];
       ( "json",
         [ Alcotest.test_case "scalars" `Quick test_json_scalars;
           Alcotest.test_case "structures" `Quick test_json_structures;
