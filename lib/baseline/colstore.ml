@@ -260,13 +260,6 @@ let key_accessor t (items : vitem list) (e : Expr.t) :
         Some (fun assoc i -> col_get col (List.assoc v assoc).(i))))
   | _ -> None
 
-module Vtbl = Hashtbl.Make (struct
-  type t = Value.t list
-
-  let equal a b = List.length a = List.length b && List.for_all2 Value.equal a b
-  let hash ks = List.fold_left (fun acc v -> (acc * 65599) + Value.hash v) 17 ks
-end)
-
 let vector_run t (monoid : Monoid.t) (head : Expr.t) items preds =
   (* 1. per-source selection vectors *)
   let single_var_preds var =
@@ -394,12 +387,12 @@ let vector_run t (monoid : Monoid.t) (head : Expr.t) items preds =
                   Eval.eval env rk)
             key_pairs
         in
-        let htbl : int list Vtbl.t = Vtbl.create 1024 in
+        let htbl : int list Value.Keys.t = Value.Keys.create 1024 in
         for i = 0 to Array.length sel - 1 do
           let key = List.map (fun f -> f i) right_keys in
-          if not (List.exists (fun v -> v = Value.Null) key) then (
-            let bucket = try Vtbl.find htbl key with Not_found -> [] in
-            Vtbl.replace htbl key (sel.(i) :: bucket))
+          if not (Value.has_null key) then (
+            let bucket = try Value.Keys.find htbl key with Not_found -> [] in
+            Value.Keys.replace htbl key (sel.(i) :: bucket))
         done;
         let left_keys =
           List.map
@@ -413,8 +406,8 @@ let vector_run t (monoid : Monoid.t) (head : Expr.t) items preds =
         let out_right = ref [] in
         for i = 0 to inter.n - 1 do
           let key = List.map (fun f -> f i) left_keys in
-          if not (List.exists (fun v -> v = Value.Null) key) then
-            match Vtbl.find_opt htbl key with
+          if not (Value.has_null key) then
+            match Value.Keys.find_opt htbl key with
             | None -> ()
             | Some bucket ->
               List.iter

@@ -3,13 +3,6 @@ open Vida_calculus
 open Vida_algebra
 open Vida_engine
 
-module Vtbl = Hashtbl.Make (struct
-  type t = Value.t list
-
-  let equal a b = List.length a = List.length b && List.for_all2 Value.equal a b
-  let hash ks = List.fold_left (fun acc v -> (acc * 65599) + Value.hash v) 17 ks
-end)
-
 type env = (string * Value.t) list
 
 let eval_scalar (env : env) e =
@@ -57,16 +50,16 @@ let rec stream ~resolve needs (p : Plan.t) (emit : env -> unit) : unit =
     match keys with
     | [] -> stream ~resolve needs (Plan.Select { pred; child = Plan.Product { left; right } }) emit
     | keys ->
-      let table : env list Vtbl.t = Vtbl.create 1024 in
+      let table : env list Value.Keys.t = Value.Keys.create 1024 in
       stream ~resolve needs right (fun renv ->
           let key = List.map (fun (_, rk) -> eval_scalar renv rk) keys in
-          if not (List.exists (fun v -> v = Value.Null) key) then (
-            let bucket = try Vtbl.find table key with Not_found -> [] in
-            Vtbl.replace table key (renv :: bucket)));
+          if not (Value.has_null key) then (
+            let bucket = try Value.Keys.find table key with Not_found -> [] in
+            Value.Keys.replace table key (renv :: bucket)));
       stream ~resolve needs left (fun lenv ->
           let key = List.map (fun (lk, _) -> eval_scalar lenv lk) keys in
-          if not (List.exists (fun v -> v = Value.Null) key) then
-            match Vtbl.find_opt table key with
+          if not (Value.has_null key) then
+            match Value.Keys.find_opt table key with
             | None -> ()
             | Some bucket ->
               List.iter
@@ -78,23 +71,23 @@ let rec stream ~resolve needs (p : Plan.t) (emit : env -> unit) : unit =
                 (List.rev bucket)))
   | Plan.Reduce _ -> invalid_arg "Plan_interp: nested Reduce"
   | Plan.Nest { monoid; var; head; keys; child } ->
-    let table : Value.t ref Vtbl.t = Vtbl.create 256 in
+    let table : Value.t ref Value.Keys.t = Value.Keys.create 256 in
     let order = ref [] in
     stream ~resolve needs child (fun env ->
         let key = List.map (fun (_, k) -> eval_scalar env k) keys in
         let acc =
-          match Vtbl.find_opt table key with
+          match Value.Keys.find_opt table key with
           | Some acc -> acc
           | None ->
             let acc = ref (Monoid.zero monoid) in
-            Vtbl.add table key acc;
+            Value.Keys.add table key acc;
             order := key :: !order;
             acc
         in
         acc := Monoid.merge monoid !acc (Monoid.unit monoid (eval_scalar env head)));
     List.iter
       (fun key ->
-        let acc = Vtbl.find table key in
+        let acc = Value.Keys.find table key in
         emit
           (List.map2 (fun (name, _) v -> (name, v)) keys key
           @ [ (var, Monoid.finalize monoid !acc) ]))

@@ -137,8 +137,50 @@ let finalize m acc =
         | _ -> lower))
   | _ -> acc
 
+(* Folding [acc := merge m acc (unit m v)] copies the whole carrier of a
+   collection (and of median) on every element. The accumulator keeps
+   their contributions newest-first and builds the carrier once; scalar
+   monoids merge in place, each step O(1) (O(k) for top/bottom k). *)
+type accumulator = {
+  monoid : t;
+  mutable acc : Value.t;  (* scalar monoids: the running merge *)
+  mutable items : Value.t list;  (* collection monoids, newest first *)
+  mutable count : int;
+}
+
+let accumulator m = { monoid = m; acc = zero m; items = []; count = 0 }
+
+let add a v =
+  match a.monoid, v with
+  | Prim Median, Value.Null -> ()
+  | (Coll _ | Prim Median), v ->
+    a.items <- v :: a.items;
+    a.count <- a.count + 1
+  | m, v -> a.acc <- merge m a.acc (unit m v)
+
+(* a set keeps the first of equal elements, as merging one by one does *)
+let dedup_sorted vs =
+  let rec go kept = function
+    | x :: y :: rest when Value.equal x y -> go kept (x :: rest)
+    | x :: rest -> go (x :: kept) rest
+    | [] -> List.rev kept
+  in
+  go [] vs
+
+let contents a =
+  match a.monoid with
+  | Coll Ty.Bag -> Value.Bag (List.rev a.items)
+  | Coll Ty.List | Prim Median -> Value.List (List.rev a.items)
+  | Coll Ty.Set ->
+    Value.Set (dedup_sorted (List.stable_sort Value.compare (List.rev a.items)))
+  | Coll Ty.Array ->
+    Value.Array { dims = [ a.count ]; data = Array.of_list (List.rev a.items) }
+  | Prim _ -> a.acc
+
 let fold m vs =
-  finalize m (List.fold_left (fun acc v -> merge m acc (unit m v)) (zero m) vs)
+  let a = accumulator m in
+  List.iter (add a) vs;
+  finalize m (contents a)
 
 let name = function
   | Prim Sum -> "sum"

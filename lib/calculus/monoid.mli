@@ -59,6 +59,15 @@ val unit : t -> Vida_data.Value.t -> Vida_data.Value.t
     result ([Avg] divides, [Median] sorts and picks; identity otherwise). *)
 val finalize : t -> Vida_data.Value.t -> Vida_data.Value.t
 
+(** A mutable fold in linear time. [add a v] has the effect of
+    [acc := merge m acc (unit m v)]; [contents a] is the same pre-finalize
+    carrier that fold produces, so partials still combine with {!merge}. *)
+type accumulator
+
+val accumulator : t -> accumulator
+val add : accumulator -> Vida_data.Value.t -> unit
+val contents : accumulator -> Vida_data.Value.t
+
 (** [fold m vs] = [finalize m (fold_left (merge m) (zero m) (map (unit m) vs))]. *)
 val fold : t -> Vida_data.Value.t list -> Vida_data.Value.t
 

@@ -75,6 +75,18 @@ let rec hash v =
       (fun acc v -> (acc * 65599) + hash v)
       (53 + Hashtbl.hash dims) data
 
+module Keys = Hashtbl.Make (struct
+  type nonrec t = t list
+
+  let equal a b = List.equal equal a b
+  let hash ks = List.fold_left (fun acc v -> (acc * 65599) + hash v) 17 ks
+end)
+
+let rec has_null = function
+  | [] -> false
+  | Null :: _ -> true
+  | _ :: rest -> has_null rest
+
 let set_of_list vs = Set (List.sort_uniq compare vs)
 
 let to_bool = function

@@ -34,6 +34,14 @@ val equal : t -> t -> bool
     equality: [hash (Int 1) = hash (Float 1.)]). *)
 val hash : t -> int
 
+(** Hash tables keyed by lists of values: the join and group keys of every
+    engine. Keys compare with {!equal}, so [Int 3] and [Float 3.] meet. *)
+module Keys : Hashtbl.S with type key = t list
+
+(** [has_null key] holds when a key component is [Null]; such keys never
+    match in an equi-join (three-valued equality). *)
+val has_null : t list -> bool
+
 (** [set_of_list vs] sorts and dedups [vs], establishing the [Set]
     invariant. *)
 val set_of_list : t list -> t

@@ -2,16 +2,6 @@ open Vida_data
 open Vida_calculus
 open Vida_algebra
 
-(* Hash tables keyed by lists of values (join/group keys). *)
-module Vkey = struct
-  type t = Value.t list
-
-  let equal a b = List.length a = List.length b && List.for_all2 Value.equal a b
-  let hash ks = List.fold_left (fun acc v -> (acc * 65599) + Value.hash v) 17 ks
-end
-
-module Vtbl = Hashtbl.Make (Vkey)
-
 module Governor = Vida_governor.Governor
 
 (* Charge materialized operator state (join build snapshots, product
@@ -156,14 +146,14 @@ and compile_query ctx ~outer_slots (plan : Plan.t) : (Value.t array -> unit) -> 
     fun init ->
       let env = Array.make nslots Value.Null in
       init env;
-      let acc = ref (Monoid.zero monoid) in
+      let acc = Monoid.accumulator monoid in
       let run =
         compile_ops ctx slots needs flushes env child (fun () ->
-            acc := Monoid.merge monoid !acc (Monoid.unit monoid (chead env)))
+            Monoid.add acc (chead env))
       in
       run ();
       List.iter (fun flush -> flush ()) !flushes;
-      Monoid.finalize monoid !acc
+      Monoid.finalize monoid (Monoid.contents acc)
   | p ->
     (* non-reduce top: produce the bag of binding records, matching the
        reference executor *)
@@ -364,7 +354,7 @@ and compile_ops ctx slots needs flushes env (p : Plan.t) (consume : unit -> unit
       let lkeys = List.map (fun (l, _) -> compile_scalar ctx slots l) keys in
       let rkeys = List.map (fun (_, r) -> compile_scalar ctx slots r) keys in
       let cresidual = Option.map (compile_scalar ctx slots) residual in
-      let table : Value.t list list Vtbl.t = Vtbl.create 1024 in
+      let table : Value.t list list Value.Keys.t = Value.Keys.create 1024 in
       let l_in = ref 0 and r_in = ref 0 and out = ref 0 in
       flushes :=
         (fun () ->
@@ -381,18 +371,18 @@ and compile_ops ctx slots needs flushes env (p : Plan.t) (consume : unit -> unit
             incr r_in;
             let key = List.map (fun c -> c env) rkeys in
             (* NULL keys never match (three-valued equality) *)
-            if not (List.exists (fun v -> v = Value.Null) key) then (
+            if not (Value.has_null key) then (
               let snapshot = List.map (fun i -> env.(i)) right_slots in
               charge_snapshot snapshot;
-              let bucket = try Vtbl.find table key with Not_found -> [] in
-              Vtbl.replace table key (snapshot :: bucket)))
+              let bucket = try Value.Keys.find table key with Not_found -> [] in
+              Value.Keys.replace table key (snapshot :: bucket)))
       in
       let run_left =
         compile_ops ctx slots needs flushes env left (fun () ->
             incr l_in;
             let key = List.map (fun c -> c env) lkeys in
-            if not (List.exists (fun v -> v = Value.Null) key) then
-              match Vtbl.find_opt table key with
+            if not (Value.has_null key) then
+              match Value.Keys.find_opt table key with
               | None -> ()
               | Some bucket ->
                 List.iter
@@ -409,7 +399,7 @@ and compile_ops ctx slots needs flushes env (p : Plan.t) (consume : unit -> unit
                   (List.rev bucket))
       in
       fun () ->
-        Vtbl.reset table;
+        Value.Keys.reset table;
         run_right ();
         (* hash build done: boundary check before the probe phase starts *)
         Governor.checkpoint ~source:"compile" ();
@@ -421,34 +411,34 @@ and compile_ops ctx slots needs flushes env (p : Plan.t) (consume : unit -> unit
     let var_slot = slot var in
     let ckeys = List.map (fun (_, k) -> compile_scalar ctx slots k) keys in
     let chead = compile_scalar ctx slots head in
-    let table : Value.t ref Vtbl.t = Vtbl.create 256 in
+    let table : Monoid.accumulator Value.Keys.t = Value.Keys.create 256 in
     let order = ref [] in
     let run_child =
       compile_ops ctx slots needs flushes env child (fun () ->
           let key = List.map (fun c -> c env) ckeys in
           let acc =
-            match Vtbl.find_opt table key with
+            match Value.Keys.find_opt table key with
             | Some acc -> acc
             | None ->
-              let acc = ref (Monoid.zero monoid) in
-              Vtbl.add table key acc;
+              let acc = Monoid.accumulator monoid in
+              Value.Keys.add table key acc;
               order := key :: !order;
               acc
           in
-          let unit = Monoid.unit monoid (chead env) in
-          charge_value unit;
-          acc := Monoid.merge monoid !acc unit)
+          let v = chead env in
+          if Governor.budgeted () then charge_value (Monoid.unit monoid v);
+          Monoid.add acc v)
     in
     fun () ->
-      Vtbl.reset table;
+      Value.Keys.reset table;
       order := [];
       run_child ();
       Governor.checkpoint ~source:"compile" ();
       List.iter
         (fun key ->
-          let acc = Vtbl.find table key in
+          let acc = Value.Keys.find table key in
           List.iter2 (fun s v -> env.(s) <- v) key_slots key;
-          env.(var_slot) <- Monoid.finalize monoid !acc;
+          env.(var_slot) <- Monoid.finalize monoid (Monoid.contents acc);
           consume ())
         (List.rev !order)
 
@@ -459,11 +449,12 @@ and compile_ops ctx slots needs flushes env (p : Plan.t) (consume : unit -> unit
    ["vectorized->closure"] fallback and the closure engine takes over.
    Plans outside the fragment ([`Silent]) go straight to the closure
    engine — that is their designed path, not a degradation. *)
+let closure ctx plan =
+  let run = compile_query ctx ~outer_slots:[] plan in
+  fun () -> run (fun _ -> ())
+
 let query ctx plan =
-  let closure () =
-    let run = compile_query ctx ~outer_slots:[] plan in
-    fun () -> run (fun _ -> ())
-  in
+  let closure () = closure ctx plan in
   match Vector.compile ctx plan with
   | `Silent -> closure ()
   | `Decline reason ->

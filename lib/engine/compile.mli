@@ -22,6 +22,10 @@
     @raise Vida_calculus.Eval.Error on scalar evaluation failures. *)
 val query : Plugins.ctx -> Vida_algebra.Plan.t -> unit -> Vida_data.Value.t
 
+(** [closure ctx plan] compiles [plan] for the closure engine alone,
+    without trying the vectorized rung first. *)
+val closure : Plugins.ctx -> Vida_algebra.Plan.t -> unit -> Vida_data.Value.t
+
 (** [scalar ctx ~slots expr] compiles one scalar expression against an
     explicit slot layout — exposed for tests and the optimizer's constant
     folding. *)

@@ -256,9 +256,8 @@ let fold_chain_vectorized ctx ~domains ~monoid ~head (c : chain) =
     let ranges = morsel_ranges c.n domains in
     let partials =
       Morsel.run ~domains ~tasks:(Array.length ranges) (fun t ->
-          let inst = Vector.instantiate kernel in
           let lo, hi = ranges.(t) in
-          Vector.run_range inst ~lo ~hi)
+          Vector.run_instance kernel ~lo ~hi)
     in
     Vector.flush_feedback ctx kernel;
     Some (Monoid.finalize monoid (merge_partials monoid partials))
@@ -273,15 +272,14 @@ let fold_chain_rows ctx ~domains ~monoid ~head (c : chain) =
         let compiled = compile_steps ctx ~slots c.steps in
         let chead = Compile.scalar ctx ~slots head in
         let env = Array.make nslots Value.Null in
-        let acc = ref (Monoid.zero monoid) in
+        let acc = Monoid.accumulator monoid in
         let lo, hi = ranges.(t) in
         for i = lo to hi - 1 do
           Governor.poll ~source:"parallel" ();
           env.(0) <- record_of_columns c.columns i;
-          run_steps compiled env (fun () ->
-              acc := Monoid.merge monoid !acc (Monoid.unit monoid (chead env)))
+          run_steps compiled env (fun () -> Monoid.add acc (chead env))
         done;
-        !acc)
+        Monoid.contents acc)
   in
   (* indexed merge: partials combine in morsel (= source) order, which is
      what makes non-commutative monoids (list/array concat) correct *)
@@ -319,15 +317,6 @@ let materialize_chain ctx ~domains (c : chain) =
   Value.Bag (List.concat (Array.to_list chunks))
 
 (* --- Reduce over an equi-join of two chains -------------------------- *)
-
-module Vkey = struct
-  type t = Value.t list
-
-  let equal a b = List.length a = List.length b && List.for_all2 Value.equal a b
-  let hash ks = List.fold_left (fun acc v -> (acc * 65599) + Value.hash v) 17 ks
-end
-
-module Vtbl = Hashtbl.Make (Vkey)
 
 let charge_snapshot (vs : Value.t list) =
   if Governor.budgeted () then
@@ -380,23 +369,23 @@ let join_reduce ctx ~domains ~monoid ~head ~pred ~post (lc : chain) (rc : chain)
             run_steps compiled env (fun () ->
                 let key = List.map (fun c -> c env) rkeys in
                 (* NULL keys never match (three-valued equality) *)
-                if not (List.exists (fun v -> v = Value.Null) key) then (
+                if not (Value.has_null key) then (
                   let snapshot = List.map (fun s -> env.(s)) right_slots in
                   charge_snapshot snapshot;
                   out := (key, snapshot) :: !out))
           done;
           List.rev !out)
     in
-    let table : Value.t list list Vtbl.t = Vtbl.create 1024 in
+    let table : Value.t list list Value.Keys.t = Value.Keys.create 1024 in
     Array.iter
       (List.iter (fun (key, snapshot) ->
-           let bucket = try Vtbl.find table key with Not_found -> [] in
-           Vtbl.replace table key (snapshot :: bucket)))
+           let bucket = try Value.Keys.find table key with Not_found -> [] in
+           Value.Keys.replace table key (snapshot :: bucket)))
       built;
     (* buckets were accumulated newest-first; flip them once so the probe
        streams matches in right-source order, as the sequential probe does *)
-    let ordered = Vtbl.create (Vtbl.length table) in
-    Vtbl.iter (fun key bucket -> Vtbl.replace ordered key (List.rev bucket)) table;
+    let ordered = Value.Keys.create (Value.Keys.length table) in
+    Value.Keys.iter (fun key bucket -> Value.Keys.replace ordered key (List.rev bucket)) table;
     (* hash build done: boundary check before the probe phase starts *)
     Governor.checkpoint ~source:"parallel" ();
     let lranges = morsel_ranges lc.n domains in
@@ -408,15 +397,15 @@ let join_reduce ctx ~domains ~monoid ~head ~pred ~post (lc : chain) (rc : chain)
           let cresidual = Option.map (Compile.scalar ctx ~slots) residual in
           let chead = Compile.scalar ctx ~slots head in
           let env = Array.make nslots Value.Null in
-          let acc = ref (Monoid.zero monoid) in
+          let acc = Monoid.accumulator monoid in
           let lo, hi = lranges.(t) in
           for i = lo to hi - 1 do
             Governor.poll ~source:"parallel" ();
             env.(lbase) <- record_of_columns lc.columns i;
             run_steps compiled env (fun () ->
                 let key = List.map (fun c -> c env) lkeys in
-                if not (List.exists (fun v -> v = Value.Null) key) then
-                  match Vtbl.find_opt ordered key with
+                if not (Value.has_null key) then
+                  match Value.Keys.find_opt ordered key with
                   | None -> ()
                   | Some bucket ->
                     List.iter
@@ -426,16 +415,14 @@ let join_reduce ctx ~domains ~monoid ~head ~pred ~post (lc : chain) (rc : chain)
                           right_slots snapshot;
                         let emit () =
                           run_steps cpost env (fun () ->
-                              acc :=
-                                Monoid.merge monoid !acc
-                                  (Monoid.unit monoid (chead env)))
+                              Monoid.add acc (chead env))
                         in
                         match cresidual with
                         | None -> emit ()
                         | Some cr -> if Eval.truthy (cr env) then emit ())
                       bucket)
           done;
-          !acc)
+          Monoid.contents acc)
     in
     Some (Monoid.finalize monoid (merge_partials monoid partials))
   end
@@ -508,6 +495,57 @@ let try_join_reduce ctx ~domains:budget ~monoid ~head plan ~left ~right steps =
         join_reduce ctx ~domains ~monoid ~head ~pred ~post:(List.rev !post) lc rc)
   | _ -> None
 
+(* [count v] where [v] is a generator variable counts one per row —
+   generator bindings are records, never [Null], so count's NULL-skipping
+   cannot fire. Neutralizing the head before needs analysis keeps [count r]
+   over a hierarchical source from demanding whole objects. (Map-bound vars
+   can be [Null] and must keep their head: sequential count skips them.) *)
+let neutralize_count (plan : Plan.t) =
+  match plan with
+  | Plan.Reduce ({ monoid = Monoid.Prim Monoid.Count; head = Expr.Var v; child } as r) ->
+    let rec source_vars p acc =
+      match p with
+      | Plan.Source { var; _ } -> var :: acc
+      | Plan.Select { child; _ } | Plan.Map { child; _ } -> source_vars child acc
+      | Plan.Join { left; right; _ } | Plan.Product { left; right } ->
+        source_vars left (source_vars right acc)
+      | _ -> acc
+    in
+    if List.mem v (source_vars child []) then begin
+      let plan' = Plan.Reduce { r with head = Expr.Const (Value.Int 0) } in
+      !checker ~rule:"parallel-neutralize-count-head" ~before:plan ~after:plan';
+      plan'
+    end
+    else plan
+  | plan -> plan
+
+(* Reduce on the row path: a single chain folds in morsels, an equi-join
+   core builds and probes in morsels. *)
+let reduce_rows ctx ~budget (plan : Plan.t) =
+  match plan with
+  | Plan.Reduce { monoid; head; child } -> (
+    match resolve_chain ctx plan child with
+    | Some c ->
+      if
+        not
+          (scoped ctx
+             ~bound:(chain_vars c.var c.steps)
+             ~where:"fold head" head)
+      then None
+      else
+        let domains = Morsel.domains_for_rows ~domains:budget c.n in
+        if domains <= 1 then None
+        else Some (fold_chain ctx ~domains ~monoid ~head c)
+    | None -> (
+      match strip_ops child [] with
+      | Plan.Join { pred; left; right }, steps ->
+        try_join_reduce ctx ~domains:budget ~monoid ~head plan ~left ~right
+          (Filter pred :: steps)
+      | Plan.Product { left; right }, steps ->
+        try_join_reduce ctx ~domains:budget ~monoid ~head plan ~left ~right steps
+      | _ -> None))
+  | _ -> None
+
 let try_query ctx ?domains (plan : Plan.t) : Value.t option =
   declines := [];
   let budget =
@@ -516,53 +554,28 @@ let try_query ctx ?domains (plan : Plan.t) : Value.t option =
   if budget <= 1 then None
   else
     match plan with
-    | Plan.Reduce { monoid; head; child } -> (
-      (* [count v] where [v] is a generator variable counts one per row —
-         generator bindings are records, never [Null], so count's
-         NULL-skipping cannot fire. Neutralizing the head before needs
-         analysis keeps [count r] over a hierarchical source from
-         demanding whole objects. (Map-bound vars can be [Null] and must
-         keep their head: sequential count skips them.) *)
-      let rec source_vars p acc =
-        match p with
-        | Plan.Source { var; _ } -> var :: acc
-        | Plan.Select { child; _ } | Plan.Map { child; _ } ->
-          source_vars child acc
-        | Plan.Join { left; right; _ } | Plan.Product { left; right } ->
-          source_vars left (source_vars right acc)
-        | _ -> acc
+    | Plan.Reduce _ -> (
+      (* the vectorized join runs first, as [fold_chain] tries
+         [fold_chain_vectorized], over the neutralized plan, so it reads
+         the fields the row path reads; a declined join takes the row
+         path, and when that declines too, the closure engine answers
+         here rather than letting the sequential entry try the kernel a
+         second time *)
+      let rows = neutralize_count plan in
+      let declined reason =
+        Vector.note_fallback_stats reason;
+        Governor.note_fallback ~stage:"vectorized->closure" ~reason ();
+        match reduce_rows ctx ~budget rows with
+        | Some v -> Some v
+        | None -> Some (Compile.closure ctx plan ())
       in
-      let head, plan =
-        match (monoid, head) with
-        | Monoid.Prim Monoid.Count, Expr.Var v
-          when List.mem v (source_vars child []) ->
-          let h = Expr.Const (Value.Int 0) in
-          let plan' = Plan.Reduce { monoid; head = h; child } in
-          !checker ~rule:"parallel-neutralize-count-head" ~before:plan
-            ~after:plan';
-          (h, plan')
-        | _ -> (head, plan)
-      in
-      match resolve_chain ctx plan child with
-      | Some c ->
-        if
-          not
-            (scoped ctx
-               ~bound:(chain_vars c.var c.steps)
-               ~where:"fold head" head)
-        then None
-        else
-          let domains = Morsel.domains_for_rows ~domains:budget c.n in
-          if domains <= 1 then None
-          else Some (fold_chain ctx ~domains ~monoid ~head c)
-      | None -> (
-        match strip_ops child [] with
-        | Plan.Join { pred; left; right }, steps ->
-          try_join_reduce ctx ~domains:budget ~monoid ~head plan ~left ~right
-            (Filter pred :: steps)
-        | Plan.Product { left; right }, steps ->
-          try_join_reduce ctx ~domains:budget ~monoid ~head plan ~left ~right steps
-        | _ -> None))
+      match Vector.compile_join ctx ~domains:budget rows with
+      | `Silent -> reduce_rows ctx ~budget rows
+      | `Decline reason -> declined reason
+      | `Run run -> (
+        match run () with
+        | v -> Some v
+        | exception Vector.Not_vectorizable reason -> declined reason))
     | p -> (
       (* bare chain output carries every binder's whole record *)
       match resolve_chain ctx ~whole:true p p with

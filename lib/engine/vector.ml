@@ -14,7 +14,8 @@ module BA1 = Bigarray.Array1
    poll, a record allocation, a closure call per operator and a monoid
    merge allocation. This module replaces that hot loop for the commonest
    plan shape — Reduce over a Select*/Map* chain on one columnar source —
-   with batch-at-a-time kernels:
+   and for Reduce over a tree of equi-joins of such chains (the join
+   fragment below) with batch-at-a-time kernels:
 
    - source columns live in unboxed buffers ([Bigarray] float64/int) plus
      a byte validity mask (1 = non-NULL), promoted once per physical
@@ -282,17 +283,26 @@ let vx_ty = function
   | XBind (_, ty) -> ty
 
 (* Compile one scalar expression to the typed IR. [cols] maps source
-   fields (projections off the chain variable) to column slots, [binds]
-   maps Map-introduced variables to bind slots, parameters fold to
-   constants. Everything else declines with the offending construct. *)
+   fields (projections off a generator variable) to column slots,
+   [var_cols] maps join-leaf bind variables to the columns they were
+   scattered into, [binds] maps Map-introduced variables to bind slots,
+   parameters fold to constants. Everything else declines with the
+   offending construct. *)
 type cenv = {
-  src_var : string;
-  cols : (string * int) list;
+  src_vars : string list;
+  cols : ((string * string) * int) list;
+  var_cols : (string * int) list;
   col_tys : vty array;
   binds : (string * int) list;
   bind_tys : vty array;
   params : (string * Value.t) list;
 }
+
+let col_x env slot =
+  match env.col_tys.(slot) with
+  | TF -> XColF slot
+  | TI -> XColI slot
+  | TB -> XColB slot
 
 let rec cx env (e : Expr.t) : vx =
   match e with
@@ -300,19 +310,18 @@ let rec cx env (e : Expr.t) : vx =
   | Expr.Const (Value.Float f) -> XConstF f
   | Expr.Const (Value.Bool b) -> XConstB b
   | Expr.Const v -> decline "non-scalar constant %s" (Value.to_string v)
-  | Expr.Proj (Expr.Var v, f) when String.equal v env.src_var -> (
-    match List.assoc_opt f env.cols with
+  | Expr.Proj (Expr.Var v, f) when List.mem v env.src_vars -> (
+    match List.assoc_opt (v, f) env.cols with
     | None -> decline "field %s has no promoted column" f
-    | Some slot -> (
-      match env.col_tys.(slot) with
-      | TF -> XColF slot
-      | TI -> XColI slot
-      | TB -> XColB slot))
+    | Some slot -> col_x env slot)
   | Expr.Var x -> (
     match List.assoc_opt x env.binds with
     | Some slot -> XBind (slot, env.bind_tys.(slot))
     | None -> (
-      if String.equal x env.src_var then decline "whole-row reference %s" x
+      match List.assoc_opt x env.var_cols with
+      | Some slot -> col_x env slot
+      | None ->
+      if List.mem x env.src_vars then decline "whole-row reference %s" x
       else
         match List.assoc_opt x env.params with
         | Some (Value.Int i) -> XConstI i
@@ -374,19 +383,19 @@ let rec cx env (e : Expr.t) : vx =
 
 (* Structural (type-independent) support check, used by {!classify} so
    statically hopeless plans are declined before any column is fetched. *)
-let rec structurally_supported ~src_var (e : Expr.t) : (unit, string) result =
+let rec structurally_supported ~src_vars (e : Expr.t) : (unit, string) result =
   let sub a b =
-    match structurally_supported ~src_var a with
+    match structurally_supported ~src_vars a with
     | Error _ as err -> err
-    | Ok () -> structurally_supported ~src_var b
+    | Ok () -> structurally_supported ~src_vars b
   in
   match e with
   | Expr.Const (Value.Int _ | Value.Float _ | Value.Bool _) -> Ok ()
   | Expr.Const v -> Error ("non-scalar constant " ^ Value.to_string v)
-  | Expr.Proj (Expr.Var v, _) when String.equal v src_var -> Ok ()
-  | Expr.Var x when String.equal x src_var -> Error ("whole-row reference " ^ x)
+  | Expr.Proj (Expr.Var v, _) when List.mem v src_vars -> Ok ()
+  | Expr.Var x when List.mem x src_vars -> Error ("whole-row reference " ^ x)
   | Expr.Var _ -> Ok () (* bind var or parameter; typing decides at run *)
-  | Expr.UnOp (_, a) -> structurally_supported ~src_var a
+  | Expr.UnOp (_, a) -> structurally_supported ~src_vars a
   | Expr.BinOp (Expr.Concat, _, _) -> Error "string concatenation"
   | Expr.BinOp (_, a, b) -> sub a b
   | Expr.Proj _ -> Error "projection off a non-source value"
@@ -479,7 +488,7 @@ let classify ctx (p : Plan.t) :
             match monoid_supported monoid with
             | Error reason -> `Decline reason
             | Ok () -> (
-              let check e = structurally_supported ~src_var:var e in
+              let check e = structurally_supported ~src_vars:[ var ] e in
               let step_err =
                 List.find_map
                   (fun s ->
@@ -532,58 +541,66 @@ type kernel = {
       (* zone-map batch pruning for direct binary-array scans *)
 }
 
-(* Build a kernel for an already-resolved chain: typed columns, typed
-   steps, typed head, reduce kind validated against the head type. *)
-let build_kernel ?prune ~name ~var ~(cols : (string * col) array) ~nrows ~steps
-    ~monoid ~head () : kernel =
-  let col_tys = Array.map (fun (_, c) -> col_ty c) cols in
-  let col_slots = Array.to_list (Array.mapi (fun i (f, _) -> (f, i)) cols) in
+let new_tap pred = { tap_pred = pred; seen = Atomic.make 0; passed = Atomic.make 0 }
+
+let type_filter env pred =
+  let x = cx env pred in
+  if vx_ty x <> TB then decline "filter is not boolean-typed";
+  x
+
+(* Type a step list in execution order: binds take slots in order and may
+   reference earlier binds. Returns the environment with every bind in
+   scope, the typed steps, their feedback taps and the bind count. *)
+let type_steps env steps =
   let bind_names =
     List.filter_map (function VBind (v, _) -> Some v | VFilter _ -> None) steps
   in
   let nbinds = List.length bind_names in
   let bind_slots = List.mapi (fun i v -> (v, i)) bind_names in
   let bind_tys = Array.make (max nbinds 1) TF in
-  (* binds are typed in step order; a bind may reference earlier binds *)
-  let env =
-    { src_var = var; cols = col_slots; col_tys; binds = []; bind_tys;
-      params = [] }
-  in
-  let taps = ref [] in
-  let _, ksteps =
+  let env = { env with binds = []; bind_tys } in
+  let env, ksteps, taps =
     List.fold_left
-      (fun (env, acc) s ->
+      (fun (env, acc, taps) s ->
         match s with
         | VFilter p ->
-          let x = cx env p in
-          if vx_ty x <> TB then decline "filter is not boolean-typed";
-          let tap =
-            { tap_pred = p; seen = Atomic.make 0; passed = Atomic.make 0 }
-          in
-          taps := tap :: !taps;
-          (env, KFilter (x, tap) :: acc)
+          let tap = new_tap p in
+          (env, KFilter (type_filter env p, tap) :: acc, tap :: taps)
         | VBind (v, e) ->
           let x = cx env e in
           let slot = List.assoc v bind_slots in
           bind_tys.(slot) <- vx_ty x;
-          ({ env with binds = (v, slot) :: env.binds }, KBind (slot, x) :: acc))
-      (env, []) steps
+          ({ env with binds = (v, slot) :: env.binds }, KBind (slot, x) :: acc, taps))
+      (env, [], []) steps
   in
-  let env =
-    { env with binds = bind_slots }
-  in
-  let head_x = cx env head in
-  (match monoid, vx_ty head_x with
+  (env, List.rev ksteps, taps, nbinds)
+
+let check_head_type monoid head_ty =
+  match monoid, head_ty with
   | Monoid.Prim (Monoid.Sum | Monoid.Prod | Monoid.Avg | Monoid.Max | Monoid.Min), TB
     ->
     decline "numeric monoid over a boolean head"
   | Monoid.Prim (Monoid.All | Monoid.Some_), (TF | TI) ->
     decline "boolean monoid over a numeric head"
-  | _ -> ());
+  | _ -> ()
+
+(* Build a kernel for an already-resolved chain: typed columns, typed
+   steps, typed head, reduce kind validated against the head type. *)
+let build_kernel ?prune ~name ~var ~(cols : (string * col) array) ~nrows ~steps
+    ~monoid ~head () : kernel =
+  let col_tys = Array.map (fun (_, c) -> col_ty c) cols in
+  let col_slots = Array.to_list (Array.mapi (fun i (f, _) -> ((var, f), i)) cols) in
+  let env =
+    { src_vars = [ var ]; cols = col_slots; var_cols = []; col_tys; binds = [];
+      bind_tys = [||]; params = [] }
+  in
+  let env, ksteps, taps, nbinds = type_steps env steps in
+  let head_x = cx env head in
+  check_head_type monoid (vx_ty head_x);
   ignore (Atomic.fetch_and_add s_kernels 1);
   { k_name = name; k_cols = Array.map snd cols; k_nrows = nrows;
-    k_steps = List.rev ksteps; k_nbinds = nbinds; k_head = head_x;
-    k_monoid = monoid; k_taps = !taps; k_prune = prune }
+    k_steps = ksteps; k_nbinds = nbinds; k_head = head_x;
+    k_monoid = monoid; k_taps = taps; k_prune = prune }
 
 (* --- instances: per-domain scratch + the batch loop -------------------- *)
 
@@ -591,9 +608,31 @@ type vval = VF of float array * Bytes.t | VI of int array * Bytes.t | VB of Byte
 
 let dummy_vval = VB (Bytes.create 0, Bytes.create 0)
 
+(* Batch buffers outlive no kernel run. Arrays longer than 256 words go
+   straight to the major heap, so a fresh set per query would drive
+   major-GC work that lands on whatever runs next; each domain keeps the
+   buffers of finished runs for the next one instead. *)
+type buffer_pool = {
+  mutable floats : float array list;
+  mutable ints : int array list;
+  mutable bytes : Bytes.t list;
+}
+
+let pool_key = Domain.DLS.new_key (fun () -> { floats = []; ints = []; bytes = [] })
+let pool_cap = 64  (* buffers kept per kind and domain *)
+
+let rec take_sized len = function
+  | a :: rest when len a -> Some (a, rest)
+  | _ :: rest -> take_sized len rest
+  | [] -> None
+
 type state = {
   bcap : int;
   sel : int array;
+  sels : int array array;
+      (* the row-id vectors a filter compacts: [[|sel|]] on one chain, one
+         per generator after a join *)
+  col_sel : int array array;  (* per column, the row ids it gathers at *)
   mutable n : int;  (* live rows in [sel] *)
   mutable batch_lo : int;
   ones : Bytes.t;
@@ -602,7 +641,54 @@ type state = {
   stage_i : icol array;
   binds : vval array;
   mutable assigned : int;  (* bind slots filled so far this batch *)
+  mutable owned_f : float array list;  (* buffers to hand back, see [release] *)
+  mutable owned_i : int array list;
+  mutable owned_b : Bytes.t list;
 }
+
+let fbuf st =
+  let sc = Domain.DLS.get pool_key in
+  let a =
+    match take_sized (fun a -> Array.length a = st.bcap) sc.floats with
+    | Some (a, rest) -> sc.floats <- rest; a
+    | None -> Array.make st.bcap 0.
+  in
+  st.owned_f <- a :: st.owned_f;
+  a
+
+let ibuf st =
+  let sc = Domain.DLS.get pool_key in
+  let a =
+    match take_sized (fun a -> Array.length a = st.bcap) sc.ints with
+    | Some (a, rest) -> sc.ints <- rest; a
+    | None -> Array.make st.bcap 0
+  in
+  st.owned_i <- a :: st.owned_i;
+  a
+
+let bbuf st =
+  let sc = Domain.DLS.get pool_key in
+  let b =
+    match take_sized (fun b -> Bytes.length b = st.bcap) sc.bytes with
+    | Some (b, rest) -> sc.bytes <- rest; b
+    | None -> Bytes.make st.bcap '\000'
+  in
+  st.owned_b <- b :: st.owned_b;
+  b
+
+(* Hand a finished run's buffers to the domain's next run. Nothing may use
+   [st] afterwards. *)
+let release st =
+  let sc = Domain.DLS.get pool_key in
+  let keep mine pool =
+    List.filteri (fun i _ -> i < pool_cap) (List.rev_append mine pool)
+  in
+  sc.floats <- keep st.owned_f sc.floats;
+  sc.ints <- keep st.owned_i sc.ints;
+  sc.bytes <- keep st.owned_b sc.bytes;
+  st.owned_f <- [];
+  st.owned_i <- [];
+  st.owned_b <- []
 
 let as_f = function VF (a, v) -> (a, v) | _ -> assert false
 let as_i = function VI (a, v) -> (a, v) | _ -> assert false
@@ -617,9 +703,7 @@ let valid c = c = '\001'
    only division/modulo guard on validity, everything else computes
    through and lets the mask win. *)
 let rec build st (x : vx) : unit -> vval =
-  let fbuf () = Array.make st.bcap 0.
-  and ibuf () = Array.make st.bcap 0
-  and bbuf () = Bytes.make st.bcap '\000' in
+  let fbuf () = fbuf st and ibuf () = ibuf st and bbuf () = bbuf st in
   match x with
   | XConstF c ->
     let a = fbuf () in
@@ -638,19 +722,19 @@ let rec build st (x : vx) : unit -> vval =
     fun () -> r
   | XBind (slot, _) -> fun () -> st.binds.(slot)
   | XColF ci -> (
-    let out = fbuf () in
+    let out = fbuf () and sel = st.col_sel.(ci) in
     match st.cols.(ci) with
     | ColF (src, None) ->
       fun () ->
         for k = 0 to st.n - 1 do
-          Array.unsafe_set out k (BA1.unsafe_get src (Array.unsafe_get st.sel k))
+          Array.unsafe_set out k (BA1.unsafe_get src (Array.unsafe_get sel k))
         done;
         VF (out, st.ones)
     | ColF (src, Some sv) ->
       let vd = bbuf () in
       fun () ->
         for k = 0 to st.n - 1 do
-          let r = Array.unsafe_get st.sel k in
+          let r = Array.unsafe_get sel k in
           Array.unsafe_set out k (BA1.unsafe_get src r);
           Bytes.unsafe_set vd k (Bytes.unsafe_get sv r)
         done;
@@ -665,19 +749,19 @@ let rec build st (x : vx) : unit -> vval =
         VF (out, st.ones)
     | _ -> assert false)
   | XColI ci -> (
-    let out = ibuf () in
+    let out = ibuf () and sel = st.col_sel.(ci) in
     match st.cols.(ci) with
     | ColI (src, None) ->
       fun () ->
         for k = 0 to st.n - 1 do
-          Array.unsafe_set out k (BA1.unsafe_get src (Array.unsafe_get st.sel k))
+          Array.unsafe_set out k (BA1.unsafe_get src (Array.unsafe_get sel k))
         done;
         VI (out, st.ones)
     | ColI (src, Some sv) ->
       let vd = bbuf () in
       fun () ->
         for k = 0 to st.n - 1 do
-          let r = Array.unsafe_get st.sel k in
+          let r = Array.unsafe_get sel k in
           Array.unsafe_set out k (BA1.unsafe_get src r);
           Bytes.unsafe_set vd k (Bytes.unsafe_get sv r)
         done;
@@ -692,19 +776,19 @@ let rec build st (x : vx) : unit -> vval =
         VI (out, st.ones)
     | _ -> assert false)
   | XColB ci -> (
-    let out = bbuf () in
+    let out = bbuf () and sel = st.col_sel.(ci) in
     match st.cols.(ci) with
     | ColB (src, None) ->
       fun () ->
         for k = 0 to st.n - 1 do
-          Bytes.unsafe_set out k (Bytes.unsafe_get src (Array.unsafe_get st.sel k))
+          Bytes.unsafe_set out k (Bytes.unsafe_get src (Array.unsafe_get sel k))
         done;
         VB (out, st.ones)
     | ColB (src, Some sv) ->
       let vd = bbuf () in
       fun () ->
         for k = 0 to st.n - 1 do
-          let r = Array.unsafe_get st.sel k in
+          let r = Array.unsafe_get sel k in
           Bytes.unsafe_set out k (Bytes.unsafe_get src r);
           Bytes.unsafe_set vd k (Bytes.unsafe_get sv r)
         done;
@@ -1045,56 +1129,74 @@ type instance = {
   i_domain : int;  (* instantiating domain, for the P09 scratch check *)
 }
 
-let instantiate (k : kernel) : instance =
-  let bcap = batch_rows () in
-  let ncols = Array.length k.k_cols in
+(* Buffers for one batch pipeline: [nsels] row-id vectors, which filters
+   compact, and column [i] gathers through vector [col_sel.(i)]. *)
+let make_state ~bcap ~(cols : col array) ~nsels ~col_sel ~nbinds =
+  let ncols = Array.length cols in
   let empty_f = BA1.create Bigarray.float64 Bigarray.c_layout 0 in
   let empty_i = BA1.create Bigarray.int Bigarray.c_layout 0 in
   let st =
-    { bcap; sel = Array.make bcap 0; n = 0; batch_lo = 0;
-      ones = Bytes.make bcap '\001'; cols = k.k_cols;
-      stage_f =
-        Array.init ncols (fun i ->
-            match k.k_cols.(i) with
-            | ColRawF _ -> BA1.create Bigarray.float64 Bigarray.c_layout bcap
-            | _ -> empty_f);
-      stage_i =
-        Array.init ncols (fun i ->
-            match k.k_cols.(i) with
-            | ColRawI _ -> BA1.create Bigarray.int Bigarray.c_layout bcap
-            | _ -> empty_i);
-      binds = Array.make (max k.k_nbinds 1) dummy_vval; assigned = 0 }
+  { bcap; sel = [||]; sels = [||]; col_sel = [||];
+    n = 0; batch_lo = 0; ones = Bytes.empty; cols;
+    stage_f =
+      Array.init ncols (fun i ->
+          match cols.(i) with
+          | ColRawF _ -> BA1.create Bigarray.float64 Bigarray.c_layout bcap
+          | _ -> empty_f);
+    stage_i =
+      Array.init ncols (fun i ->
+          match cols.(i) with
+          | ColRawI _ -> BA1.create Bigarray.int Bigarray.c_layout bcap
+          | _ -> empty_i);
+    binds = Array.make (max nbinds 1) dummy_vval; assigned = 0;
+    owned_f = []; owned_i = []; owned_b = [] }
   in
-  let steps =
-    List.map
-      (function
-        | KBind (slot, x) ->
-          let e = build st x in
-          fun () ->
-            st.binds.(slot) <- e ();
-            st.assigned <- st.assigned + 1
-        | KFilter (x, tap) ->
-          let e = build st x in
-          fun () ->
-            let bb, vd = as_b (e ()) in
-            let n = st.n in
-            ignore (Atomic.fetch_and_add tap.seen n);
-            let m = ref 0 in
-            for src = 0 to n - 1 do
-              if valid (Bytes.unsafe_get vd src) && valid (Bytes.unsafe_get bb src)
-              then begin
-                let dst = !m in
-                Array.unsafe_set st.sel dst (Array.unsafe_get st.sel src);
-                for b = 0 to st.assigned - 1 do
-                  compact_vval st.binds.(b) ~src ~dst
-                done;
-                incr m
-              end
-            done;
-            st.n <- !m;
-            ignore (Atomic.fetch_and_add tap.passed !m))
-      k.k_steps
+  let sels = Array.init nsels (fun _ -> ibuf st) in
+  let ones = bbuf st in
+  Bytes.fill ones 0 bcap '\001';
+  { st with sel = (if nsels > 0 then sels.(0) else [||]); sels;
+    col_sel = Array.map (fun i -> sels.(i)) col_sel; ones }
+
+(* Per-batch runner of one typed step. A filter compacts every row-id
+   vector and every bind filled so far with the same permutation. *)
+let step_runner st = function
+  | KBind (slot, x) ->
+    let e = build st x in
+    fun () ->
+      st.binds.(slot) <- e ();
+      st.assigned <- st.assigned + 1
+  | KFilter (x, tap) ->
+    let e = build st x in
+    let sels = st.sels in
+    let nsels = Array.length sels in
+    fun () ->
+      let bb, vd = as_b (e ()) in
+      let n = st.n in
+      ignore (Atomic.fetch_and_add tap.seen n);
+      let m = ref 0 in
+      for src = 0 to n - 1 do
+        if valid (Bytes.unsafe_get vd src) && valid (Bytes.unsafe_get bb src)
+        then begin
+          let dst = !m in
+          for s = 0 to nsels - 1 do
+            let sel = Array.unsafe_get sels s in
+            Array.unsafe_set sel dst (Array.unsafe_get sel src)
+          done;
+          for b = 0 to st.assigned - 1 do
+            compact_vval st.binds.(b) ~src ~dst
+          done;
+          incr m
+        end
+      done;
+      st.n <- !m;
+      ignore (Atomic.fetch_and_add tap.passed !m)
+
+let instantiate (k : kernel) : instance =
+  let st =
+    make_state ~bcap:(batch_rows ()) ~cols:k.k_cols ~nsels:1
+      ~col_sel:(Array.make (Array.length k.k_cols) 0) ~nbinds:k.k_nbinds
   in
+  let steps = List.map (step_runner st) k.k_steps in
   let head = build st k.k_head in
   let accum = make_accum k.k_monoid (vx_ty k.k_head) in
   (* no budget charge: the scratch is O(batch_rows), a per-query constant
@@ -1166,7 +1268,14 @@ let run_range (inst : instance) ~lo ~hi : Value.t =
   | None -> process lo hi);
   inst.i_accum.result ()
 
-let flush_feedback ctx (k : kernel) =
+(* One instance over rows [lo, hi), its buffers handed back afterwards. *)
+let run_instance (k : kernel) ~lo ~hi =
+  let inst = instantiate k in
+  let acc = run_range inst ~lo ~hi in
+  release inst.i_st;
+  acc
+
+let flush_taps ctx taps =
   List.iter
     (fun tap ->
       let seen = Atomic.exchange tap.seen 0 in
@@ -1176,7 +1285,753 @@ let flush_feedback ctx (k : kernel) =
         Feedback.record ctx.Plugins.feedback
           ~key:(Feedback.selectivity_key tap.tap_pred)
           ~observed:(float_of_int passed /. float_of_int seen))
-    k.k_taps
+    taps
+
+let flush_feedback ctx (k : kernel) = flush_taps ctx k.k_taps
+
+(* --- equi-join fragment ------------------------------------------------ *)
+
+(* A Reduce over a tree of equi-Joins whose leaves are Select*/Map* chains
+   on columnar sources runs on row ids, positions in the cached column
+   arrays, instead of records:
+
+   - each leaf's filters and binds run as the batch kernels above and
+     leave one selection vector (leaf binds are scattered into columns
+     indexed by row id);
+   - each join builds a hash table from its int key columns to build-side
+     tuples, chained in build order, then probes it with the other side's
+     row-id tuples;
+   - residual predicates, post-join steps and the head run over columns
+     gathered at the matched row ids, one batch of tuples at a time.
+
+   Tuples come out in the closure engine's order — probe tuples in probe
+   order, each followed by its matches in build order, NULL keys never
+   matching — so collections equal the closure engine's element for
+   element and float folds associate the same way. Columns are fetched
+   through the cache in the row engines' order too: a join's build side
+   before its probe side, each leaf with the fields the path being
+   replaced would read. *)
+
+type leaf = {
+  l_id : int;  (* position among the plan's generators, left to right *)
+  l_var : string;
+  l_name : string;
+  l_source : Source.t;
+  l_steps : vstep list;  (* in the closure engine's evaluation order *)
+  l_card : bool;  (* whether the closure engine records this scan's cardinality *)
+}
+
+type key = { key_var : string; key_field : string }
+
+type jtree =
+  | JLeaf of leaf
+  | JJoin of {
+      pred : Expr.t;
+      keys : (key * key) list;  (* probe (left) column, build (right) column *)
+      residual : Expr.t option;
+      left : jtree;
+      right : jtree;
+    }
+  | JSteps of vstep list * jtree  (* Select/Map above a join *)
+
+(* a fused fold over a typed head, or values gathered for bag/list *)
+type jhead = HTyped of Expr.t | HBoxed of Expr.t
+
+type join_candidate = {
+  j_plan : Plan.t;  (* as given: the field needs of the path it replaces *)
+  j_tree : jtree;
+  j_leaves : leaf list;
+  j_monoid : Monoid.t;
+  j_head : jhead;
+}
+
+exception Outside_fragment
+
+(* Select/Map operators above a core, in the closure engine's evaluation
+   order: inner operators first, and within a run of Selects the
+   outermost predicate first (Compile chains a gathered run that way).
+   Also returns the run of Selects sitting directly on the core. *)
+let rec peel (p : Plan.t) : vstep list * Plan.t * Expr.t list =
+  match p with
+  | Plan.Select _ ->
+    let rec gather preds (p : Plan.t) =
+      match p with
+      | Plan.Select { pred; child } -> gather (pred :: preds) child
+      | p -> (List.rev preds, p)
+    in
+    let preds, child = gather [] p in
+    let steps, core, direct = peel child in
+    let direct = match child with Plan.Map _ -> direct | _ -> preds in
+    (steps @ List.map (fun p -> VFilter p) preds, core, direct)
+  | Plan.Map { var; expr; child } ->
+    let steps, core, direct = peel child in
+    (steps @ [ VBind (var, expr) ], core, direct)
+  | core -> ([], core, [])
+
+let rec tree_leaves = function
+  | JLeaf lf -> [ lf ]
+  | JJoin { left; right; _ } -> tree_leaves left @ tree_leaves right
+  | JSteps (_, t) -> tree_leaves t
+
+let step_expr = function VFilter p -> p | VBind (_, e) -> e
+
+let rec tree_exprs = function
+  | JLeaf lf -> List.map step_expr lf.l_steps
+  | JJoin { keys; residual; left; right; _ } ->
+    List.concat_map
+      (fun (a, b) ->
+        [ Expr.Proj (Expr.Var a.key_var, a.key_field);
+          Expr.Proj (Expr.Var b.key_var, b.key_field) ])
+      keys
+    @ Option.to_list residual @ tree_exprs left @ tree_exprs right
+  | JSteps (steps, t) -> List.map step_expr steps @ tree_exprs t
+
+let rec has_subquery (e : Expr.t) =
+  match e with
+  | Expr.Comp _ -> true
+  | Expr.Const _ | Expr.Var _ | Expr.Zero _ -> false
+  | Expr.Proj (a, _) | Expr.UnOp (_, a) | Expr.Singleton (_, a) | Expr.Lambda (_, a) ->
+    has_subquery a
+  | Expr.BinOp (_, a, b) | Expr.Apply (a, b) | Expr.Merge (_, a, b) ->
+    has_subquery a || has_subquery b
+  | Expr.If (a, b, c) -> has_subquery a || has_subquery b || has_subquery c
+  | Expr.Record fs -> List.exists (fun (_, e) -> has_subquery e) fs
+  | Expr.Index (a, idxs) -> has_subquery a || List.exists has_subquery idxs
+
+(* Parts of a bag/list head: cached values gathered as they are, or typed
+   expressions boxed per tuple. *)
+let boxed_parts (head : Expr.t) =
+  match head with Expr.Record fs -> List.map snd fs | e -> [ e ]
+
+let gathered ~src_vars (e : Expr.t) =
+  match e with
+  | Expr.Proj (Expr.Var v, _) -> List.mem v src_vars
+  | Expr.Const _ -> true
+  | _ -> false
+
+(* Shape of the plan: [`Silent] outside the fragment (Unnest, Nest,
+   Product, correlated sources, subqueries, joins without an
+   equi-conjunct), [`Decline] when the shape matches but a detail rules
+   the kernels out. *)
+let classify_join ctx (plan : Plan.t) :
+    [ `Join of join_candidate | `Decline of string | `Silent ] =
+  let first_decline = ref None in
+  let refuse fmt =
+    Format.kasprintf
+      (fun r -> if !first_decline = None then first_decline := Some r)
+      fmt
+  in
+  let leaves = ref [] in
+  let rec tree ~top (p : Plan.t) =
+    let steps, core, direct = peel p in
+    match core with
+    | Plan.Source { var; expr = Expr.Var name } -> (
+      match Registry.find ctx.Plugins.registry name with
+      | None | Some { Source.format = Source.External _; _ } -> raise Outside_fragment
+      | Some source ->
+        (* a filtered binary-array scan runs the zone-map producer, which
+           records no cardinality *)
+        let ranged =
+          source.Source.format = Source.Binary_array
+          && List.exists
+               (fun c -> Analysis.range_of ~var c <> None)
+               (List.concat_map Analysis.conjuncts direct)
+        in
+        let lf =
+          { l_id = List.length !leaves; l_var = var; l_name = name; l_source = source;
+            l_steps = steps; l_card = not ranged }
+        in
+        leaves := lf :: !leaves;
+        JLeaf lf)
+    | Plan.Join { pred; left; right } ->
+      let l = tree ~top:false left in
+      let r = tree ~top:false right in
+      let keys, residual =
+        Analysis.split_equi ~left:(Plan.bound_vars left) ~right:(Plan.bound_vars right) pred
+      in
+      if keys = [] then raise Outside_fragment;
+      let column side (e : Expr.t) =
+        match e with
+        | Expr.Proj (Expr.Var v, f)
+          when List.exists (fun lf -> String.equal lf.l_var v) (tree_leaves side) ->
+          { key_var = v; key_field = f }
+        | e ->
+          refuse "join key %s is not a generator column" (Expr.to_string e);
+          { key_var = ""; key_field = "" }
+      in
+      let keys = List.map (fun (a, b) -> (column l a, column r b)) keys in
+      if (not top) && List.exists (function VBind _ -> true | VFilter _ -> false) steps
+      then refuse "binding between joins";
+      let j = JJoin { pred; keys; residual; left = l; right = r } in
+      if steps = [] then j else JSteps (steps, j)
+    | _ -> raise Outside_fragment
+  in
+  if not (enabled ()) then `Silent
+  else
+    match plan with
+    | Plan.Reduce { monoid; head; child } -> (
+      match tree ~top:true child with
+      | exception Outside_fragment -> `Silent
+      | JLeaf _ -> `Silent
+      | t ->
+        let leaves = List.rev !leaves in
+        let src_vars = List.map (fun lf -> lf.l_var) leaves in
+        if List.exists has_subquery (head :: tree_exprs t) then `Silent
+        else begin
+          (* [count v] over a generator counts one per tuple *)
+          let head =
+            match monoid, head with
+            | Monoid.Prim Monoid.Count, Expr.Var v when List.mem v src_vars ->
+              HTyped (Expr.Const (Value.Int 0))
+            | (Monoid.Coll Ty.Bag | Monoid.Coll Ty.List), h -> HBoxed h
+            | _, h -> HTyped h
+          in
+          let check e =
+            match structurally_supported ~src_vars e with
+            | Ok () -> ()
+            | Error r -> refuse "%s" r
+          in
+          (match head, monoid_supported monoid with
+          | HBoxed h, _ ->
+            List.iter (fun e -> if not (gathered ~src_vars e) then check e) (boxed_parts h)
+          | HTyped _, Error _ -> refuse "monoid %s has no join kernel" (Monoid.name monoid)
+          | HTyped h, Ok () -> check h);
+          List.iter check (tree_exprs t);
+          List.iter
+            (fun lf ->
+              match lf.l_source.Source.format, Analysis.plan_var_needs plan ~var:lf.l_var with
+              | (Source.Csv _ | Source.Binary_array | Source.Inline _), _
+              | _, Analysis.Fields _ ->
+                ()
+              | _, Analysis.Whole -> refuse "whole-record need on %s" lf.l_name)
+            leaves;
+          match !first_decline with
+          | Some reason -> `Decline reason
+          | None ->
+            `Join
+              { j_plan = plan; j_tree = t; j_leaves = leaves; j_monoid = monoid;
+                j_head = head }
+        end)
+    | _ -> `Silent
+
+(* growable row-id vectors *)
+type ibuf = { mutable data : int array; mutable len : int }
+
+let ibuf () = { data = Array.make 64 0; len = 0 }
+
+let ibuf_append b (src : int array) n =
+  if b.len + n > Array.length b.data then begin
+    let grown = Array.make (max (b.len + n) (2 * Array.length b.data)) 0 in
+    Array.blit b.data 0 grown 0 b.len;
+    b.data <- grown
+  end;
+  Array.blit src 0 b.data b.len n;
+  b.len <- b.len + n
+
+let ibuf_contents b = Array.sub b.data 0 b.len
+
+(* A materialized relation: the row ids of its tuples, one vector per
+   generator of the subtree ([||] for generators outside it). *)
+type rel = { ids : int array array; n : int }
+
+type jrun = {
+  jr_ctx : Plugins.ctx;
+  jr_cand : join_candidate;
+  jr_boxed : (string * string, Value.t array) Hashtbl.t;  (* cached columns *)
+  mutable jr_vcols : (string * (int * col)) list;  (* leaf binds, by row id *)
+}
+
+let leaf_of jr v = List.find (fun lf -> String.equal lf.l_var v) jr.jr_cand.j_leaves
+
+let boxed jr v f = Hashtbl.find jr.jr_boxed (v, f)
+
+let typed_col jr v f = promote_memo ~field:f (boxed jr v f)
+
+let fields_of ~var exprs =
+  List.rev (List.fold_left (proj_fields ~src_var:var) [] exprs)
+
+(* Fetch a leaf's columns through the cache: the fields the candidate's
+   plan needs of it (every schema column when the variable escapes whole,
+   as under a [count v] head the plan has not neutralized). *)
+let fetch_leaf jr lf =
+  let head = match jr.jr_cand.j_head with HTyped h | HBoxed h -> h in
+  let required = fields_of ~var:lf.l_var (head :: tree_exprs jr.jr_cand.j_tree) in
+  let fields =
+    match Analysis.plan_var_needs jr.jr_cand.j_plan ~var:lf.l_var with
+    | Analysis.Fields fs -> fs
+    | Analysis.Whole ->
+      let whole =
+        match lf.l_source.Source.format with
+        | Source.Csv { schema; _ } -> Schema.names schema
+        | Source.Binary_array ->
+          List.map
+            (fun f -> f.Binarray.name)
+            (Binarray.header (Structures.binarray jr.jr_ctx.Plugins.structures lf.l_source))
+              .Binarray.fields
+        | _ -> []
+      in
+      whole @ List.filter (fun f -> not (List.mem f whole)) required
+  in
+  match Plugins.column_arrays jr.jr_ctx lf.l_source ~fields with
+  | None ->
+    decline "source %s has no columnar view (cleaning policy or format)" lf.l_name
+  | Some (nrows, cols) ->
+    List.iter (fun (f, arr) -> Hashtbl.replace jr.jr_boxed (lf.l_var, f) arr) cols;
+    nrows
+
+let scatter_col ty n =
+  match ty with
+  | TF -> ColF (BA1.create Bigarray.float64 Bigarray.c_layout n, Some (Bytes.make n '\000'))
+  | TI -> ColI (BA1.create Bigarray.int Bigarray.c_layout n, Some (Bytes.make n '\000'))
+  | TB -> ColB (Bytes.make n '\000', Some (Bytes.make n '\000'))
+
+let scatter (v : vval) (c : col) (sel : int array) n =
+  match v, c with
+  | VF (a, vd), ColF (dst, Some dv) ->
+    for k = 0 to n - 1 do
+      let r = Array.unsafe_get sel k in
+      BA1.unsafe_set dst r (Array.unsafe_get a k);
+      Bytes.unsafe_set dv r (Bytes.unsafe_get vd k)
+    done
+  | VI (a, vd), ColI (dst, Some dv) ->
+    for k = 0 to n - 1 do
+      let r = Array.unsafe_get sel k in
+      BA1.unsafe_set dst r (Array.unsafe_get a k);
+      Bytes.unsafe_set dv r (Bytes.unsafe_get vd k)
+    done
+  | VB (a, vd), ColB (dst, Some dv) ->
+    for k = 0 to n - 1 do
+      let r = Array.unsafe_get sel k in
+      Bytes.unsafe_set dst r (Bytes.unsafe_get a k);
+      Bytes.unsafe_set dv r (Bytes.unsafe_get vd k)
+    done
+  | _ -> assert false
+
+(* Scan one leaf batch by batch: one poll, epoch tick and stats note per
+   batch, as on the single-chain path. Returns the surviving row ids. *)
+let scan_leaf jr lf =
+  let ctx = jr.jr_ctx in
+  let nrows = fetch_leaf jr lf in
+  let var = lf.l_var in
+  let fields = fields_of ~var (List.map step_expr lf.l_steps) in
+  let cols = Array.of_list (List.map (typed_col jr var) fields) in
+  let env =
+    { src_vars = [ var ]; cols = List.mapi (fun i f -> ((var, f), i)) fields;
+      var_cols = []; col_tys = Array.map col_ty cols; binds = []; bind_tys = [||];
+      params = ctx.Plugins.params }
+  in
+  let env, ksteps, taps, nbinds = type_steps env lf.l_steps in
+  let bcap = batch_rows () in
+  let st =
+    make_state ~bcap ~cols ~nsels:1 ~col_sel:(Array.make (Array.length cols) 0) ~nbinds
+  in
+  let sel = st.sel in
+  let runners = List.map (step_runner st) ksteps in
+  (* bind variables outlive the scan as columns indexed by row id *)
+  let scatters =
+    List.map (fun (v, slot) -> (v, slot, scatter_col env.bind_tys.(slot) nrows)) env.binds
+  in
+  let out = ibuf () in
+  let sanitize = Vida_sync.enabled () in
+  let pos = ref 0 in
+  while !pos < nrows do
+    let blo = !pos in
+    let bhi = min nrows (blo + bcap) in
+    let rows = bhi - blo in
+    Governor.poll_batch ~source:"vector" ~rows ();
+    Epoch.check ~source:lf.l_name ();
+    note_batch rows;
+    for k = 0 to rows - 1 do
+      Array.unsafe_set sel k (blo + k)
+    done;
+    st.n <- rows;
+    st.assigned <- 0;
+    List.iter (fun run -> run ()) runners;
+    (* P08, as on the single-chain path *)
+    if sanitize then begin
+      Vida_sync.note_kernel_check ();
+      match Vida_analysis.Kernel.check_selection sel ~n:st.n ~lo:blo ~hi:bhi with
+      | Some reason -> Vida_sync.kernel_failed ~id:"P08" ~subject:lf.l_name "%s" reason
+      | None -> ()
+    end;
+    List.iter (fun (_, slot, c) -> scatter st.binds.(slot) c sel st.n) scatters;
+    ibuf_append out sel st.n;
+    pos := bhi
+  done;
+  release st;
+  flush_taps ctx taps;
+  if lf.l_card && nrows > 0 then
+    Feedback.record ctx.Plugins.feedback
+      ~key:(Feedback.cardinality_key lf.l_name)
+      ~observed:(float_of_int nrows);
+  jr.jr_vcols <- List.map (fun (v, _, c) -> (v, (lf.l_id, c))) scatters @ jr.jr_vcols;
+  ibuf_contents out
+
+(* --- hash build and probe --- *)
+
+(* A key column as promoted ints; [None] when it holds no value at all
+   (empty, or every key NULL), so it matches nothing. *)
+let key_column jr k =
+  let not_int () = decline "join key %s.%s is not an int column" k.key_var k.key_field in
+  match typed_col jr k.key_var k.key_field with
+  | ColI (a, validity) -> Some (a, validity)
+  | _ -> not_int ()
+  | exception Not_vectorizable _ ->
+    if Array.for_all (function Value.Null -> true | _ -> false) (boxed jr k.key_var k.key_field)
+    then None
+    else not_int ()
+
+(* Key values of a relation's tuples, one int vector per key, and whether
+   every key of a tuple is non-NULL. *)
+let key_values jr (r : rel) (ks : key list) =
+  let valid = Bytes.make r.n '\001' in
+  let vals =
+    List.map
+      (fun k ->
+        let out = Array.make r.n 0 in
+        (match key_column jr k with
+        | None -> Bytes.fill valid 0 r.n '\000'
+        | Some (a, validity) ->
+          let ids = r.ids.((leaf_of jr k.key_var).l_id) in
+          for i = 0 to r.n - 1 do
+            let row = Array.unsafe_get ids i in
+            Array.unsafe_set out i (BA1.unsafe_get a row);
+            match validity with
+            | Some v when Bytes.unsafe_get v row = '\000' -> Bytes.unsafe_set valid i '\000'
+            | _ -> ()
+          done);
+        out)
+      ks
+  in
+  (Array.of_list vals, valid)
+
+let hash_keys (keys : int array array) i =
+  let h = ref 0 in
+  for q = 0 to Array.length keys - 1 do
+    h := (!h * 65599) + Array.unsafe_get (Array.unsafe_get keys q) i
+  done;
+  Hashtbl.hash !h
+
+let keys_equal (a : int array array) i (b : int array array) j =
+  let rec go q =
+    q < 0
+    || Array.unsafe_get (Array.unsafe_get a q) i = Array.unsafe_get (Array.unsafe_get b q) j
+       && go (q - 1)
+  in
+  go (Array.length a - 1)
+
+type table = {
+  heads : int array;  (* bucket -> first build tuple, -1 when empty *)
+  next : int array;  (* build tuple -> next one in its bucket, in build order *)
+  bkeys : int array array;
+  mask : int;
+}
+
+(* Chains are threaded from the last build tuple to the first, so walking
+   a bucket visits the build side in its own order. *)
+let build_table (bkeys, bvalid) n ~width =
+  let cap = ref 16 in
+  while !cap < 2 * n do
+    cap := 2 * !cap
+  done;
+  let cap = !cap in
+  if Governor.budgeted () then
+    Governor.charge ~source:"vector" (8 * (cap + (n * (1 + Array.length bkeys + width))));
+  let heads = Array.make cap (-1) and next = Array.make (max n 1) (-1) in
+  for j = n - 1 downto 0 do
+    if Bytes.unsafe_get bvalid j = '\001' then begin
+      let h = hash_keys bkeys j land (cap - 1) in
+      Array.unsafe_set next j (Array.unsafe_get heads h);
+      Array.unsafe_set heads h j
+    end
+  done;
+  { heads; next; bkeys; mask = cap - 1 }
+
+(* A join ready to probe: both sides evaluated, the table built, and its
+   output pipeline (residual, then post-join steps) typed. *)
+type prepared = {
+  pr_leaves : leaf list;  (* generators of the output, left to right *)
+  pr_left : (int * int array) array;  (* probe-side generators: id, row ids *)
+  pr_right : (int * int array) array;
+  pr_table : table;
+  pr_pkeys : int array array;
+  pr_pvalid : Bytes.t;
+  pr_nprobe : int;
+  pr_env : cenv;
+  pr_cols : col array;
+  pr_col_leaf : int array;  (* column -> generator id *)
+  pr_steps : kstep list;
+  pr_nbinds : int;
+  pr_emitted : int Atomic.t;
+  pr_finish : unit -> unit;  (* feedback, once every probe range ran *)
+}
+
+(* position of generator [id] among the output's row-id vectors *)
+let leaf_pos pr id =
+  let rec go i = function
+    | lf :: rest -> if lf.l_id = id then i else go (i + 1) rest
+    | [] -> invalid_arg "Vector.leaf_pos"
+  in
+  go 0 pr.pr_leaves
+
+let rec materialize jr (t : jtree) : rel =
+  let nleaves = List.length jr.jr_cand.j_leaves in
+  match t with
+  | JLeaf lf ->
+    let ids = scan_leaf jr lf in
+    let all = Array.make nleaves [||] in
+    all.(lf.l_id) <- ids;
+    { ids = all; n = Array.length ids }
+  | JJoin _ | JSteps _ ->
+    let pr = prepare jr t ~head:[] in
+    let bufs = List.map (fun lf -> (lf.l_id, ibuf ())) pr.pr_leaves in
+    let st, runners = pipeline pr in
+    probe pr st runners ~lo:0 ~hi:pr.pr_nprobe ~sink:(fun () ->
+        List.iteri (fun pos (_, b) -> ibuf_append b st.sels.(pos) st.n) bufs);
+    release st;
+    pr.pr_finish ();
+    let all = Array.make nleaves [||] in
+    List.iter (fun (id, b) -> all.(id) <- ibuf_contents b) bufs;
+    { ids = all; n = (match bufs with (_, b) :: _ -> b.len | [] -> 0) }
+
+(* Evaluate [t]'s build side, build, checkpoint, then its probe side — the
+   closure engine's order, which is also the order columns are fetched
+   through the cache. [head] lists the typed expressions evaluated over
+   the output besides the join's own steps. *)
+and prepare jr (t : jtree) ~head : prepared =
+  let ctx = jr.jr_ctx in
+  let steps, pred, keys, residual, left, right =
+    match t with
+    | JJoin { pred; keys; residual; left; right } -> ([], pred, keys, residual, left, right)
+    | JSteps (steps, JJoin { pred; keys; residual; left; right }) ->
+      (steps, pred, keys, residual, left, right)
+    | _ -> invalid_arg "Vector.prepare"
+  in
+  let rleaves = tree_leaves right and lleaves = tree_leaves left in
+  let r = materialize jr right in
+  let table =
+    build_table (key_values jr r (List.map snd keys)) r.n ~width:(List.length rleaves)
+  in
+  Governor.checkpoint ~source:"vector" ();
+  let l = materialize jr left in
+  let pkeys, pvalid = key_values jr l (List.map fst keys) in
+  (* the output pipeline reads columns of every generator below it *)
+  let leaves = lleaves @ rleaves in
+  let exprs = Option.to_list residual @ List.map step_expr steps @ head in
+  let typed =
+    List.concat_map
+      (fun lf -> List.map (fun f -> (lf, f)) (fields_of ~var:lf.l_var exprs))
+      leaves
+  in
+  let vcols =
+    List.filter
+      (fun (_, (id, _)) -> List.exists (fun lf -> lf.l_id = id) leaves)
+      jr.jr_vcols
+  in
+  let ntyped = List.length typed in
+  let cols =
+    Array.of_list
+      (List.map (fun (lf, f) -> typed_col jr lf.l_var f) typed
+      @ List.map (fun (_, (_, c)) -> c) vcols)
+  in
+  let col_leaf =
+    Array.of_list
+      (List.map (fun (lf, _) -> lf.l_id) typed @ List.map (fun (_, (id, _)) -> id) vcols)
+  in
+  let env =
+    { src_vars = List.map (fun lf -> lf.l_var) leaves;
+      cols = List.mapi (fun i (lf, f) -> ((lf.l_var, f), i)) typed;
+      var_cols = List.mapi (fun i (v, _) -> (v, ntyped + i)) vcols;
+      col_tys = Array.map col_ty cols; binds = []; bind_tys = [||];
+      params = ctx.Plugins.params }
+  in
+  let res_tap = Option.map new_tap residual in
+  let env, ksteps, taps, nbinds = type_steps env steps in
+  let ksteps =
+    match residual, res_tap with
+    | Some p, Some tap -> KFilter (type_filter env p, tap) :: ksteps
+    | _ -> ksteps
+  in
+  let emitted = Atomic.make 0 in
+  let finish () =
+    flush_taps ctx taps;
+    let out =
+      match res_tap with
+      | Some tap -> Atomic.get tap.passed
+      | None -> Atomic.get emitted
+    in
+    if l.n > 0 && r.n > 0 then
+      Feedback.record ctx.Plugins.feedback ~key:(Feedback.join_key pred)
+        ~observed:(float_of_int out /. (float_of_int l.n *. float_of_int r.n))
+  in
+  let side lvs (rel : rel) = Array.of_list (List.map (fun lf -> (lf.l_id, rel.ids.(lf.l_id))) lvs) in
+  { pr_leaves = leaves; pr_left = side lleaves l; pr_right = side rleaves r;
+    pr_table = table; pr_pkeys = pkeys; pr_pvalid = pvalid; pr_nprobe = l.n;
+    pr_env = env; pr_cols = cols; pr_col_leaf = col_leaf; pr_steps = ksteps;
+    pr_nbinds = nbinds; pr_emitted = emitted; pr_finish = finish }
+
+(* Fresh buffers for one probe range: one row-id vector per generator. *)
+and pipeline pr =
+  let st =
+    make_state ~bcap:(batch_rows ()) ~cols:pr.pr_cols ~nsels:(List.length pr.pr_leaves)
+      ~col_sel:(Array.map (leaf_pos pr) pr.pr_col_leaf)
+      ~nbinds:pr.pr_nbinds
+  in
+  (st, List.map (step_runner st) pr.pr_steps)
+
+(* Probe tuples [lo, hi): matches fill the pipeline's row-id vectors; each
+   full batch runs the steps and then [sink]. *)
+and probe pr st runners ~lo ~hi ~sink =
+  let t = pr.pr_table in
+  let nleft = Array.length pr.pr_left in
+  let outs_l = Array.sub st.sels 0 nleft
+  and outs_r = Array.sub st.sels nleft (Array.length pr.pr_right) in
+  let ids_l = Array.map snd pr.pr_left and ids_r = Array.map snd pr.pr_right in
+  let flush k =
+    st.n <- k;
+    ignore (Atomic.fetch_and_add pr.pr_emitted k);
+    st.assigned <- 0;
+    List.iter (fun run -> run ()) runners;
+    if st.n > 0 then sink ()
+  in
+  let k = ref 0 in
+  for i = lo to hi - 1 do
+    if Bytes.unsafe_get pr.pr_pvalid i = '\001' then begin
+      let j = ref (Array.unsafe_get t.heads (hash_keys pr.pr_pkeys i land t.mask)) in
+      while !j >= 0 do
+        let jj = !j in
+        if keys_equal pr.pr_pkeys i t.bkeys jj then begin
+          let kk = !k in
+          for s = 0 to Array.length outs_l - 1 do
+            Array.unsafe_set (Array.unsafe_get outs_l s) kk
+              (Array.unsafe_get (Array.unsafe_get ids_l s) i)
+          done;
+          for s = 0 to Array.length outs_r - 1 do
+            Array.unsafe_set (Array.unsafe_get outs_r s) kk
+              (Array.unsafe_get (Array.unsafe_get ids_r s) jj)
+          done;
+          if kk + 1 = st.bcap then begin
+            flush (kk + 1);
+            k := 0
+          end
+          else k := kk + 1
+        end;
+        j := Array.unsafe_get t.next jj
+      done
+    end
+  done;
+  if !k > 0 then flush !k
+
+(* --- the head over the top join's output --- *)
+
+let box (v : vval) k =
+  match v with
+  | VF (a, vd) -> if valid (Bytes.unsafe_get vd k) then Value.Float a.(k) else Value.Null
+  | VI (a, vd) -> if valid (Bytes.unsafe_get vd k) then Value.Int a.(k) else Value.Null
+  | VB (a, vd) ->
+    if valid (Bytes.unsafe_get vd k) then Value.Bool (valid (Bytes.unsafe_get a k))
+    else Value.Null
+
+(* The head over the top join's output, typed once: a fused fold, or the
+   parts of a bag/list element — cached values gathered at the tuple's
+   row id, constants, or typed expressions boxed per tuple. *)
+type part = PGather of Value.t array * int | PConst of Value.t | PTyped of vx
+
+type thead = TFold of vx | TRecord of (string * part) list | TScalar of part
+
+let type_head jr pr =
+  let part (e : Expr.t) =
+    match e with
+    | Expr.Proj (Expr.Var v, f) when List.mem v pr.pr_env.src_vars ->
+      PGather (boxed jr v f, (leaf_of jr v).l_id)
+    | Expr.Const c -> PConst c
+    | e -> PTyped (cx pr.pr_env e)
+  in
+  match jr.jr_cand.j_head with
+  | HTyped h ->
+    let x = cx pr.pr_env h in
+    check_head_type jr.jr_cand.j_monoid (vx_ty x);
+    TFold x
+  | HBoxed (Expr.Record fs) -> TRecord (List.map (fun (name, e) -> (name, part e)) fs)
+  | HBoxed e -> TScalar (part e)
+
+(* One probe range folded into a pre-finalize partial, on fresh buffers. *)
+let fold_range jr pr (head : thead) ~lo ~hi =
+  let st, runners = pipeline pr in
+  let part = function
+    | PGather (arr, id) ->
+      let sel = st.sels.(leaf_pos pr id) in
+      fun () k -> Array.unsafe_get arr (Array.unsafe_get sel k)
+    | PConst c -> fun () _ -> c
+    | PTyped x ->
+      let ev = build st x in
+      fun () -> box (ev ())
+  in
+  let collect (value : unit -> int -> Value.t) =
+    let items = ref [] in
+    probe pr st runners ~lo ~hi ~sink:(fun () ->
+        let get = value () in
+        for k = 0 to st.n - 1 do
+          items := get k :: !items
+        done);
+    release st;
+    match jr.jr_cand.j_monoid with
+    | Monoid.Coll Ty.List -> Value.List (List.rev !items)
+    | _ -> Value.Bag (List.rev !items)
+  in
+  match head with
+  | TFold x ->
+    let ev = build st x in
+    let accum = make_accum jr.jr_cand.j_monoid (vx_ty x) in
+    probe pr st runners ~lo ~hi ~sink:(fun () -> accum.push (ev ()) st.n);
+    release st;
+    accum.result ()
+  | TScalar p -> collect (part p)
+  | TRecord fs ->
+    let parts = List.map (fun (name, p) -> (name, part p)) fs in
+    collect (fun () ->
+        let getters = List.map (fun (name, p) -> (name, p ())) parts in
+        fun k -> Value.Record (List.map (fun (name, g) -> (name, g k)) getters))
+
+(* Run a join candidate. With [domains > 1] the top probe splits into
+   morsels whose partials merge in probe order. *)
+let run_join ctx ~domains (c : join_candidate) () : Value.t =
+  let jr = { jr_ctx = ctx; jr_cand = c; jr_boxed = Hashtbl.create 16; jr_vcols = [] } in
+  ignore (Atomic.fetch_and_add s_kernels 1);
+  let head =
+    match c.j_head with
+    | HTyped h -> [ h ]
+    | HBoxed h ->
+      List.filter (fun e -> not (gathered ~src_vars:(List.map (fun lf -> lf.l_var) c.j_leaves) e))
+        (boxed_parts h)
+  in
+  let pr = prepare jr c.j_tree ~head in
+  let head = type_head jr pr in
+  let domains =
+    if domains <= 1 then 1
+    else Vida_raw.Morsel.domains_for_rows ~domains pr.pr_nprobe
+  in
+  let acc =
+    if domains <= 1 then fold_range jr pr head ~lo:0 ~hi:pr.pr_nprobe
+    else begin
+      (* P10: partials merge in probe order *)
+      if Vida_sync.enabled () then begin
+        Vida_sync.note_kernel_check ();
+        match Vida_analysis.Kernel.check_merge_order c.j_monoid ~strategy:`Ordered with
+        | Some reason -> Vida_sync.kernel_failed ~id:"P10" ~subject:"join" "%s" reason
+        | None -> ()
+      end;
+      let ranges = Vida_raw.Morsel.chunks pr.pr_nprobe (domains * 4) in
+      let partials =
+        Vida_raw.Morsel.run ~domains ~tasks:(Array.length ranges) (fun t ->
+            let lo, hi = ranges.(t) in
+            fold_range jr pr head ~lo ~hi)
+      in
+      Array.fold_left (Monoid.merge c.j_monoid) (Monoid.zero c.j_monoid) partials
+    end
+  in
+  pr.pr_finish ();
+  Monoid.finalize c.j_monoid acc
 
 (* --- chain entry (parallel morsels) ----------------------------------- *)
 
@@ -1280,14 +2135,21 @@ let run_candidate ctx (c : candidate) () : Value.t =
       build_kernel ?prune ~name:c.name ~var:c.var ~cols ~nrows ~steps:c.steps
         ~monoid:c.monoid ~head:c.head ()
     in
-    let inst = instantiate k in
-    let acc = run_range inst ~lo:0 ~hi:nrows in
+    let acc = run_instance k ~lo:0 ~hi:nrows in
     flush_feedback ctx k;
     if nrows > 0 then
       Feedback.record ctx.Plugins.feedback
         ~key:(Feedback.cardinality_key c.name)
         ~observed:(float_of_int nrows);
     Monoid.finalize c.monoid acc
+
+(* The join fragment alone, for {!Parallel.try_query}: the top probe runs
+   on up to [domains] domains. Callers record declines. *)
+let compile_join ctx ~domains (p : Plan.t) :
+    [ `Run of unit -> Value.t | `Decline of string | `Silent ] =
+  match classify_join ctx p with
+  | `Join j -> `Run (run_join ctx ~domains j)
+  | (`Decline _ | `Silent) as other -> other
 
 (* The wiring point for {!Compile.query}: [`Run] executes the whole plan
    vectorized (raising {!Not_vectorizable} at run time when columns turn
@@ -1296,12 +2158,16 @@ let run_candidate ctx (c : candidate) () : Value.t =
    candidates. *)
 let compile ctx (p : Plan.t) :
     [ `Run of unit -> Value.t | `Decline of string | `Silent ] =
-  match classify ctx p with
-  | `Silent -> `Silent
-  | `Decline reason ->
-    note_global_fallback reason;
-    `Decline reason
-  | `Candidate c -> `Run (run_candidate ctx c)
+  let classified =
+    match classify ctx p with
+    | `Silent -> compile_join ctx ~domains:1 p
+    | `Decline _ as d -> d
+    | `Candidate c -> `Run (run_candidate ctx c)
+  in
+  (match classified with
+  | `Decline reason -> note_global_fallback reason
+  | `Run _ | `Silent -> ());
+  classified
 
 (* record a fallback in the process-global stats as well as the ambient
    session (callers own the session-side note) *)

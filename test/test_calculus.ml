@@ -119,6 +119,50 @@ let monoid_law_tests =
       [ assoc; identity; commutative; idempotent ])
     all_monoids
 
+(* The linear-time accumulator must produce exactly the carrier of
+   folding [merge (unit v)] one element at a time (same representation,
+   same order), and its partials must merge like the fold's. Elements mix
+   NULLs with Int and Float values that compare equal. *)
+let accumulator_tests =
+  let element_gen m =
+    let open QCheck.Gen in
+    match m with
+    | Monoid.Prim (Monoid.All | Monoid.Some_) ->
+      frequency [ (1, return Value.Null); (4, map (fun b -> Value.Bool b) bool) ]
+    | _ ->
+      frequency
+        [ (1, return Value.Null);
+          (3, map (fun i -> Value.Int i) (int_range (-4) 4));
+          (3, map (fun i -> Value.Float (float_of_int i /. 2.)) (int_range (-8) 8))
+        ]
+  in
+  let fold_merge m vs =
+    List.fold_left (fun acc v -> Monoid.merge m acc (Monoid.unit m v)) (Monoid.zero m) vs
+  in
+  let accumulate m vs =
+    let a = Monoid.accumulator m in
+    List.iter (Monoid.add a) vs;
+    Monoid.contents a
+  in
+  List.map
+    (fun m ->
+      let arb =
+        QCheck.make
+          ~print:(fun (vs, i) ->
+            Printf.sprintf "%s split at %d" (Value.to_string (Value.List vs)) i)
+          QCheck.Gen.(pair (list_size (int_range 0 12) (element_gen m)) (int_range 0 12))
+      in
+      QCheck.Test.make ~name:(Monoid.name m ^ " accumulator = fold of merge") ~count:200 arb
+        (fun (vs, i) ->
+          let reference = fold_merge m vs in
+          let i = min i (List.length vs) in
+          let prefix = List.filteri (fun j _ -> j < i) vs
+          and suffix = List.filteri (fun j _ -> j >= i) vs in
+          let split = Monoid.merge m (accumulate m prefix) (accumulate m suffix) in
+          String.equal (Value.to_string (accumulate m vs)) (Value.to_string reference)
+          && Value.equal (Monoid.finalize m split) (Monoid.finalize m reference)))
+    all_monoids
+
 let test_monoid_fold () =
   let vs = [ Value.Int 3; Value.Int 1; Value.Int 2 ] in
   check_value "sum" (Value.Int 6) (Monoid.fold (Monoid.Prim Monoid.Sum) vs);
@@ -479,6 +523,7 @@ let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 let () =
   Alcotest.run "vida_calculus"
     [ qsuite "monoid-laws" monoid_law_tests;
+      qsuite "monoid-accumulator" accumulator_tests;
       ( "monoid",
         [ Alcotest.test_case "fold" `Quick test_monoid_fold;
           Alcotest.test_case "null skip" `Quick test_monoid_null_skip;

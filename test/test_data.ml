@@ -142,6 +142,32 @@ let prop_hash_equal =
       QCheck.assume (Value.equal a b);
       Value.hash a = Value.hash b)
 
+(* Numerics that compare equal across representations: Int/Float of the
+   same value, signed zeros, NaN (equal to itself under the total order)
+   and integers beyond 2^53, where Int-vs-Float equality rounds. *)
+let numeric_edge_gen : Value.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let big = 1 lsl 53 in
+  let scalar =
+    oneofl
+      [ Value.Int 3; Value.Float 3.0; Value.Int 0; Value.Float 0.0; Value.Float (-0.0);
+        Value.Float Float.nan; Value.Float (-.Float.nan); Value.Int big;
+        Value.Int (big + 1); Value.Float (float_of_int big); Value.Int (-big - 1);
+        Value.Float (-.float_of_int big); Value.Int max_int; Value.Float (float_of_int max_int)
+      ]
+  in
+  frequency
+    [ (4, scalar);
+      (1, map (fun vs -> Value.List vs) (list_size (int_range 0 3) scalar));
+      (1, map (fun (a, b) -> Value.Record [ ("a", a); ("b", b) ]) (pair scalar scalar))
+    ]
+
+let prop_hash_numeric_edges =
+  let arb = QCheck.make ~print:Value.to_string numeric_edge_gen in
+  QCheck.Test.make ~name:"equal values hash equal (numeric edges)" ~count:500
+    (QCheck.pair arb arb) (fun (a, b) ->
+      (not (Value.equal a b)) || Value.hash a = Value.hash b)
+
 let prop_set_idempotent =
   QCheck.Test.make ~name:"set_of_list idempotent" ~count:200
     (QCheck.list_of_size (QCheck.Gen.int_range 0 8) arb_value) (fun vs ->
@@ -258,6 +284,7 @@ let () =
         ] );
       qsuite "value-properties"
         [ prop_compare_reflexive; prop_compare_antisymmetric; prop_compare_transitive;
+          prop_hash_numeric_edges;
           prop_hash_equal; prop_set_idempotent; prop_conforms_typeof;
           prop_fnv64_reference
         ];

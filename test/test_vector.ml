@@ -196,6 +196,250 @@ let prop_engines_agree =
             formats;
           true))
 
+(* --- the join fragment: fixtures over every columnar format ------------ *)
+
+(* Small tables keyed by [k], with duplicate keys on both sides of every
+   join and NULL keys in the CSV and JSON tables. *)
+let join_csv () =
+  let buf = Buffer.create 2048 in
+  Buffer.add_string buf "k,a,x,s\n";
+  for i = 0 to 59 do
+    let k = if i mod 11 = 5 then "" else string_of_int (i mod 13) in
+    Printf.bprintf buf "%s,%d,%.2f,s%d\n" k ((i * 7 mod 23) - 11)
+      ((float_of_int (i mod 9) /. 4.) -. 1.) (i mod 4)
+  done;
+  tmp_file ".csv" (Buffer.contents buf)
+
+let join_csv2 () =
+  let buf = Buffer.create 2048 in
+  Buffer.add_string buf "k,s,z\n";
+  for i = 0 to 49 do
+    Printf.bprintf buf "%d,s%d,%.3f\n" (i * 5 mod 17) (i mod 6)
+      ((float_of_int (i mod 9) /. 4.) -. 1.)
+  done;
+  tmp_file ".csv" (Buffer.contents buf)
+
+let join_json () =
+  let buf = Buffer.create 2048 in
+  for i = 0 to 44 do
+    let k = if i mod 10 = 3 then "null" else string_of_int (i mod 9) in
+    Printf.bprintf buf {|{"k": %s, "y": %.2f, "b": %d}|} k (float_of_int (i mod 7) *. 1.5)
+      (i mod 5);
+    Buffer.add_char buf '\n'
+  done;
+  tmp_file ".jsonl" (Buffer.contents buf)
+
+let join_binarray () =
+  let path = Filename.temp_file "vida_vec" ".varr" in
+  Vida_raw.Binarray.write path ~dims:[ 40 ]
+    ~fields:
+      [ { Vida_raw.Binarray.name = "k"; is_float = false };
+        { Vida_raw.Binarray.name = "w"; is_float = true }
+      ]
+    (fun i -> [| Value.Int (i mod 11); Value.Float (float_of_int (i mod 6) /. 2.) |]);
+  path
+
+let join_nested () =
+  let buf = Buffer.create 1024 in
+  for i = 0 to 19 do
+    Printf.bprintf buf {|{"k": %d, "items": [{"v": %d}, {"v": %d}]}|} (i mod 13) i (i * 2);
+    Buffer.add_char buf '\n'
+  done;
+  tmp_file ".jsonl" (Buffer.contents buf)
+
+let join_registry () =
+  let registry = Registry.create () in
+  let _ = Registry.register_csv registry ~name:"JC" ~path:(join_csv ()) () in
+  let _ = Registry.register_csv registry ~name:"JD" ~path:(join_csv2 ()) () in
+  let _ = Registry.register_json registry ~name:"JJ" ~path:(join_json ()) () in
+  let _ = Registry.register_binarray registry ~name:"JB" ~path:(join_binarray ()) in
+  let _ =
+    Registry.register_inline registry ~name:"JI"
+      (Value.List
+         (List.init 35 (fun i ->
+              Value.Record [ ("k", Value.Int (i mod 7)); ("v", Value.Int (i * 3 mod 10)) ])))
+  in
+  let _ = Registry.register_csv registry ~name:"JE" ~path:(tmp_file ".csv" "k,a\n") () in
+  registry
+
+let jctx = Plugins.create_ctx (join_registry ())
+
+(* numeric fields of each join table: (field, is_float) *)
+let join_tables =
+  [ ("JC", [ ("a", false); ("x", true) ]);
+    ("JD", [ ("z", true) ]);
+    ("JJ", [ ("y", true); ("b", false) ]);
+    ("JB", [ ("w", true) ]);
+    ("JI", [ ("v", false) ])
+  ]
+
+let rec has_join (p : Plan.t) =
+  match p with
+  | Plan.Join _ -> true
+  | p -> List.exists has_join (Plan.children p)
+
+(* Floats may reassociate when a parallel fold splits its input. *)
+let rec agrees a b =
+  match a, b with
+  | Value.Float x, Value.Float y ->
+    Float.equal x y || Float.abs (x -. y) <= 1e-9 *. Float.max 1. (Float.abs x)
+  | Value.Record fa, Value.Record fb ->
+    List.length fa = List.length fb
+    && List.for_all2 (fun (na, va) (nb, vb) -> String.equal na nb && agrees va vb) fa fb
+  | (Value.Bag xs | Value.List xs), (Value.Bag ys | Value.List ys) ->
+    List.length xs = List.length ys && List.for_all2 agrees xs ys
+  | a, b -> Value.equal a b
+
+let kernel_accepts plan =
+  match Vector.compile_join jctx ~domains:1 plan with
+  | `Run _ -> true
+  | `Decline _ | `Silent -> false
+
+(* Sequentially the join kernel must equal the closure engine and the
+   generic interpreter exactly (order included) and record no fallback;
+   inside the parallel engine at 2 and 4 domains it must agree too, and
+   answer whenever the kernel accepts the plan. [~kernel] demands that it
+   does (the optimizer may leave a Product inside a random plan). *)
+let join_agree ?(kernel = false) ~fail q =
+  let plan = Vida_optimizer.Optimizer.optimize jctx (plan_of q) in
+  if not (has_join plan) then fail (q ^ ": optimized plan has no Join");
+  let accepted = kernel_accepts plan in
+  if kernel && not accepted then fail (q ^ ": outside the join fragment");
+  let before = (Vector.stats ()).Vector.fallbacks in
+  let vec = outcome (fun () -> Compile.query jctx plan ()) in
+  if accepted && (Vector.stats ()).Vector.fallbacks <> before then
+    fail
+      (Printf.sprintf "%s: join kernel fell back (%s)" q
+         (String.concat "; " (Vector.stats ()).Vector.last_fallbacks));
+  let clo = outcome (fun () -> with_vector_off (fun () -> Compile.query jctx plan ())) in
+  let gen = outcome (fun () -> Interp.query jctx plan ()) in
+  if vec <> clo then
+    fail (Printf.sprintf "%s: vectorized %s vs closure %s" q (show vec) (show clo));
+  if clo <> gen then
+    fail (Printf.sprintf "%s: closure %s vs generic %s" q (show clo) (show gen));
+  List.iter
+    (fun domains ->
+      match Parallel.try_query jctx ~domains plan, clo with
+      | Some v, Ok expected ->
+        let closure = with_vector_off (fun () -> Compile.query jctx plan ()) in
+        if not (agrees closure v) then
+          fail
+            (Printf.sprintf "%s (domains=%d): parallel %s vs closure %s" q domains
+               (Value.to_string v) expected)
+      | None, _ ->
+        if accepted then fail (Printf.sprintf "%s (domains=%d): parallel declined" q domains)
+      | Some _, Error _ -> fail (Printf.sprintf "%s (domains=%d): closure failed" q domains)
+      | exception Eval.Error m -> (
+        match clo with
+        | Error m' when String.equal m m' -> ()
+        | _ -> fail (Printf.sprintf "%s (domains=%d): parallel raised %s" q domains m)))
+    [ 2; 4 ]
+
+type join_case = { jq : string; jbatch : int }
+
+let gen_join_case : join_case QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* nsrc = int_range 2 3 in
+  let* tables = shuffle_l join_tables in
+  let picked = List.filteri (fun i _ -> i < nsrc) tables in
+  let vars = List.filteri (fun i _ -> i < nsrc) [ "p"; "q"; "r" ] in
+  let gens = List.map2 (fun v (t, _) -> Printf.sprintf "%s <- %s" v t) vars picked in
+  let keys =
+    List.filteri (fun i _ -> i > 0) vars
+    |> List.mapi (fun i v -> Printf.sprintf "%s.k = %s.k" (List.nth vars i) v)
+  in
+  let field_of =
+    let* i = int_range 0 (nsrc - 1) in
+    let v = List.nth vars i and _, fs = List.nth picked i in
+    let* f, is_float = oneofl fs in
+    return (v, f, is_float)
+  in
+  let filter =
+    let* v, f, is_float = field_of in
+    if is_float then map (Printf.sprintf "%s.%s > %.2f" v f) (map (fun n -> float_of_int n /. 4.) (int_range (-4) 8))
+    else map (Printf.sprintf "%s.%s < %d" v f) (int_range (-8) 8)
+  in
+  let* nfilter = int_range 0 2 in
+  let* filters = flatten_l (List.init nfilter (fun _ -> filter)) in
+  let* v1, f1, _ = field_of in
+  let* v2, f2, _ = field_of in
+  let* head =
+    oneofl
+      [ "count p";
+        Printf.sprintf "sum %s.%s" v1 f1;
+        Printf.sprintf "avg %s.%s" v1 f1;
+        Printf.sprintf "max %s.%s" v2 f2;
+        Printf.sprintf "min %s.%s + 1" v1 f1;
+        Printf.sprintf "bag %s.%s" v1 f1;
+        Printf.sprintf "bag (k := p.k, f := %s.%s, g := %s.%s)" v1 f1 v2 f2;
+        Printf.sprintf "list (k := %s.k, f := %s.%s * 2)" v2 v1 f1
+      ]
+  in
+  let* jbatch = oneofl [ 1; 7; default_batch ] in
+  let jq =
+    Printf.sprintf "for { %s } yield %s" (String.concat ", " (gens @ keys @ filters)) head
+  in
+  return { jq; jbatch }
+
+let prop_join_engines_agree =
+  QCheck.Test.make ~name:"join kernel == closure == generic (4 formats)" ~count:150
+    (QCheck.make ~print:(fun c -> Printf.sprintf "%s [batch=%d]" c.jq c.jbatch) gen_join_case)
+    (fun c ->
+      with_batch c.jbatch (fun () ->
+          join_agree ~fail:(fun m -> QCheck.Test.fail_report m) c.jq;
+          true))
+
+let test_join_edges () =
+  List.iter
+    (fun batch ->
+      with_batch batch (fun () ->
+          List.iter (join_agree ~kernel:true ~fail:Alcotest.fail)
+            [ (* empty build and probe sides, by table and by filter *)
+              "for { p <- JC, e <- JE, p.k = e.k } yield count p";
+              "for { e <- JE, p <- JC, e.k = p.k } yield bag (k := p.k, a := e.a)";
+              "for { p <- JC, q <- JJ, p.k = q.k, p.a > 999 } yield sum q.b";
+              "for { p <- JC, q <- JJ, p.k = q.k, q.y > 999.0 } yield list (a := p.a)";
+              (* NULL keys on both sides, duplicates on both sides *)
+              "for { p <- JC, q <- JJ, p.k = q.k } yield bag (k := p.k, a := p.a, y := q.y)";
+              "for { p <- JC, q <- JC, p.k = q.k } yield count p";
+              (* two keys, a residual and a post-join bind *)
+              "for { p <- JC, q <- JJ, p.k = q.k, p.a = q.b } yield count p";
+              "for { p <- JC, q <- JJ, p.k = q.k, p.a < q.b } yield sum p.a";
+              "for { p <- JC, q <- JB, p.k = q.k, t := p.x + q.w } yield max t";
+              (* three-way, both nestings *)
+              "for { p <- JC, q <- JJ, r <- JI, p.k = q.k, q.k = r.k } yield bag (a := p.a, y := q.y, v := r.v)";
+              "for { p <- JC, q <- JD, r <- JB, p.k = q.k, p.k = r.k, r.w > 0.5 } yield avg q.z"
+            ]))
+    [ 1; 7; default_batch ]
+
+(* a string or float key is a detail the kernel declines: one recorded
+   fallback naming the key, and the closure engine's answer *)
+let test_join_declines () =
+  let db = Vida.create () in
+  Vida.csv db ~name:"JC" ~path:(join_csv ()) ();
+  Vida.csv db ~name:"JD" ~path:(join_csv2 ()) ();
+  Vida.json db ~name:"JN" ~path:(join_nested ()) ();
+  let fallbacks q =
+    match Vida.query ~reuse:false db q with
+    | Error e -> Alcotest.failf "%s failed: %s" q (Vida.error_to_string e)
+    | Ok r ->
+      let closure = with_vector_off (fun () -> Vida.query_value db q) in
+      check_value (q ^ " answers as the closure engine") closure r.Vida.value;
+      List.filter (fun f -> f.G.stage = "vectorized->closure") r.Vida.governor.G.fallbacks
+  in
+  List.iter
+    (fun (q, key) ->
+      match fallbacks q with
+      | [ f ] ->
+        check_bool (q ^ " names the key") true
+          (Astring.String.is_infix ~affix:key f.G.reason)
+      | fs -> Alcotest.failf "%s: %d fallbacks, expected 1" q (List.length fs))
+    [ ("for { p <- JC, q <- JD, p.s = q.s } yield count p", "join key");
+      ("for { p <- JC, q <- JD, p.x = q.z } yield count p", "join key")
+    ];
+  check_bool "an unnest join records no fallback" true
+    (fallbacks "for { p <- JC, b <- JN, i <- b.items, p.k = b.k } yield sum i.v" = [])
+
 (* --- directed edge cases ----------------------------------------------- *)
 
 let directed_agree ?(batch = 4) q =
@@ -367,6 +611,9 @@ let () =
             test_cancellation_at_batch_boundary;
           Alcotest.test_case "disabled switch" `Quick test_disabled_switch
         ] );
+      ("join", [ QCheck_alcotest.to_alcotest prop_join_engines_agree;
+                 Alcotest.test_case "join edges" `Quick test_join_edges;
+                 Alcotest.test_case "join declines" `Quick test_join_declines ]);
       ( "ladder",
         [ Alcotest.test_case "vectorized -> closure -> generic" `Quick
           test_fallback_ladder ] )
