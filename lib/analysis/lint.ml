@@ -25,8 +25,9 @@ let catalog =
     ("P06", Info, "trivially-true filter");
     ("P07", Info, "non-commutative fold: result depends on source order");
     (* kernel-safety obligations over the vectorized rung, discharged
-       dynamically on every fold_chain_vectorized dispatch in sanitize
-       mode (see Kernel and Vida_sync) *)
+       dynamically in sanitize mode: P08/P09 on every kernel batch run,
+       P10 wherever morsel partials merge, Vector.fold_morsels (see
+       Kernel and Vida_sync) *)
     ("P08", Error, "selection vector must be sorted, unique and in-bounds per batch");
     ("P09", Error, "kernel scratch state must not escape its morsel");
     ("P10", Error, "vectorized fold merge order must satisfy merge_requirement") ]

@@ -26,17 +26,18 @@
 
     Kernel-safety obligations over the vectorized rung ([P08]-[P10]) are
     catalogued here but discharged {e dynamically}: {!Kernel} provides
-    the pure checks, and the engine runs them on every
-    [fold_chain_vectorized] dispatch when the concurrency sanitizer
-    ([Vida_sync], [VIDA_SANITIZE]) is active. Failures surface as
-    ["kernel-obligation"] sync findings.
+    the pure checks, and when the concurrency sanitizer ([Vida_sync],
+    [VIDA_SANITIZE]) is active the engine runs P08 and P09 on every
+    kernel batch run and P10 in [Vector.fold_morsels], the one place
+    morsel partials merge. Failures surface as ["kernel-obligation"] sync
+    findings.
     - [P08] {e selection-vector-integrity} (error) — each batch's
       selection vector must be strictly increasing (sorted, unique) and
       in-bounds for the batch.
     - [P09] {e scratch-escape} (error) — a kernel instance's scratch
       buffers are single-morsel: the instance must run on the domain
       that instantiated it.
-    - [P10] {e merge-order} (error) — merging vectorized partials must
+    - [P10] {e merge-order} (error) — merging morsel partials must
       satisfy the monoid's [merge_requirement] (ordered merge for
       non-commutative monoids). *)
 

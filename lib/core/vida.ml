@@ -381,12 +381,14 @@ let verify_stage t ~env stage plan =
     | Error e -> note_verify t e)
   | Strict -> Vida_analysis.Verifier.verify_exn ~stage ~env plan
 
-(* Per-firing pre/post obligation, installed as the optimizer's and the
-   parallel engine's rewrite checker. *)
+(* Per-firing pre/post obligation: installed as the optimizer's rewrite
+   checker, and called for the JIT's count-head rewrite. [env] is only
+   forced when verification is on. *)
 let firing_check t ~env stage ~rule ~before ~after =
   match t.verify with
   | Off -> ()
   | Warn | Strict -> (
+    let env = Lazy.force env in
     match Vida_analysis.Verifier.check_rewrite ~stage ~rule ~env ~before ~after with
     | Ok () -> ()
     | Error e -> if t.verify = Strict then raise (Vida_error.Error e) else note_verify t e)
@@ -583,7 +585,7 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs t
           if optimize then (
             let plan =
               Vida_optimizer.Rules.with_checker
-                (firing_check t ~env:venv "optimize")
+                (firing_check t ~env:(Lazy.from_val venv) "optimize")
                 (fun () -> Vida_optimizer.Optimizer.optimize ctx plan)
             in
             verify_stage t ~env:venv "optimize" plan;
@@ -660,29 +662,33 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs t
           match Governor.Chaos.take_jit_failure () with
           | Some reason -> degrade reason
           | None -> (
-            let run_sequential () =
-              match (Compile.query ctx plan) () with
+            (* one count-head rewrite per JIT execution, before the kernels
+               classify the plan and before any needs analysis, at every
+               domain count; the Generic foil, explain and the result-cache
+               key keep the original plan *)
+            let jit_plan = Analysis.neutralize_count plan in
+            if jit_plan != plan then
+              firing_check t ~env:venv "jit" ~rule:"neutralize-count-head"
+                ~before:plan ~after:jit_plan;
+            let guarded run =
+              match run () with
               | value -> value
               | exception Plugins.Engine_error msg -> degrade msg
               | exception Eval.Error msg -> degrade msg
               | exception Value.Type_error msg -> degrade msg
               | exception Invalid_argument msg -> degrade msg
             in
-            (* degradation ladder, rung 0: with a domain budget > 1, try
-               the morsel-parallel engine; a decline (unsupported shape)
-               or an engine failure falls back to the sequential JIT.
-               Governor violations and structured data errors propagate
-               from workers exactly as from the sequential path. *)
+            (* degradation ladder, rung 0: with a domain budget > 1 the
+               kernels and the row fold run in morsels; when both decline
+               the closure engine answers (the plan was classified once).
+               An engine failure in a worker falls back to the closure
+               engine; governor violations and structured data errors
+               propagate from workers exactly as from the sequential
+               path. *)
             if ctx.Plugins.domains > 1 then
-              match
-                Parallel.with_checker
-                  (fun ~rule ~before ~after ->
-                    firing_check t ~env:(Lazy.force venv) "parallel" ~rule
-                      ~before ~after)
-                  (fun () -> Parallel.try_query ctx plan)
-              with
+              match Parallel.try_query ctx jit_plan with
               | Some value -> value
-              | None -> run_sequential ()
+              | None -> guarded (fun () -> Compile.closure ctx jit_plan ())
               | exception
                   ( Plugins.Engine_error msg
                   | Eval.Error msg
@@ -690,8 +696,8 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs t
                   | Invalid_argument msg ) ->
                 Governor.note_fallback ~session ~stage:"parallel->sequential"
                   ~reason:msg ();
-                run_sequential ()
-            else run_sequential ()))
+                guarded (fun () -> Compile.closure ctx jit_plan ())
+            else guarded (fun () -> Compile.query ctx jit_plan ())))
       in
       let t1 = now_ms () in
       let io_before = Vida_raw.Io_stats.current () in

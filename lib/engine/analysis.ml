@@ -63,6 +63,22 @@ let plan_exprs p =
 
 let plan_var_needs p ~var = var_needs (plan_exprs p) ~var
 
+let neutralize_count (plan : Plan.t) =
+  match plan with
+  | Plan.Reduce ({ monoid = Monoid.Prim Monoid.Count; head = Expr.Var v; child } as r) ->
+    let rec source_vars p acc =
+      match p with
+      | Plan.Source { var; _ } -> var :: acc
+      | Plan.Select { child; _ } | Plan.Map { child; _ } -> source_vars child acc
+      | Plan.Join { left; right; _ } | Plan.Product { left; right } ->
+        source_vars left (source_vars right acc)
+      | _ -> acc
+    in
+    if List.mem v (source_vars child []) then
+      Plan.Reduce { r with head = Expr.Const (Vida_data.Value.Int 0) }
+    else plan
+  | plan -> plan
+
 let range_of ~var (e : Expr.t) =
   let num = function
     | Vida_data.Value.Int i -> Some (float_of_int i)

@@ -19,6 +19,15 @@ val var_needs : Vida_calculus.Expr.t list -> var:string -> need
     of [var] and analyzes them. *)
 val plan_var_needs : Vida_algebra.Plan.t -> var:string -> need
 
+(** [neutralize_count plan] rewrites a [count v] head to [count 0] when
+    [v] is a generator variable: generator bindings are records, never
+    [Null], so the count is one per row either way, and [v] no longer
+    escapes whole, so {!plan_var_needs} asks only for the fields the rest
+    of the plan reads. A [v] bound by a [Map] may be [Null], which count
+    skips, so its head stays. Any other plan is returned as it is
+    (physically equal). *)
+val neutralize_count : Vida_algebra.Plan.t -> Vida_algebra.Plan.t
+
 (** [conjuncts pred] splits nested conjunctions into a flat list. *)
 val conjuncts : Vida_calculus.Expr.t -> Vida_calculus.Expr.t list
 

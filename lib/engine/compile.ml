@@ -455,12 +455,12 @@ let closure ctx plan =
 
 let query ctx plan =
   let closure () = closure ctx plan in
-  match Vector.compile ctx plan with
+  match Vector.compile ctx ~domains:1 plan with
   | `Silent -> closure ()
   | `Decline reason ->
     let run = closure () in
     fun () ->
-      Governor.note_fallback ~stage:"vectorized->closure" ~reason ();
+      Vector.note_fallback reason;
       run ()
   | `Run vrun ->
     let fallback = lazy (closure ()) in
@@ -468,8 +468,7 @@ let query ctx plan =
       match vrun () with
       | v -> v
       | exception Vector.Not_vectorizable reason ->
-        Vector.note_fallback_stats reason;
-        Governor.note_fallback ~stage:"vectorized->closure" ~reason ();
+        Vector.note_fallback reason;
         (Lazy.force fallback) ())
 
 let scalar ctx ~slots e = compile_scalar ctx slots e

@@ -3,17 +3,16 @@
     aggregation splits into per-morsel partial folds merged back in
     source order).
 
-    Supported plan shapes, each over Select*/Map* chains on single
-    columnar sources (CSV, binary array, JSON lines, XML, inline
-    records):
-
-    - [Reduce] with {e any} monoid — partials merge in morsel order, so
-      non-commutative collection monoids (list/array) concatenate
-      correctly;
-    - [Reduce] over an equi-[Join] of two such chains — parallel hash
-      build (stitched in right-source order) then parallel probe+fold;
-    - a bare chain — parallel filtered/projected materialization,
-      concatenated in morsel order.
+    {!try_query} tries the vectorized kernels first, through
+    {!Vector.compile} at the domain budget: a single-chain scan or a
+    join's top probe splits into morsels there. When the kernels decline
+    (string filters, untypeable columns, monoids without a fused kernel),
+    one shape remains: a [Reduce] with {e any} monoid over a
+    Select*/Map* chain on one columnar source (CSV, binary array, JSON
+    lines, XML, inline records) folds tuple at a time in morsels.
+    Partials merge in morsel order, so non-commutative collection monoids
+    (list/array) concatenate correctly. Declined joins, products and
+    unnests are the closure engine's.
 
     Needed columns are faulted in once on the calling domain (through the
     ordinary plugins and caches); workers then read only immutable arrays
@@ -33,30 +32,14 @@ type decline = { where : string; reason : string }
     gated on an expression verdict). *)
 val last_declines : unit -> decline list
 
-(** Observation hook for this module's own plan-shape rewrites
-    (["parallel-neutralize-count-head"], ["parallel-filter-pushdown"]) —
-    same contract as {!Vida_optimizer.Rules.checker}: called once per
-    firing with the rule named; may raise to abort. *)
-val checker :
-  (rule:string ->
-  before:Vida_algebra.Plan.t ->
-  after:Vida_algebra.Plan.t ->
-  unit)
-  ref
-
-(** [with_checker f body] installs [f] for the duration of [body]
-    (exception-safe, restores the previous hook). *)
-val with_checker :
-  (rule:string ->
-  before:Vida_algebra.Plan.t ->
-  after:Vida_algebra.Plan.t ->
-  unit) ->
-  (unit -> 'a) -> 'a
-
-(** [try_query ctx ?domains plan] — [None] when the plan is outside the
-    parallelizable fragment or the effective domain budget is 1 (callers
-    fall back to {!Compile.query}; with [domains = 1] the sequential
-    engines are authoritative). [domains] defaults to
+(** [try_query ctx ?domains plan] — [None] when neither the kernels nor
+    the row fold answer the plan, or the effective domain budget is 1.
+    The plan is classified once: a kernel decline is recorded as one
+    ["vectorized->closure"] fallback, and on [None] the caller runs
+    {!Compile.closure} rather than {!Compile.query}, so the kernels are
+    not tried twice. The plan should already carry
+    {!Analysis.neutralize_count}, so needs analysis sees what the query
+    reads. [domains] defaults to
     [ctx.domains]; either is clamped per region to the row count and the
     {!Vida_raw.Morsel} minimum-rows floor. *)
 val try_query :

@@ -43,8 +43,9 @@ module BA1 = Bigarray.Array1
    Anything outside the fragment — other monoids, non-scalar expressions,
    mixed-type or non-scalar columns, sources without a columnar view
    (cleaning policies skipping rows, external producers) — declines with a
-   reason; {!Compile.query} records it as the ["vectorized->closure"] rung
-   of the degradation ladder and runs the closure engine instead. *)
+   reason; the caller ({!Compile.query}, {!Parallel.try_query}) records it
+   as the ["vectorized->closure"] rung of the degradation ladder and runs
+   a row engine instead. *)
 
 exception Not_vectorizable of string
 
@@ -432,6 +433,8 @@ let rec proj_fields ~src_var acc (e : Expr.t) =
 
 type vstep = VFilter of Expr.t | VBind of string * Expr.t
 
+let step_expr = function VFilter p -> p | VBind (_, e) -> e
+
 type candidate = {
   source : Source.t;
   name : string;
@@ -475,46 +478,21 @@ let classify ctx (p : Plan.t) :
           match source.Source.format with
           | Source.External _ -> `Silent
           | _ -> (
-            (* [count v] over the generator variable counts one per row —
-               generator bindings are records, never NULL, so the head
-               folds to an always-valid constant (the closure engine's
-               unit is Int 1 for records, equivalently). *)
-            let head =
-              match monoid, head with
-              | Monoid.Prim Monoid.Count, Expr.Var v when String.equal v var ->
-                Expr.Const (Value.Int 0)
-              | _ -> head
-            in
             match monoid_supported monoid with
             | Error reason -> `Decline reason
             | Ok () -> (
               let check e = structurally_supported ~src_vars:[ var ] e in
-              let step_err =
+              match
                 List.find_map
-                  (fun s ->
-                    match s with
-                    | VFilter p -> (
-                      match check p with Ok () -> None | Error r -> Some r)
-                    | VBind (_, e) -> (
-                      match check e with Ok () -> None | Error r -> Some r))
-                  steps
-              in
-              match step_err with
+                  (fun e -> match check e with Ok () -> None | Error r -> Some r)
+                  (List.map step_expr steps @ [ head ])
+              with
               | Some reason -> `Decline reason
               | None -> (
-                match check head with
-                | Error reason -> `Decline reason
-                | Ok () ->
-                  let fields =
-                    List.fold_left
-                      (fun acc s ->
-                        match s with
-                        | VFilter p -> proj_fields ~src_var:var acc p
-                        | VBind (_, e) -> proj_fields ~src_var:var acc e)
-                      (proj_fields ~src_var:var [] head)
-                      steps
-                    |> List.rev
-                  in
+                (* the fields the row fold would read, in its order *)
+                match Analysis.plan_var_needs p ~var with
+                | Analysis.Whole -> `Decline ("whole-row reference " ^ var)
+                | Analysis.Fields fields ->
                   `Candidate { source; name; var; steps; monoid; head; fields }))))))
     | _ -> `Silent
 
@@ -1289,6 +1267,26 @@ let flush_taps ctx taps =
 
 let flush_feedback ctx (k : kernel) = flush_taps ctx k.k_taps
 
+(* Fold rows [0, n) in morsels on up to [domains] domains: [fold ~lo ~hi]
+   returns one range's pre-finalize partial, and the partials merge in
+   morsel (= source) order, which keeps non-commutative monoids (list and
+   array concatenation) correct. Under the sanitizer that order is
+   discharged as P10 before anything merges. *)
+let fold_morsels ~domains ~monoid ~subject n fold =
+  if Vida_sync.enabled () then begin
+    Vida_sync.note_kernel_check ();
+    match Vida_analysis.Kernel.check_merge_order monoid ~strategy:`Ordered with
+    | Some reason -> Vida_sync.kernel_failed ~id:"P10" ~subject "%s" reason
+    | None -> ()
+  end;
+  let ranges = Vida_raw.Morsel.chunks n (domains * 4) in
+  let partials =
+    Vida_raw.Morsel.run ~domains ~tasks:(Array.length ranges) (fun t ->
+        let lo, hi = ranges.(t) in
+        fold ~lo ~hi)
+  in
+  Array.fold_left (Monoid.merge monoid) (Monoid.zero monoid) partials
+
 (* --- equi-join fragment ------------------------------------------------ *)
 
 (* A Reduce over a tree of equi-Joins whose leaves are Select*/Map* chains
@@ -1372,8 +1370,6 @@ let rec tree_leaves = function
   | JLeaf lf -> [ lf ]
   | JJoin { left; right; _ } -> tree_leaves left @ tree_leaves right
   | JSteps (_, t) -> tree_leaves t
-
-let step_expr = function VFilter p -> p | VBind (_, e) -> e
 
 let rec tree_exprs = function
   | JLeaf lf -> List.map step_expr lf.l_steps
@@ -1478,13 +1474,10 @@ let classify_join ctx (plan : Plan.t) :
         let src_vars = List.map (fun lf -> lf.l_var) leaves in
         if List.exists has_subquery (head :: tree_exprs t) then `Silent
         else begin
-          (* [count v] over a generator counts one per tuple *)
           let head =
-            match monoid, head with
-            | Monoid.Prim Monoid.Count, Expr.Var v when List.mem v src_vars ->
-              HTyped (Expr.Const (Value.Int 0))
-            | (Monoid.Coll Ty.Bag | Monoid.Coll Ty.List), h -> HBoxed h
-            | _, h -> HTyped h
+            match monoid with
+            | Monoid.Coll Ty.Bag | Monoid.Coll Ty.List -> HBoxed head
+            | _ -> HTyped head
           in
           let check e =
             match structurally_supported ~src_vars e with
@@ -1497,14 +1490,6 @@ let classify_join ctx (plan : Plan.t) :
           | HTyped _, Error _ -> refuse "monoid %s has no join kernel" (Monoid.name monoid)
           | HTyped h, Ok () -> check h);
           List.iter check (tree_exprs t);
-          List.iter
-            (fun lf ->
-              match lf.l_source.Source.format, Analysis.plan_var_needs plan ~var:lf.l_var with
-              | (Source.Csv _ | Source.Binary_array | Source.Inline _), _
-              | _, Analysis.Fields _ ->
-                ()
-              | _, Analysis.Whole -> refuse "whole-record need on %s" lf.l_name)
-            leaves;
           match !first_decline with
           | Some reason -> `Decline reason
           | None ->
@@ -1551,26 +1536,12 @@ let fields_of ~var exprs =
   List.rev (List.fold_left (proj_fields ~src_var:var) [] exprs)
 
 (* Fetch a leaf's columns through the cache: the fields the candidate's
-   plan needs of it (every schema column when the variable escapes whole,
-   as under a [count v] head the plan has not neutralized). *)
+   plan needs of it, in the order the row fold reads them. *)
 let fetch_leaf jr lf =
-  let head = match jr.jr_cand.j_head with HTyped h | HBoxed h -> h in
-  let required = fields_of ~var:lf.l_var (head :: tree_exprs jr.jr_cand.j_tree) in
   let fields =
     match Analysis.plan_var_needs jr.jr_cand.j_plan ~var:lf.l_var with
     | Analysis.Fields fs -> fs
-    | Analysis.Whole ->
-      let whole =
-        match lf.l_source.Source.format with
-        | Source.Csv { schema; _ } -> Schema.names schema
-        | Source.Binary_array ->
-          List.map
-            (fun f -> f.Binarray.name)
-            (Binarray.header (Structures.binarray jr.jr_ctx.Plugins.structures lf.l_source))
-              .Binarray.fields
-        | _ -> []
-      in
-      whole @ List.filter (fun f -> not (List.mem f whole)) required
+    | Analysis.Whole -> decline "whole-record need on %s" lf.l_name
   in
   match Plugins.column_arrays jr.jr_ctx lf.l_source ~fields with
   | None ->
@@ -2013,83 +1984,30 @@ let run_join ctx ~domains (c : join_candidate) () : Value.t =
   in
   let acc =
     if domains <= 1 then fold_range jr pr head ~lo:0 ~hi:pr.pr_nprobe
-    else begin
-      (* P10: partials merge in probe order *)
-      if Vida_sync.enabled () then begin
-        Vida_sync.note_kernel_check ();
-        match Vida_analysis.Kernel.check_merge_order c.j_monoid ~strategy:`Ordered with
-        | Some reason -> Vida_sync.kernel_failed ~id:"P10" ~subject:"join" "%s" reason
-        | None -> ()
-      end;
-      let ranges = Vida_raw.Morsel.chunks pr.pr_nprobe (domains * 4) in
-      let partials =
-        Vida_raw.Morsel.run ~domains ~tasks:(Array.length ranges) (fun t ->
-            let lo, hi = ranges.(t) in
-            fold_range jr pr head ~lo ~hi)
-      in
-      Array.fold_left (Monoid.merge c.j_monoid) (Monoid.zero c.j_monoid) partials
-    end
+    else
+      fold_morsels ~domains ~monoid:c.j_monoid ~subject:"join" pr.pr_nprobe
+        (fold_range jr pr head)
   in
   pr.pr_finish ();
   Monoid.finalize c.j_monoid acc
 
-(* --- chain entry (parallel morsels) ----------------------------------- *)
-
-(* Compile a kernel for a chain the parallel engine already resolved
-   (columns fetched, effects vetted). The kernel is immutable and shared;
-   each worker domain instantiates its own scratch. *)
-let compile_chain ctx ~name ~var ~(columns : (string * Value.t array) array)
-    ~nrows ~steps ~monoid ~head : (kernel, string) result =
-  ignore ctx;
-  if not (enabled ()) then Error "vectorized engine disabled"
-  else
-    match monoid_supported monoid with
-    | Error reason -> Error reason
-    | Ok () -> (
-      let head =
-        match monoid, head with
-        | Monoid.Prim Monoid.Count, Expr.Var v when String.equal v var ->
-          Expr.Const (Value.Int 0)
-        | _ -> head
-      in
-      let fields =
-        List.fold_left
-          (fun acc s ->
-            match s with
-            | VFilter p -> proj_fields ~src_var:var acc p
-            | VBind (_, e) -> proj_fields ~src_var:var acc e)
-          (proj_fields ~src_var:var [] head)
-          steps
-      in
-      try
-        let cols =
-          Array.of_list
-            (List.map
-               (fun f ->
-                 match
-                   Array.find_opt (fun (g, _) -> String.equal g f) columns
-                 with
-                 | Some (_, arr) -> (f, promote_memo ~field:f arr)
-                 | None -> decline "field %s has no column" f)
-               fields)
-        in
-        Ok (build_kernel ~name ~var ~cols ~nrows ~steps ~monoid ~head ())
-      with Not_vectorizable reason -> Error reason)
-
-(* --- sequential entry (Compile.query) --------------------------------- *)
+(* --- single-chain entry ---------------------------------------------- *)
 
 (* Resolve columns, type and run — performed per invocation so the thunk
    never holds stale columns across a source invalidation: every run
    re-reads through the plugins cache exactly as the closure engine does,
-   and the promotion memo absorbs the repeat cost. *)
-let run_candidate ctx (c : candidate) () : Value.t =
+   and the promotion memo absorbs the repeat cost. With [domains > 1] the
+   rows split into morsels whose partials merge in source order. *)
+let run_candidate ctx ~domains (c : candidate) () : Value.t =
   let cols =
     match c.source.Source.format with
     | Source.Binary_array
-      when Plugins.bad_row_count ctx c.name = 0 && c.fields <> [] ->
+      when domains <= 1 && Plugins.bad_row_count ctx c.name = 0 && c.fields <> [] ->
       (* direct batch decode: no whole-column materialization at all, and
          the filters' numeric bounds prune whole batches via zone maps
-         (the batch-granular analogue of the closure engine's pushdown) *)
+         (the batch-granular analogue of the closure engine's pushdown).
+         Zone maps fill lazily and unsynchronized, so morsel scans read
+         the cached columns instead. *)
       let ba = Structures.binarray ctx.Plugins.structures c.source in
       let hdr = Binarray.header ba in
       let ranges =
@@ -2135,40 +2053,38 @@ let run_candidate ctx (c : candidate) () : Value.t =
       build_kernel ?prune ~name:c.name ~var:c.var ~cols ~nrows ~steps:c.steps
         ~monoid:c.monoid ~head:c.head ()
     in
-    let acc = run_instance k ~lo:0 ~hi:nrows in
+    let domains = Vida_raw.Morsel.domains_for_rows ~domains nrows in
+    let acc =
+      if domains <= 1 then run_instance k ~lo:0 ~hi:nrows
+      else fold_morsels ~domains ~monoid:c.monoid ~subject:c.name nrows (run_instance k)
+    in
     flush_feedback ctx k;
-    if nrows > 0 then
+    (* a morsel-split scan records no cardinality, as the row fold does not *)
+    if domains <= 1 && nrows > 0 then
       Feedback.record ctx.Plugins.feedback
         ~key:(Feedback.cardinality_key c.name)
         ~observed:(float_of_int nrows);
     Monoid.finalize c.monoid acc
 
-(* The join fragment alone, for {!Parallel.try_query}: the top probe runs
-   on up to [domains] domains. Callers record declines. *)
-let compile_join ctx ~domains (p : Plan.t) :
+(* The one way into the kernels, for {!Compile.query} (one domain) and
+   {!Parallel.try_query}: [`Run] executes the whole plan vectorized, the
+   single-chain scan or the top join probe split into morsels on up to
+   [domains] domains, and raises {!Not_vectorizable} at run time when
+   columns turn out untypeable; [`Decline] is a static refusal with its
+   reason; [`Silent] plans were never candidates. The caller records a
+   decline with {!note_fallback} when it takes the fallback. *)
+let compile ctx ~domains (p : Plan.t) :
     [ `Run of unit -> Value.t | `Decline of string | `Silent ] =
-  match classify_join ctx p with
-  | `Join j -> `Run (run_join ctx ~domains j)
-  | (`Decline _ | `Silent) as other -> other
+  match classify ctx p with
+  | `Candidate c -> `Run (run_candidate ctx ~domains c)
+  | `Decline _ as d -> d
+  | `Silent -> (
+    match classify_join ctx p with
+    | `Join j -> `Run (run_join ctx ~domains j)
+    | (`Decline _ | `Silent) as other -> other)
 
-(* The wiring point for {!Compile.query}: [`Run] executes the whole plan
-   vectorized (raising {!Not_vectorizable} at run time when columns turn
-   out untypeable — the caller records the rung and falls back), [`Decline]
-   is a static refusal with its reason, [`Silent] plans were never
-   candidates. *)
-let compile ctx (p : Plan.t) :
-    [ `Run of unit -> Value.t | `Decline of string | `Silent ] =
-  let classified =
-    match classify ctx p with
-    | `Silent -> compile_join ctx ~domains:1 p
-    | `Decline _ as d -> d
-    | `Candidate c -> `Run (run_candidate ctx c)
-  in
-  (match classified with
-  | `Decline reason -> note_global_fallback reason
-  | `Run _ | `Silent -> ());
-  classified
-
-(* record a fallback in the process-global stats as well as the ambient
-   session (callers own the session-side note) *)
-let note_fallback_stats reason = note_global_fallback reason
+(* the vectorized->closure rung, in the process-global stats and the
+   ambient governor session *)
+let note_fallback reason =
+  note_global_fallback reason;
+  Governor.note_fallback ~stage:"vectorized->closure" ~reason ()

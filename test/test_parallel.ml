@@ -119,7 +119,7 @@ let queries =
     "for { c <- Cells } yield avg c.w";
     "for { i <- Inline, i.k > 7 } yield sum i.half";
     "for { i <- Inline } yield list i.k";
-    (* equi-join reduce: parallel build + probe *)
+    (* equi-join reduce: the join kernel's probe runs in morsels *)
     "for { p <- People, c <- Cells, p.id = c.v } yield count p";
     "for { p <- People, c <- Cells, p.id = c.v, c.w > 1.0 } yield sum p.age";
     "for { p <- People, r <- Regions, p.id = r.id } yield list p.id"
@@ -145,7 +145,11 @@ let test_differential_formats () =
   let ctx = Plugins.create_ctx (make_registry ()) in
   List.iter
     (fun q ->
-      let plan = plan_of q in
+      (* the plan the facade runs: optimized (joins leave the translator's
+         Select-over-Product form) and with the count head rewritten *)
+      let plan =
+        Analysis.neutralize_count (Vida_optimizer.Optimizer.optimize ctx (plan_of q))
+      in
       let sequential = Compile.query ctx plan () in
       List.iter
         (fun d ->
@@ -187,6 +191,112 @@ let test_vida_facade_domains () =
       (* grouping is outside the parallel fragment: falls back, same answer *)
       "for { p <- People } yield count p.city"
     ]
+
+(* --- work and fallbacks do not depend on the domain count --- *)
+
+(* 42 columns: the string [city], the float [score], then int columns *)
+let wide_csv rows =
+  let b = Buffer.create (rows * 128) in
+  Buffer.add_string b "id,city,score";
+  for c = 3 to 41 do
+    Buffer.add_string b (Printf.sprintf ",c%d" c)
+  done;
+  Buffer.add_char b '\n';
+  for i = 1 to rows do
+    Buffer.add_string b
+      (Printf.sprintf "%d,%s,%.1f" i
+         (match i mod 3 with 0 -> "geneva" | 1 -> "zurich" | _ -> "basel")
+         (float_of_int (i mod 7)));
+    for c = 3 to 41 do
+      Buffer.add_string b (Printf.sprintf ",%d" ((i * c) mod 101))
+    done;
+    Buffer.add_char b '\n'
+  done;
+  Buffer.contents b
+
+let other_csv rows =
+  let b = Buffer.create (rows * 32) in
+  Buffer.add_string b "id,tag,f\n";
+  for i = 1 to rows do
+    Buffer.add_string b
+      (Printf.sprintf "%d,%s,%.1f\n" (2 * i)
+         (if i mod 2 = 0 then "geneva" else "bern")
+         (float_of_int (i mod 5)))
+  done;
+  Buffer.contents b
+
+let nested_jsonl rows =
+  let b = Buffer.create (rows * 32) in
+  for i = 1 to rows do
+    Buffer.add_string b
+      (Printf.sprintf "{\"id\": %d, \"ids\": [%d, %d]}\n" i (3 * i) ((3 * i) + 1))
+  done;
+  Buffer.contents b
+
+let wide_path = lazy (tmp_file ".csv" (wide_csv 300))
+let other_path = lazy (tmp_file ".csv" (other_csv 120))
+let nested_path = lazy (tmp_file ".jsonl" (nested_jsonl 60))
+
+(* a fresh instance per call, so every query starts from cold caches *)
+let wide_db d =
+  let db = Vida.create () in
+  Vida.set_domains db d;
+  Vida.csv db ~name:"Wide" ~path:(Lazy.force wide_path) ();
+  Vida.csv db ~name:"Other" ~path:(Lazy.force other_path) ();
+  Vida.json db ~name:"Nested" ~path:(Lazy.force nested_path) ();
+  db
+
+let run_fresh ?engine d q =
+  match Vida.query ?engine ~reuse:false (wide_db d) q with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "%s (domains=%d): %s" q d (Vida.error_to_string e)
+
+let stages (r : Vida.result) =
+  List.map (fun (f : G.fallback) -> f.G.stage) r.Vida.governor.G.fallbacks
+
+(* [count p] reads only the fields the rest of the query needs, whatever
+   the domain count; the Generic foil keeps the whole-record need *)
+let test_counters_domain_independent () =
+  with_tiny_floors @@ fun () ->
+  List.iter
+    (fun q ->
+      let r1 = run_fresh 1 q and r4 = run_fresh 4 q in
+      check_value q r1.Vida.value r4.Vida.value;
+      let io1 = r1.Vida.raw_io and io4 = r4.Vida.raw_io in
+      check_int (q ^ ": values converted")
+        io1.Vida_raw.Io_stats.values_converted io4.Vida_raw.Io_stats.values_converted;
+      check_int (q ^ ": bytes read")
+        io1.Vida_raw.Io_stats.bytes_read io4.Vida_raw.Io_stats.bytes_read;
+      let generic = run_fresh ~engine:Vida.Generic 1 q in
+      check_value (q ^ ": generic") r1.Vida.value generic.Vida.value;
+      check_bool (q ^ ": generic converts every Wide column") true
+        (generic.Vida.raw_io.Vida_raw.Io_stats.values_converted >= 300 * 42);
+      check_bool (q ^ ": the JIT converts fewer") true
+        (io1.Vida_raw.Io_stats.values_converted < 300 * 42))
+    [ "for { p <- Wide, p.city = \"geneva\" } yield count p";
+      "for { p <- Wide, o <- Other, p.id = o.id } yield count p" ]
+
+(* joins the kernel declines (string and float keys) go to the closure
+   engine at every domain count, with one recorded fallback; an unnest
+   join is outside the kernels' fragment and records none *)
+let test_declined_joins_domains () =
+  with_tiny_floors @@ fun () ->
+  let agree ~fallbacks q =
+    let r1 = run_fresh 1 q in
+    List.iter
+      (fun d ->
+        let r = run_fresh d q in
+        check_value (Printf.sprintf "%s (domains=%d)" q d) r1.Vida.value r.Vida.value;
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s (domains=%d): fallbacks" q d)
+          fallbacks (stages r))
+      [ 1; 2; 4 ]
+  in
+  agree ~fallbacks:[ "vectorized->closure" ]
+    "for { p <- Wide, o <- Other, p.city = o.tag } yield count p";
+  agree ~fallbacks:[ "vectorized->closure" ]
+    "for { p <- Wide, o <- Other, p.score = o.f } yield sum p.c3";
+  agree ~fallbacks:[] "for { n <- Nested, x <- n.ids, p <- Wide, p.id = x } yield count p"
 
 (* --- parallel auxiliary-structure builds are byte-identical --- *)
 
@@ -323,7 +433,11 @@ let () =
   Alcotest.run "parallel"
     [ ( "differential",
         [ Alcotest.test_case "formats x domain counts" `Quick test_differential_formats;
-          Alcotest.test_case "vida facade budgets" `Quick test_vida_facade_domains
+          Alcotest.test_case "vida facade budgets" `Quick test_vida_facade_domains;
+          Alcotest.test_case "counters across domain counts" `Quick
+            test_counters_domain_independent;
+          Alcotest.test_case "declined joins across domain counts" `Quick
+            test_declined_joins_domains
         ] );
       ( "aux builds",
         [ Alcotest.test_case "positional map" `Quick test_parallel_posmap_build;
