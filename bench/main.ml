@@ -32,6 +32,12 @@ let time f =
   let r = f () in
   (r, now_s () -. t0)
 
+(* the [p]-quantile of an ascending array, [nan] when empty *)
+let percentile sorted p =
+  if Array.length sorted = 0 then nan
+  else sorted.(min (Array.length sorted - 1)
+                 (int_of_float (p *. float_of_int (Array.length sorted))))
+
 (* process CPU seconds, reported alongside wall time where parallel
    efficiency matters *)
 let cpu_s = Sys.time
@@ -395,26 +401,29 @@ let ablation_jit () =
   in
   (* warm caches so both engines measure pure execution machinery *)
   List.iter (fun (_, q) -> ignore (Vida.query_value db q)) cases;
-  let repeat = 10 in
-  Printf.printf "(caches warm; %d executions per case, no result reuse)\n\n" repeat;
-  Printf.printf "%-18s %14s %14s %9s\n" "Query" "JIT (ms)" "Generic (ms)" "speedup";
+  let repeat = 30 in
+  Printf.printf
+    "(caches warm; %d executions per case, no result reuse; median [IQR] ms)\n\n" repeat;
+  Printf.printf "%-18s %24s %24s %9s\n" "Query" "JIT (ms)" "Generic (ms)" "speedup";
   List.iter
     (fun (name, q) ->
       (* [~reuse:false]: every repetition executes; with the result
          cache on, all but the first would time a cache hit *)
-      let run engine () =
-        for _ = 1 to repeat do
-          match Vida.query ~engine ~reuse:false db q with
-          | Ok _ -> ()
-          | Error e -> failwith (Vida.error_to_string e)
-        done
+      let run engine =
+        let ms =
+          Array.init repeat (fun _ ->
+              let r, s = time (fun () -> Vida.query ~engine ~reuse:false db q) in
+              (match r with Ok _ -> () | Error e -> failwith (Vida.error_to_string e));
+              1000. *. s)
+        in
+        Array.sort compare ms;
+        (percentile ms 0.25, percentile ms 0.5, percentile ms 0.75)
       in
-      let (), jit_s = time (run Vida.Jit) in
-      let (), gen_s = time (run Vida.Generic) in
-      Printf.printf "%-18s %14.3f %14.3f %8.1fx\n" name
-        (1000. *. jit_s /. float_of_int repeat)
-        (1000. *. gen_s /. float_of_int repeat)
-        (gen_s /. Float.max 1e-9 jit_s))
+      let cell (q1, med, q3) = Printf.sprintf "%.3f [%.3f-%.3f]" med q1 q3 in
+      let (_, jit, _) as j = run Vida.Jit in
+      let (_, gen, _) as g = run Vida.Generic in
+      Printf.printf "%-18s %24s %24s %8.1fx\n" name (cell j) (cell g)
+        (gen /. Float.max 1e-9 jit))
     cases
 
 (* ------------------------------------------------------------------ *)
@@ -1375,11 +1384,6 @@ let serving () =
        "for { s <- S, s.v > 500 } yield count s";
        "for { s <- S, s.k = 3 } yield sum s.v" |]
   in
-  let percentile sorted p =
-    if Array.length sorted = 0 then nan
-    else sorted.(min (Array.length sorted - 1)
-                   (int_of_float (p *. float_of_int (Array.length sorted))))
-  in
   let run_load clients =
     (* fresh server per load point: lifetime counters start at zero *)
     let db = Vida.create () in
@@ -1485,11 +1489,6 @@ let resilience () =
   Buffer.output_buffer oc buf;
   close_out oc;
   let q = "for { s <- S } yield sum s.v" in
-  let percentile sorted p =
-    if Array.length sorted = 0 then nan
-    else sorted.(min (Array.length sorted - 1)
-                   (int_of_float (p *. float_of_int (Array.length sorted))))
-  in
   let stats_of lat =
     let sorted = Array.of_list lat in
     Array.sort compare sorted;

@@ -21,29 +21,39 @@ let widen a b =
       | Ty.Bool, Ty.Bool -> Ty.Bool
       | _ -> Ty.String)
 
-(* Complete records in a prefix cut at a newline, by the rule the full
-   structure uses: a CSV row ends at a newline outside quotes (as in
-   {!Positional_map}), a JSON-lines object at the newline after a
-   non-empty line (as in {!Semi_index}). Inference reads only a prefix
-   holding more than [sample] of them, so the sampled records are exactly
-   those of the whole file. *)
-let csv_rows s =
-  let rows = ref 0 and quoted = ref false in
-  String.iter
-    (function '"' -> quoted := not !quoted | '\n' when not !quoted -> incr rows | _ -> ())
-    s;
-  !rows
+(* Offset just past the newline ending the [n]th complete record of [s],
+   or [None] when [s] holds fewer, by the rule the full structure uses: a
+   CSV row ends at a newline outside quotes (as in {!Positional_map}), a
+   JSON-lines object at the newline after a non-empty line (as in
+   {!Semi_index}). Inference reads only a prefix holding more than
+   [sample] records, so the sampled records are exactly those of the
+   whole file, and the sample ends where [csv_end]/[json_end] of it say. *)
+let csv_end s n =
+  let len = String.length s in
+  let i = ref 0 and ended = ref 0 and quoted = ref false in
+  while !ended < n && !i < len do
+    (match String.unsafe_get s !i with
+    | '"' -> quoted := not !quoted
+    | '\n' when not !quoted -> incr ended
+    | _ -> ());
+    incr i
+  done;
+  if !ended >= n then Some !i else None
 
-let json_objects s =
-  let objects = ref 0 in
-  String.iteri
-    (fun i c -> if c = '\n' && i > 0 && s.[i - 1] <> '\n' then incr objects)
-    s;
-  !objects
+let json_end s n =
+  let len = String.length s in
+  let i = ref 0 and ended = ref 0 in
+  while !ended < n && !i < len do
+    if String.unsafe_get s !i = '\n' && !i > 0 && String.unsafe_get s (!i - 1) <> '\n'
+    then incr ended;
+    incr i
+  done;
+  if !ended >= n then Some !i else None
 
 let csv_schema ?(delim = ',') ?(header = true) ?(sample = 100) buf =
-  let header_rows = if header then 1 else 0 in
-  let buf = Raw_buffer.prefix buf ~enough:(fun s -> csv_rows s > sample + header_rows) in
+  let records = sample + if header then 1 else 0 in
+  let buf = Raw_buffer.prefix buf ~enough:(fun s -> csv_end s (records + 1) <> None) in
+  let sample_end = csv_end (Raw_buffer.contents buf) records in
   let pm = Positional_map.build ~delim ~header buf in
   let names = Positional_map.column_names pm in
   let ncols =
@@ -66,11 +76,12 @@ let csv_schema ?(delim = ',') ?(header = true) ?(sample = 100) buf =
       (fun col field -> if col < ncols then types.(col) <- widen types.(col) (sniff field))
       fields
   done;
-  Schema.of_pairs
-    (List.mapi
-       (fun col name ->
-         (name, match types.(col) with Some t -> t | None -> Ty.Any))
-       names)
+  ( Schema.of_pairs
+      (List.mapi
+         (fun col name ->
+           (name, match types.(col) with Some t -> t | None -> Ty.Any))
+         names),
+    sample_end )
 
 let xml_element ?(sample = 50) buf =
   let xi = Xml_index.build buf in
@@ -90,7 +101,8 @@ let xml_element ?(sample = 50) buf =
   match go None 0 with Some t -> t | None -> Ty.Any
 
 let json_element ?(sample = 50) buf =
-  let buf = Raw_buffer.prefix buf ~enough:(fun s -> json_objects s > sample) in
+  let buf = Raw_buffer.prefix buf ~enough:(fun s -> json_end s (sample + 1) <> None) in
+  let sample_end = json_end (Raw_buffer.contents buf) sample in
   let si = Semi_index.build buf in
   let n = min sample (Semi_index.object_count si) in
   let rec go acc i =
@@ -105,4 +117,4 @@ let json_element ?(sample = 50) buf =
       in
       go acc' (i + 1)
   in
-  match go None 0 with Some t -> t | None -> Ty.Any
+  ((match go None 0 with Some t -> t | None -> Ty.Any), sample_end)

@@ -1,6 +1,12 @@
 open Vida_raw
 
-type entry = { source : Source.t; explicit_schema : bool }
+type entry = {
+  source : Source.t;
+  explicit_schema : bool;
+  sample_end : int option;
+      (* where the inference sample ended ({!Infer.csv_schema}); an append
+         at or beyond it cannot change the inferred format *)
+}
 
 (* registration/lookup race under concurrent sessions: one mutex guards
    the table and the insertion order together *)
@@ -23,73 +29,57 @@ let add t name entry =
       Hashtbl.replace t.table name entry;
       t.order <- t.order @ [ name ])
 
-let register_csv t ~name ~path ?(delim = ',') ?(header = true) ?schema () =
+(* The format inferred from the file at [path], with where its sample
+   ended; formats without inference come back as they are. *)
+let infer path (format : Source.format) =
+  match format with
+  | Source.Csv { delim; header; _ } ->
+    let schema, sample_end = Infer.csv_schema ~delim ~header (Raw_buffer.of_path path) in
+    (Source.Csv { delim; header; schema }, sample_end)
+  | Source.Json_lines _ ->
+    let element, sample_end = Infer.json_element (Raw_buffer.of_path path) in
+    (Source.Json_lines { element }, sample_end)
+  | Source.Xml _ -> (Source.Xml { element = Infer.xml_element (Raw_buffer.of_path path) }, None)
+  | f -> (f, None)
+
+let register_file t ~name ~path ~explicit format =
   let snapshot = File_snapshot.take path in
-  let explicit = schema <> None in
-  let schema =
-    match schema with
-    | Some s -> s
-    | None -> Infer.csv_schema ~delim ~header (Raw_buffer.of_path path)
-  in
+  let format, sample_end = if explicit then (format, None) else infer path format in
   let source =
-    { Source.name; format = Source.Csv { delim; header; schema };
-      path = Some path; snapshot = Some snapshot }
+    { Source.name; format; path = Some path; snapshot = Some snapshot }
   in
-  add t name { source; explicit_schema = explicit };
+  add t name { source; explicit_schema = explicit; sample_end };
   source
+
+let register_csv t ~name ~path ?(delim = ',') ?(header = true) ?schema () =
+  register_file t ~name ~path ~explicit:(schema <> None)
+    (Source.Csv
+       { delim; header; schema = Option.value schema ~default:(Vida_data.Schema.of_pairs []) })
 
 let register_json t ~name ~path ?element () =
-  let snapshot = File_snapshot.take path in
-  let explicit = element <> None in
-  let element =
-    match element with
-    | Some e -> e
-    | None -> Infer.json_element (Raw_buffer.of_path path)
-  in
-  let source =
-    { Source.name; format = Source.Json_lines { element }; path = Some path;
-      snapshot = Some snapshot }
-  in
-  add t name { source; explicit_schema = explicit };
-  source
+  register_file t ~name ~path ~explicit:(element <> None)
+    (Source.Json_lines { element = Option.value element ~default:Vida_data.Ty.Any })
 
 let register_xml t ~name ~path ?element () =
-  let snapshot = File_snapshot.take path in
-  let explicit = element <> None in
-  let element =
-    match element with
-    | Some e -> e
-    | None -> Infer.xml_element (Raw_buffer.of_path path)
-  in
-  let source =
-    { Source.name; format = Source.Xml { element }; path = Some path;
-      snapshot = Some snapshot }
-  in
-  add t name { source; explicit_schema = explicit };
-  source
+  register_file t ~name ~path ~explicit:(element <> None)
+    (Source.Xml { element = Option.value element ~default:Vida_data.Ty.Any })
 
 let register_binarray t ~name ~path =
-  let snapshot = File_snapshot.take path in
-  let source =
-    { Source.name; format = Source.Binary_array; path = Some path;
-      snapshot = Some snapshot }
-  in
-  add t name { source; explicit_schema = true };
-  source
+  register_file t ~name ~path ~explicit:true Source.Binary_array
 
 let register_external t ~name ~element ~count ~produce =
   let source =
     { Source.name; format = Source.External { element; count; produce };
       path = None; snapshot = None }
   in
-  add t name { source; explicit_schema = true };
+  add t name { source; explicit_schema = true; sample_end = None };
   source
 
 let register_inline t ~name value =
   let source =
     { Source.name; format = Source.Inline value; path = None; snapshot = None }
   in
-  add t name { source; explicit_schema = true };
+  add t name { source; explicit_schema = true; sample_end = None };
   source
 
 let find t name =
@@ -115,31 +105,33 @@ let type_env t =
 
 let stale_sources t = List.filter Source.stale (sources t)
 
-let refresh t name =
+let refresh ?delta ?probed t name =
   (* snapshot/inference run outside the lock (they read the file); only
      the table reads and the final replace are guarded *)
   match locked t (fun () -> Hashtbl.find_opt t.table name) with
   | None -> None
-  | Some { source; explicit_schema } -> (
+  | Some ({ source; explicit_schema; sample_end } as entry) -> (
     match source.Source.path with
     | None -> Some source
     | Some path ->
-      let snapshot = File_snapshot.take path in
-      let format =
-        match source.Source.format, explicit_schema with
-        | Source.Csv { delim; header; _ }, false ->
-          Source.Csv
-            { delim; header;
-              schema = Infer.csv_schema ~delim ~header (Raw_buffer.of_path path)
-            }
-        | Source.Json_lines _, false ->
-          Source.Json_lines { element = Infer.json_element (Raw_buffer.of_path path) }
-        | Source.Xml _, false ->
-          Source.Xml { element = Infer.xml_element (Raw_buffer.of_path path) }
-        | f, _ -> f
+      let snapshot =
+        match probed with
+        | Some fp -> File_snapshot.of_fingerprint path fp
+        | None -> File_snapshot.take path
+      in
+      (* the delta classifier showed the bytes below [old_size] unchanged:
+         a sample that ended there infers what it inferred before *)
+      let sample_kept =
+        match delta, sample_end with
+        | Some (Delta.Appended { old_size; _ }), Some stop -> old_size >= stop
+        | _ -> false
+      in
+      let format, sample_end =
+        if explicit_schema || sample_kept then (source.Source.format, sample_end)
+        else infer path source.Source.format
       in
       let source = { source with Source.format; snapshot = Some snapshot } in
       locked t (fun () ->
           if Hashtbl.mem t.table name then
-            Hashtbl.replace t.table name { source; explicit_schema });
+            Hashtbl.replace t.table name { entry with source; sample_end });
       Some source)

@@ -53,7 +53,16 @@ val type_env : t -> (string * Vida_data.Ty.t) list
 (** [stale_sources t] lists sources whose backing file changed. *)
 val stale_sources : t -> Source.t list
 
-(** [refresh t name] re-snapshots a stale source (schema re-inferred for
-    CSV/JSON registered without an explicit schema). Returns the new
-    source, or [None] when the name is unknown. *)
-val refresh : t -> string -> Source.t option
+(** [refresh ?delta ?probed t name] re-snapshots a stale source, with
+    the schema re-inferred for CSV/JSON/XML registered without one.
+    Returns the new source, or [None] when the name is unknown.
+
+    [probed] is a fingerprint of the file just taken by the caller; the
+    new snapshot is built from it instead of probing again. When [delta]
+    is an {!Vida_raw.Delta.Appended} verdict whose [old_size] is at or
+    beyond where the inference sample ended, the inferred format is kept:
+    the sampled bytes are unchanged. Small files, XML (its inference
+    indexes the whole document) and every other change re-infer. *)
+val refresh :
+  ?delta:Vida_raw.Delta.t -> ?probed:Vida_raw.Fingerprint.t -> t -> string ->
+  Source.t option

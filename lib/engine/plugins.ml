@@ -120,6 +120,29 @@ let bad_row_count ctx source =
 
 (* --- CSV --- *)
 
+(* Decodes [arrays] (field, type, column index, destination) of rows
+   [from] (default 0) to the last through the cleaning policy, each field
+   read from its recorded offset: a column's first load, and its
+   extension over appended rows. [on_dropped row] takes a value the
+   policy drops; a value it rejects raises a parse error. *)
+let decode_csv_rows ?from pm ~name policy arrays ~on_dropped =
+  let cols = List.map (fun (_, _, col, _) -> col) arrays in
+  Vida_raw.Positional_map.record_while_scanning ?from pm ~cols (fun row fields ->
+      let span =
+        (* raw byte range of the row, for quarantine reporting *)
+        let start, stop = Vida_raw.Positional_map.row_bounds pm row in
+        (name, start, stop - start)
+      in
+      List.iteri
+        (fun i (f, ty, _, arr) ->
+          match Vida_cleaning.Policy.clean ~span policy ~field:f ty fields.(i) with
+          | Ok (Some v) -> arr.(row) <- v
+          | Ok None -> on_dropped row
+          | Error msg ->
+            let _, offset, _ = span in
+            Vida_error.parse_error ~source:name ~offset "%s" msg)
+        arrays)
+
 (* Fetch one decoded column through the cache, loading [missing] columns in
    a single piggy-backed scan when needed. *)
 let csv_columns ctx (source : Source.t) schema fs =
@@ -163,25 +186,9 @@ let csv_columns ctx (source : Source.t) schema fs =
           (f, ty, col, Array.make nrows Value.Null))
         missing
     in
-    let cols = List.map (fun (_, _, col, _) -> col) arrays in
     let bad = bad_set ctx source.Source.name in
-    Vida_raw.Positional_map.record_while_scanning pm ~cols (fun row fields ->
-        let span =
-          (* raw byte range of the row, for quarantine reporting *)
-          let start, stop = Vida_raw.Positional_map.row_bounds pm row in
-          (name, start, stop - start)
-        in
-        List.iteri
-          (fun i (f, ty, _, arr) ->
-            match Vida_cleaning.Policy.clean ~span policy ~field:f ty fields.(i) with
-            | Ok (Some v) -> arr.(row) <- v
-            | Ok None ->
-              (* problematic entry: remember it; generated code skips it *)
-              mark_bad ctx bad row
-            | Error msg ->
-              let _, offset, _ = span in
-              Vida_error.parse_error ~source:name ~offset "%s" msg)
-          arrays);
+    (* problematic entry: remember it; generated code skips it *)
+    decode_csv_rows pm ~name policy arrays ~on_dropped:(mark_bad ctx bad);
     List.iter
       (fun (f, _, _, arr) ->
         cache_put ctx source (key f) (Cache.Values arr);
@@ -682,25 +689,27 @@ let invalidate ctx name =
 
 exception Unextendable
 
+(* [old] grown to [n] cells, the new ones [fill]. [Array.append] copies
+   the old cells with plain initializing stores; a blit into a fresh
+   major-heap array would pay a write barrier per cell. *)
+let extended ~n ~fill old =
+  if n < Array.length old then raise Unextendable;
+  Array.append old (Array.make (n - Array.length old) fill)
+
 (* Old cells carry over; cells from [from] on are re-derived ([from] is
    one before the old item count for line-oriented formats, whose last old
    item may have been a partial line completed by the append). *)
-let extended_values ~n ~from ~derive old =
-  let arr = Array.make n Value.Null in
-  Array.blit old 0 arr 0 from;
+let extended_with ~n ~from ~fill ~derive old =
+  let arr = extended ~n ~fill old in
   for i = from to n - 1 do
     arr.(i) <- derive i
   done;
   arr
 
-let extended_strings ~n ~from ~derive old =
-  let arr = Array.make n "" in
-  Array.blit old 0 arr 0 from;
-  for i = from to n - 1 do
-    arr.(i) <- derive i
-  done;
-  arr
-
+(* Every cached CSV column is a populated positional-map column (its first
+   load recorded it), and the extended map carries those offsets over the
+   appended rows: the new cells are decoded in one pass over rows
+   [from..], through the first load's offset read and cleaning call. *)
 let extend_csv_caches ctx (source : Source.t) pm ~old_rows ~fingerprint entries =
   let name = source.Source.name in
   let schema =
@@ -710,29 +719,26 @@ let extend_csv_caches ctx (source : Source.t) pm ~old_rows ~fingerprint entries 
   in
   let n = Vida_raw.Positional_map.row_count pm in
   let from = max 0 (old_rows - 1) in
-  let policy = cleaning_policy ctx name in
-  List.iter
-    (fun ((key : Cache.key), payload, _) ->
-      match (payload, key.Cache.layout, Schema.index schema key.Cache.item) with
-      | Cache.Values old, Layout.Values, Some col when Array.length old = old_rows ->
-        let ty = (Schema.attr schema col).Schema.ty in
-        let derive row =
-          let start, stop = Vida_raw.Positional_map.row_bounds pm row in
-          match
-            Vida_cleaning.Policy.clean ~span:(name, start, stop - start) policy
-              ~field:key.Cache.item ty
-              (Vida_raw.Positional_map.field pm ~row ~col)
-          with
-          | Ok (Some v) -> v
-          | Ok None | Error _ ->
-            (* an appended row needs the full cleaning machinery *)
-            raise Unextendable
-        in
-        ignore
-          (Cache.put ~fingerprint ctx.cache key
-             (Cache.Values (extended_values ~n ~from ~derive old)))
-      | _ -> ()  (* unrecognized shape: left to stale-drop on next access *))
-    entries
+  let columns =
+    List.filter_map
+      (fun ((key : Cache.key), payload, _) ->
+        match (payload, key.Cache.layout, Schema.index schema key.Cache.item) with
+        | Cache.Values old, Layout.Values, Some col when Array.length old = old_rows ->
+          let arr = extended ~n ~fill:Value.Null old in
+          Some (key, payload, (key.Cache.item, (Schema.attr schema col).Schema.ty, col, arr))
+        | _ -> None (* unrecognized shape: left to stale-drop on next access *))
+      entries
+  in
+  if columns <> [] then (
+    decode_csv_rows ~from pm ~name (cleaning_policy ctx name)
+      (List.map (fun (_, _, column) -> column) columns)
+      ~on_dropped:(fun _ ->
+        (* an appended row needs the full cleaning machinery *)
+        raise Unextendable);
+    List.iter
+      (fun (key, old, (_, _, _, arr)) ->
+        ignore (Cache.extend ~fingerprint ctx.cache key ~old ~from (Cache.Values arr)))
+      columns)
 
 let extend_json_caches ctx (source : Source.t) si ~old_objects ~fingerprint entries =
   let n = Vida_raw.Semi_index.object_count si in
@@ -750,8 +756,8 @@ let extend_json_caches ctx (source : Source.t) si ~old_objects ~fingerprint entr
           Vida_raw.Semi_index.field_value si ~obj ~field:key.Cache.item
         in
         ignore
-          (Cache.put ~fingerprint ctx.cache key
-             (Cache.Values (extended_values ~n ~from ~derive old)))
+          (Cache.extend ~fingerprint ctx.cache key ~old:payload ~from
+             (Cache.Values (extended_with ~n ~from ~fill:Value.Null ~derive old)))
       | Cache.Strings old, Layout.Vbson
         when String.equal key.Cache.item whole_object_item
              && Array.length old = old_objects ->
@@ -763,8 +769,8 @@ let extend_json_caches ctx (source : Source.t) si ~old_objects ~fingerprint entr
           Vbson.encode v
         in
         ignore
-          (Cache.put ~fingerprint ctx.cache key
-             (Cache.Strings (extended_strings ~n ~from ~derive old)))
+          (Cache.extend ~fingerprint ctx.cache key ~old:payload ~from
+             (Cache.Strings (extended_with ~n ~from ~fill:"" ~derive old)))
       | _ -> ())
     entries
 
@@ -781,15 +787,15 @@ let extend_xml_caches ctx xi ~old_elements ~fingerprint entries =
           Vida_raw.Xml_index.field_value xi ~elem ~field:key.Cache.item
         in
         ignore
-          (Cache.put ~fingerprint ctx.cache key
-             (Cache.Values (extended_values ~n ~from:old_elements ~derive old)))
+          (Cache.extend ~fingerprint ctx.cache key ~old:payload ~from:old_elements
+             (Cache.Values (extended_with ~n ~from:old_elements ~fill:Value.Null ~derive old)))
       | Cache.Strings old, Layout.Vbson
         when String.equal key.Cache.item whole_object_item
              && Array.length old = old_elements ->
         let derive elem = Vbson.encode (Vida_raw.Xml_index.element_value xi elem) in
         ignore
-          (Cache.put ~fingerprint ctx.cache key
-             (Cache.Strings (extended_strings ~n ~from:old_elements ~derive old)))
+          (Cache.extend ~fingerprint ctx.cache key ~old:payload ~from:old_elements
+             (Cache.Strings (extended_with ~n ~from:old_elements ~fill:"" ~derive old)))
       | _ -> ())
     entries
 
@@ -818,9 +824,19 @@ let extend_source_caches ctx (source : Source.t) (r : Structures.repair) =
          but drop them now so the source presents one generation *)
       Cache.invalidate_source ctx.cache name)
 
-let try_extend ctx (source : Source.t) =
+(* The registry is refreshed first, so the caches extend under the format
+   the new generation has; a re-inference that changed it leaves the
+   cached cells typed for the old one, so they are dropped. *)
+let try_extend ctx (source : Source.t) ~delta ~old_fp ~probed =
   let name = source.Source.name in
-  let r = Structures.repair_appended ctx.structures source in
+  let refreshed =
+    Option.value ~default:source (Registry.refresh ~delta ~probed ctx.registry name)
+  in
+  let r =
+    match Structures.repair_appended ctx.structures refreshed ~old_fp ~probed with
+    | Some r -> r
+    | None -> raise Unextendable
+  in
   let dirty =
     locked ctx (fun () ->
         (match Hashtbl.find_opt ctx.bad_rows name with
@@ -837,8 +853,10 @@ let try_extend ctx (source : Source.t) =
     locked ctx (fun () ->
         Hashtbl.remove ctx.bad_rows name;
         Hashtbl.remove ctx.structural_quarantined name))
+  else if not (Ty.equal (Source.element_type source) (Source.element_type refreshed))
+  then Cache.invalidate_source ctx.cache name
   else
-    try extend_source_caches ctx source r
+    try extend_source_caches ctx refreshed r
     with _ ->
       (* malformed appended bytes, shape surprises: the structures stay
          extended (they are navigation only), the caches re-derive *)
@@ -847,6 +865,13 @@ let try_extend ctx (source : Source.t) =
 let refresh_source ctx (source : Source.t) =
   let name = source.Source.name in
   let rebuilt () = invalidate ctx name; `Rebuilt in
+  (* the registry snapshot is a fingerprint: comparing it with a fresh
+     probe costs no further IO *)
+  let snapshot_matches fp =
+    match source.Source.snapshot with
+    | Some snap -> Vida_raw.File_snapshot.matches snap fp
+    | None -> true
+  in
   match source.Source.path with
   | None -> (`Unchanged, None)
   | Some path -> (
@@ -854,24 +879,24 @@ let refresh_source ctx (source : Source.t) =
     | Some buf when Vida_raw.Raw_buffer.loaded buf -> (
       let old_fp = Vida_raw.Fingerprint.of_buffer buf in
       let delta, probed = Vida_raw.Delta.classify ~old_fp path in
-      match delta with
-      | Vida_raw.Delta.Unchanged ->
-        (* content is current; a drifted cheap snapshot (mtime-only
-           change, e.g. touch(1)) just re-snapshots the registry *)
-        if Source.stale source then ignore (Registry.refresh ctx.registry name);
+      match (delta, probed) with
+      | Vida_raw.Delta.Unchanged, Some fp ->
+        (* content is current; a registry snapshot of another generation
+           (taken before a change the loaded bytes already reflect) is
+           retaken from the probe *)
+        if not (snapshot_matches fp) then
+          ignore (Registry.refresh ~probed:fp ctx.registry name);
         (`Unchanged, probed)
-      | Vida_raw.Delta.Appended _ -> (
-        match try_extend ctx source with
-        | () ->
-          ignore (Registry.refresh ctx.registry name);
-          (`Extended, probed)
+      | Vida_raw.Delta.Appended _, Some fp -> (
+        match try_extend ctx source ~delta ~old_fp ~probed:fp with
+        | () -> (`Extended, probed)
         | exception _ -> (rebuilt (), probed))
-      | Vida_raw.Delta.Rewritten | Vida_raw.Delta.Truncated _
-      | Vida_raw.Delta.Vanished ->
-        (rebuilt (), probed))
-    | _ ->
+      | _ -> (rebuilt (), probed))
+    | _ -> (
       (* nothing derived yet: the registration-time snapshot decides *)
-      ((if Source.stale source then rebuilt () else `Unchanged), None))
+      match Vida_raw.Fingerprint.probe path with
+      | Some fp when snapshot_matches fp -> (`Unchanged, Some fp)
+      | probed -> (rebuilt (), probed)))
 
 let set_cleaning ctx ~source policy =
   locked ctx (fun () -> Hashtbl.replace ctx.cleaning source policy);

@@ -106,21 +106,25 @@ val invalidate : ctx -> string -> unit
 (** [refresh_source ctx source] brings a source's derived state up to
     date with its backing file, classifying the change with
     {!Vida_raw.Delta}:
-    - [`Unchanged] — content fingerprint matches (an mtime-only drift
-      just re-snapshots the registry);
-    - [`Extended] — the file grew by append: built structures are
-      extended in place ({!Structures.repair_appended}) and cached
-      columns are extended with the appended items and re-stamped with
-      the new fingerprint. Sources under a cleaning policy, rows already
-      marked problematic, parse failures in the appended bytes, or
-      unrecognized payload shapes fall back to dropping the caches (the
-      structures stay extended);
+    - [`Unchanged] — content fingerprint matches; the registry snapshot,
+      itself a fingerprint, is compared with the probe at no further IO
+      and retaken from it when it names another generation;
+    - [`Extended] — the file grew by append: the registry keeps its
+      inferred format when the append lies past the inference sample
+      ({!Vida_catalog.Registry.refresh}), built structures are extended
+      over a buffer that read only the appended bytes
+      ({!Structures.repair_appended}), and cached columns are extended
+      with the appended items, charged by delta ({!Cache.extend}) and
+      re-stamped with the new fingerprint. Sources under a cleaning
+      policy, rows already marked problematic, a re-inferred format that
+      changed, parse failures in the appended bytes, or unrecognized
+      payload shapes fall back to dropping the caches (the structures
+      stay extended);
     - [`Rebuilt] — rewritten/truncated/vanished, or no structures built
       yet and the snapshot drifted: full {!invalidate} (paper §2.1).
 
-    The verdict comes with the fingerprint the classification probed from
-    the file, or [None] when no probe was needed (nothing derived yet, no
-    backing file) or the file vanished. *)
+    The verdict comes with the fingerprint probed from the file, or
+    [None] when there is no backing file or the file vanished. *)
 val refresh_source :
   ctx ->
   Vida_catalog.Source.t ->

@@ -165,13 +165,28 @@ type repair = {
          appeared (normalized shape of old elements changed) *)
 }
 
-let repair_appended t source =
-  locked t @@ fun () ->
-  let name = source.Source.name in
-  let new_buffer = Raw_buffer.of_path (source_path source) in
-  (* repair is not lazy: load now, outside any epoch, so the extended
-     structures and the buffer they index agree on one generation *)
-  ignore (Raw_buffer.contents new_buffer);
+(* The generation [probed] of an appended file: the old bytes plus a read
+   of only [old_size, probed.size), used when its fingerprint is the
+   probe's. Otherwise (the old buffer went, or the file changed again
+   under the read) a whole-file load, used only while it still extends
+   the old bytes [old_fp]: the structures extend from them. *)
+let appended_buffer old ~path ~old_fp ~probed =
+  let tail_read =
+    match Option.bind old (Raw_buffer.extend ~size:probed.Fingerprint.size) with
+    | Some buf when Fingerprint.equal (Fingerprint.of_buffer buf) probed -> Some buf
+    | Some _ | None -> None
+  in
+  match tail_read with
+  | Some _ -> tail_read
+  | None -> (
+    let buf = Raw_buffer.of_path path in
+    match Delta.classify_contents ~old_fp (Raw_buffer.contents buf) with
+    | Delta.Appended _ | Delta.Unchanged -> Some buf
+    | Delta.Rewritten | Delta.Truncated _ | Delta.Vanished -> None)
+
+(* Extends every built structure of [name] over [new_buffer]; the
+   caller holds [t.lock]. *)
+let extend_structures t name new_buffer =
   let csv =
     match Hashtbl.find_opt t.posmaps name with
     | None -> None
@@ -202,6 +217,15 @@ let repair_appended t source =
   Hashtbl.remove t.binarrays name;
   Hashtbl.replace t.buffers name new_buffer;
   { new_buffer; csv; json; xml }
+
+let repair_appended t source ~old_fp ~probed =
+  locked t @@ fun () ->
+  (* repair is not lazy: load now, outside any epoch, so the extended
+     structures and the buffer they index agree on one generation *)
+  let name = source.Source.name in
+  appended_buffer (Hashtbl.find_opt t.buffers name) ~path:(source_path source) ~old_fp
+    ~probed
+  |> Option.map (extend_structures t name)
 
 let invalidate t name =
   locked t (fun () ->

@@ -75,15 +75,24 @@ type repair = {
           old elements changed — element-derived caches must be dropped) *)
 }
 
-(** [repair_appended t source] reacts to [source]'s file having grown by
-    append ({!Vida_raw.Delta.Appended}): the memoized buffer is replaced
-    by a freshly loaded one and every built structure is {e extended}
-    from the old tail instead of rebuilt ({!Vida_raw.Positional_map.extend}
-    and friends); binary-array handles are dropped (re-opening is a header
-    parse). Returns the new buffer plus old item counts so the engine can
-    extend cached columns as well. Caller is responsible for having
-    classified the change as an append. *)
-val repair_appended : t -> Vida_catalog.Source.t -> repair
+(** [repair_appended t source ~old_fp ~probed] reacts to [source]'s file
+    having grown by append ({!Vida_raw.Delta.Appended}) from the loaded
+    generation [old_fp] to the probed generation [probed]. The memoized
+    buffer is replaced by one holding the old bytes plus only the
+    appended range [\[old_fp.size, probed.size)], kept when its
+    fingerprint equals [probed]; otherwise the whole file is loaded, as
+    long as it still extends the old bytes. Either way one file load is
+    counted. Every built structure is then {e extended} from the old tail
+    instead of rebuilt ({!Vida_raw.Positional_map.extend} and friends);
+    binary-array handles are dropped (re-opening is a header parse).
+    Nothing is mutated in place: readers of an older generation keep its
+    buffer and structures. Returns the new buffer plus old item counts so
+    the engine can extend cached columns as well, or [None] (nothing
+    replaced) when the file no longer extends the old bytes. Caller is
+    responsible for having classified the change as an append. *)
+val repair_appended :
+  t -> Vida_catalog.Source.t -> old_fp:Vida_raw.Fingerprint.t ->
+  probed:Vida_raw.Fingerprint.t -> repair option
 
 (** [invalidate t name] drops every structure of source [name]. *)
 val invalidate : t -> string -> unit

@@ -1,34 +1,21 @@
-type t = { path : string; size : int; mtime : float }
-
-let probe path =
-  let ic = open_in_bin path in
-  let size = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> in_channel_length ic) in
-  (* stdlib-only mtime: Unix is deliberately not a dependency, so mtime falls
-     back to a content fingerprint of size + first/last bytes *)
-  let fingerprint =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let head = really_input_string ic (min 64 size) in
-        if size > 64 then (
-          seek_in ic (size - min 64 size);
-          let tail = really_input_string ic (min 64 size) in
-          float_of_int (Hashtbl.hash (head, tail)))
-        else float_of_int (Hashtbl.hash head))
-  in
-  (size, fingerprint)
+type t = { path : string; fingerprint : Fingerprint.t }
 
 let take path =
-  let size, mtime = probe path in
-  { path; size; mtime }
+  match Fingerprint.probe path with
+  | Some fingerprint -> { path; fingerprint }
+  | None ->
+    (* surface the OS's own reason, as opening the file would *)
+    close_in (open_in_bin path);
+    raise (Sys_error (path ^ ": cannot be read"))
 
+let of_fingerprint path fingerprint = { path; fingerprint }
 let path t = t.path
-let size t = t.size
+let size t = t.fingerprint.Fingerprint.size
+let matches t fp = Fingerprint.equal t.fingerprint fp
 
 let stale t =
-  match probe t.path with
-  | size, mtime -> size <> t.size || mtime <> t.mtime
-  | exception Sys_error _ -> true
+  match Fingerprint.probe t.path with
+  | Some fp -> not (matches t fp)
+  | None -> true
 
-let pp ppf t = Format.fprintf ppf "%s (%d bytes)" t.path t.size
+let pp ppf t = Format.fprintf ppf "%s (%d bytes)" t.path (size t)

@@ -225,7 +225,7 @@ let fields t ~row ~cols =
   in
   Array.of_list (List.map (fun c -> Hashtbl.find results c) cols)
 
-let record_while_scanning t ~cols f =
+let record_while_scanning ?(from = 0) t ~cols f =
   let cols_sorted = List.sort_uniq compare cols in
   populate t cols_sorted;
   let nrows = row_count t in
@@ -248,7 +248,7 @@ let record_while_scanning t ~cols f =
   in
   let nreq = Array.length request_idx in
   let scratch = Array.make (max 1 nsorted) "" in
-  for row = 0 to nrows - 1 do
+  for row = from to nrows - 1 do
     Vida_governor.Governor.poll ~source ();
     let row_end = t.row_stops.(row) in
     for j = 0 to nsorted - 1 do
@@ -290,8 +290,15 @@ let extend t buf =
     let tail_starts, tail_stops =
       derive_rows ~first_start:resume ~source s len newlines
     in
-    let row_starts = Array.append (Array.sub t.row_starts 0 keep) tail_starts in
-    let row_stops = Array.append (Array.sub t.row_stops 0 keep) tail_stops in
+    (* appends copy the old cells with plain initializing stores (a blit
+       into a fresh major-heap array pays a write barrier per cell) *)
+    let extended old tail =
+      let arr = Array.append old (Array.sub tail 1 (Array.length tail - 1)) in
+      arr.(keep) <- tail.(0);
+      arr
+    in
+    let row_starts = extended t.row_starts tail_starts in
+    let row_stops = extended t.row_stops tail_stops in
     let t' =
       { buf; delim = t.delim; header_names = t.header_names; row_starts; row_stops;
         cols = Hashtbl.create 16 }
@@ -300,10 +307,7 @@ let extend t buf =
     let arrays =
       List.map
         (fun c ->
-          let old = Hashtbl.find t.cols c in
-          let arr = Array.make nrows' 0 in
-          Array.blit old 0 arr 0 keep;
-          (c, arr))
+          (c, Array.append (Hashtbl.find t.cols c) (Array.make (nrows' - nrows_old) 0)))
         (populated_columns t)
     in
     populate_range t' arrays ~row_lo:keep ~row_hi:nrows';

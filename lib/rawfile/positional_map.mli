@@ -48,10 +48,14 @@ val field : t -> row:int -> col:int -> string
     runs. *)
 val fields : t -> row:int -> cols:int list -> string array
 
-(** [record_while_scanning t ~cols f] streams every row in file order,
-    calling [f row fields] with the requested columns, and records their
-    positions as a side effect (the NoDB "piggy-backed" build). *)
-val record_while_scanning : t -> cols:int list -> (int -> string array -> unit) -> unit
+(** [record_while_scanning ?from t ~cols f] streams the rows from [from]
+    (default 0) to the last in file order, calling [f row fields] with
+    the requested columns, and records their positions as a side effect
+    (the NoDB "piggy-backed" build). Fields of populated columns are read
+    straight from their recorded offsets, so [~from] over an extended map
+    reads only the appended rows' fields. *)
+val record_while_scanning :
+  ?from:int -> t -> cols:int list -> (int -> string array -> unit) -> unit
 
 (** Approximate memory footprint in bytes, for cache accounting. *)
 val footprint : t -> int

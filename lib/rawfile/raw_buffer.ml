@@ -91,6 +91,30 @@ let prefix t ~enough =
     in
     { path = t.path; backing = Memory s; contents = Some s }
 
+(* The old bytes plus a read of only the file's bytes from their end up
+   to [size], on the governed load path; [None] when the file is now
+   shorter than [size]. *)
+let extend t ~size =
+  match (t.contents, t.backing) with
+  | None, _ | _, Memory _ -> None
+  | Some old, File ->
+    let have = String.length old in
+    if size < have then None
+    else
+      governed_read t (fun ic ->
+          if in_channel_length ic < size then None
+          else (
+            let b = Bytes.create size in
+            Bytes.blit_string old 0 b 0 have;
+            seek_in ic have;
+            match really_input ic b have (size - have) with
+            | () -> Some (Bytes.unsafe_to_string b)
+            | exception End_of_file -> None))
+      |> Option.map (fun s ->
+             !validate_load ~source:t.path s;
+             Io_stats.add_file_loads 1;
+             { path = t.path; backing = File; contents = Some s })
+
 let length t = String.length (force t)
 
 (* The whole file as one immutable string, for validated-range scan loops

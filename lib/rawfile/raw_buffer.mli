@@ -49,6 +49,17 @@ val contents : t -> string
     @raise Vida_error.Error ([Io_failure]) if the file cannot be read. *)
 val prefix : t -> enough:(string -> bool) -> t
 
+(** [extend t ~size] is a new buffer over the first [size] bytes of
+    [t]'s file, built from [t]'s loaded bytes and a read of only the
+    bytes past them: what a load would return if the file grew by append
+    to [size] bytes. It counts one file load and goes through a load's
+    governed path and epoch validation; [t] is not touched. [None] when
+    [t] is not a loaded file buffer or the file is shorter than [size].
+    The caller checks the result against the file's fingerprint: bytes
+    below the old length are not re-read.
+    @raise Vida_error.Error ([Io_failure]) if the file cannot be read. *)
+val extend : t -> size:int -> t option
+
 (** [slice t ~pos ~len] copies bytes out of the view. Counts toward
     [bytes_read].
     @raise Vida_error.Error ([Truncated]) if out of range. *)

@@ -192,9 +192,10 @@ let admit t bytes =
         Hashtbl.replace t.owner_resident id (resident () + bytes);
         Some (Some id)))
 
-let put_unlocked ?fingerprint t key payload =
+(* Admission, budget and eviction for an entry of [bytes] replacing
+   [key]'s, shared by a measured [put] and a delta-charged [extend]. *)
+let insert_unlocked ?fingerprint t key payload bytes =
   Vida_sync.Lock.assert_held t.lock;
-  let bytes = payload_bytes payload in
   if bytes > t.capacity then false
   else (
     remove t key;
@@ -208,8 +209,36 @@ let put_unlocked ?fingerprint t key payload =
       t.resident <- t.resident + bytes;
       true)
 
+let put_unlocked ?fingerprint t key payload =
+  insert_unlocked ?fingerprint t key payload (payload_bytes payload)
+
 let put ?fingerprint t key payload =
   locked t (fun () -> put_unlocked ?fingerprint t key payload)
+
+(* Bytes of the cells of [p] from [from] on, as [payload_bytes] counts
+   them. *)
+let cells_bytes p ~from =
+  let sum n f =
+    let acc = ref 0 in
+    for i = from to n - 1 do
+      acc := !acc + f i
+    done;
+    !acc
+  in
+  match p with
+  | Values vs -> sum (Array.length vs) (fun i -> 8 + value_bytes vs.(i))
+  | Strings ss -> sum (Array.length ss) (fun i -> 24 + String.length ss.(i))
+  | Ranges rs -> 16 * max 0 (Array.length rs - from)
+
+let extend ?fingerprint t key ~old ~from payload =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.table key with
+      | Some entry when entry.payload == old ->
+        let bytes = entry.bytes - cells_bytes old ~from + cells_bytes payload ~from in
+        insert_unlocked ?fingerprint t key payload bytes
+      | _ ->
+        (* the entry went or was replaced meanwhile: measure it whole *)
+        put_unlocked ?fingerprint t key payload)
 
 (* The payload is derived with the lock released: a concurrent domain may
    derive the same payload — both derivations are correct, the second

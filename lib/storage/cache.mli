@@ -61,6 +61,17 @@ val mem : t -> key -> bool
     shared cache past its budget. *)
 val put : ?fingerprint:string -> t -> key -> payload -> bool
 
+(** [extend ?fingerprint t key ~old ~from payload] replaces [key]'s entry
+    [old] by [payload], which keeps [old]'s cells below [from] and
+    replaces or adds the cells from [from] on (append repair). It is
+    charged by delta: the old entry's bytes, minus [old]'s cells from
+    [from] on, plus [payload]'s — the [payload_bytes] of the result,
+    without measuring the kept cells again. Admission, budget and
+    eviction are [put]'s. When [key] no longer holds [old], this is
+    [put]. *)
+val extend :
+  ?fingerprint:string -> t -> key -> old:payload -> from:int -> payload -> bool
+
 (** [find_or_add ?fingerprint t key f] is [find], computing and inserting
     via [f] on a miss. *)
 val find_or_add : ?fingerprint:string -> t -> key -> (unit -> payload) -> payload

@@ -179,6 +179,229 @@ let test_append_extends_caches () =
   check_int "no cache entries went stale" 0 (Vida.stats db).Vida.cache.stale_drops;
   rm path
 
+(* --- schema inference across appends ----------------------------------- *)
+
+module Plugins = Vida_engine.Plugins
+module Structures = Vida_engine.Structures
+module Io_stats = Vida_raw.Io_stats
+
+let source_of db name =
+  match Vida.describe db name with Some s -> s | None -> Alcotest.failf "%s missing" name
+
+(* Refreshes [name] after an append, which must extend; returns the raw
+   work the refresh charged. *)
+let refresh_appended db name =
+  let verdict, io =
+    Io_stats.measure (fun () -> fst (Plugins.refresh_source (Vida.ctx db) (source_of db name)))
+  in
+  (match verdict with
+  | `Extended -> ()
+  | `Unchanged -> Alcotest.fail "append not detected"
+  | `Rebuilt -> Alcotest.fail "append fell back to a full rebuild");
+  io
+
+let element_of db name = Vida_catalog.Source.element_type (source_of db name)
+
+(* the answers of a fresh instance over the file as it is now *)
+let fresh_answers ~register queries =
+  let db = Vida.create ~domains:1 () in
+  register db;
+  List.map (fun q -> Vida.query ~reuse:false db q) queries
+
+let check_answers label db ~register queries =
+  List.iter2
+    (fun q fresh ->
+      match (Vida.query ~reuse:false db q, fresh) with
+      | Ok r, Ok f -> check_val (label ^ ": " ^ q) f.Vida.value r.Vida.value
+      | Error e, _ | _, Error e -> Alcotest.failf "%s: %s: %s" label q (Vida.error_to_string e))
+    queries
+    (fresh_answers ~register queries)
+
+let int_rows ~first n =
+  String.concat ""
+    (List.init n (fun i -> Printf.sprintf "%d,%d,n%d\n" (first + i) ((first + i) * 10) (first + i)))
+
+let csv_queries =
+  [ "for { r <- S } yield sum r.v"; "for { r <- S, r.v > 20 } yield count r";
+    "for { r <- S } yield max r.id" ]
+
+(* A sample that ran to the end of the file sees appended rows: the
+   schema widens, and extended caches of the old type are not served. *)
+let test_schema_widens_small_csv () =
+  let path = tmp_file ("id,v,s\n" ^ int_rows ~first:1 10) in
+  let register db = Vida.csv db ~name:"S" ~path () in
+  let db = Vida.create ~domains:1 () in
+  register db;
+  check_answers "before" db ~register csv_queries;
+  check_bool "v is int" true
+    (Ty.equal (element_of db "S") (Ty.Record [ ("id", Ty.Int); ("v", Ty.Int); ("s", Ty.String) ]));
+  append_file path "11,2.5,n11\n12,7.25,n12\n";
+  ignore (refresh_appended db "S");
+  check_bool "v widened to float" true
+    (Ty.equal (element_of db "S")
+       (Ty.Record [ ("id", Ty.Int); ("v", Ty.Float); ("s", Ty.String) ]));
+  check_answers "after" db ~register csv_queries;
+  rm path
+
+(* Past the 100-row sample an append cannot change the schema: it is
+   kept, and the refresh reads no prefix for re-inference. Re-inference
+   would read the whole (small) file; the refresh reads only from the
+   last old row on, for the map's rescan and the decoded cells. *)
+let test_schema_kept_large_csv () =
+  let old = "id,v,s\n" ^ int_rows ~first:1 150 in
+  let path = tmp_file old in
+  let register db = Vida.csv db ~name:"S" ~path () in
+  let db = Vida.create ~domains:1 () in
+  register db;
+  check_answers "before" db ~register csv_queries;
+  let before = element_of db "S" in
+  let appended = "151,2.5,n151\n152,x,n152\n" in
+  append_file path appended;
+  let io = refresh_appended db "S" in
+  check_bool "schema kept" true (Ty.equal before (element_of db "S"));
+  check_bool "no prefix read" true (io.Io_stats.bytes_read < String.length old);
+  check_int "one file load" 1 io.Io_stats.file_loads;
+  check_answers "after" db ~register [ "for { r <- S } yield count r"; "for { r <- S } yield max r.id" ];
+  rm path
+
+let json_rows ~first n value =
+  String.concat ""
+    (List.init n (fun i -> Printf.sprintf "{\"id\":%d,\"a\":%s}\n" (first + i) (value (first + i))))
+
+let json_queries = [ "for { o <- J } yield sum o.a"; "for { o <- J } yield count o" ]
+
+let test_schema_widens_small_json () =
+  let path = tmp_file (json_rows ~first:1 10 string_of_int) in
+  let register db = Vida.json db ~name:"J" ~path () in
+  let db = Vida.create ~domains:1 () in
+  register db;
+  check_answers "before" db ~register json_queries;
+  check_bool "a is int" true
+    (Ty.equal (element_of db "J") (Ty.Record [ ("id", Ty.Int); ("a", Ty.Int) ]));
+  append_file path (json_rows ~first:11 2 (fun i -> Printf.sprintf "%d.5" i));
+  ignore (refresh_appended db "J");
+  check_bool "a widened to float" true
+    (Ty.equal (element_of db "J") (Ty.Record [ ("id", Ty.Int); ("a", Ty.Float) ]));
+  check_answers "after" db ~register json_queries;
+  rm path
+
+let test_schema_kept_large_json () =
+  let old = json_rows ~first:1 60 string_of_int in
+  let path = tmp_file old in
+  let register db = Vida.json db ~name:"J" ~path () in
+  let db = Vida.create ~domains:1 () in
+  register db;
+  check_answers "before" db ~register json_queries;
+  let before = element_of db "J" in
+  let appended = json_rows ~first:61 3 (fun i -> Printf.sprintf "%d.5" i) in
+  append_file path appended;
+  let io = refresh_appended db "J" in
+  check_bool "element type kept" true (Ty.equal before (element_of db "J"));
+  check_bool "no prefix read" true (io.Io_stats.bytes_read < String.length old);
+  check_answers "after" db ~register [ "for { o <- J } yield count o" ];
+  rm path
+
+(* --- append repair == rebuild ------------------------------------------ *)
+
+let mixed_rows ~first n =
+  String.concat ""
+    (List.init n (fun i ->
+         let k = first + i in
+         Printf.sprintf "%d,%d.%d,city%d,%s\n" k k (k mod 10) (k mod 7)
+           (if k mod 5 = 0 then "" else string_of_int (k * 3))))
+
+let mixed_query = "for { r <- S, r.v > 3.0 } yield sum r.w"
+
+let resident db = (Vida.stats db).Vida.cache.Vida_storage.Cache.resident_bytes
+
+(* Extended columns are charged by delta: the repaired cache holds as
+   many bytes as a fresh instance that loaded the same columns from the
+   grown file, and the repaired buffer is a full load's bytes. *)
+let test_repair_equals_rebuild () =
+  let path = tmp_file ("id,v,c,w\n" ^ mixed_rows ~first:1 180) in
+  let db = Vida.create ~domains:1 () in
+  Vida.csv db ~name:"S" ~path ();
+  ignore (Vida.query ~reuse:false db mixed_query);
+  ignore (Vida.query ~reuse:false db "for { r <- S } yield count r.c");
+  (* the last old row is partial: the append completes it *)
+  append_file path "181,18";
+  ignore (refresh_appended db "S");
+  append_file path (".1,city0,9\n" ^ mixed_rows ~first:182 37);
+  ignore (refresh_appended db "S");
+  let fresh = Vida.create ~domains:1 () in
+  Vida.csv fresh ~name:"S" ~path ();
+  ignore (Vida.query ~reuse:false fresh mixed_query);
+  ignore (Vida.query ~reuse:false fresh "for { r <- S } yield count r.c");
+  check_int "cache entries" (Vida.stats fresh).Vida.cache.Vida_storage.Cache.entries
+    (Vida.stats db).Vida.cache.Vida_storage.Cache.entries;
+  check_int "resident bytes equal a fresh load" (resident fresh) (resident db);
+  (match Structures.peek_buffer (Vida.ctx db).Plugins.structures "S" with
+  | Some buf -> check_bool "buffer equals a full load" true (RB.contents buf = read_file path)
+  | None -> Alcotest.fail "no buffer");
+  check_answers "after" db ~register:(fun db -> Vida.csv db ~name:"S" ~path ()) [ mixed_query ];
+  rm path
+
+(* The probe fixes the generation: a file that grows again before the
+   tail read is read up to the probed size, and one changed under the
+   read falls back to a full load that still extends the old bytes, or
+   to nothing at all. *)
+let test_repair_one_generation () =
+  let old = "id,v,c,w\n" ^ mixed_rows ~first:1 120 in
+  let path = tmp_file old in
+  let db = Vida.create ~domains:1 () in
+  Vida.csv db ~name:"S" ~path ();
+  ignore (Vida.query ~reuse:false db mixed_query);
+  let structures = (Vida.ctx db).Plugins.structures in
+  let old_fp = FP.of_contents old in
+  let a = mixed_rows ~first:121 5 and b = mixed_rows ~first:126 5 in
+  let repair probed =
+    Structures.repair_appended structures (source_of db "S") ~old_fp ~probed
+  in
+  let buffer_of = function
+    | Some r -> RB.contents r.Structures.new_buffer
+    | None -> Alcotest.fail "repair refused an append"
+  in
+  let rows_of = function
+    | Some { Structures.csv = Some (pm, _); _ } -> PM.row_count pm
+    | _ -> Alcotest.fail "no extended map"
+  in
+  append_file path a;
+  let probed = Option.get (FP.probe path) in
+  append_file path b;
+  let r = repair probed in
+  check_bool "grown again: the probed generation" true (buffer_of r = old ^ a);
+  check_int "rows of the probed generation" 125 (rows_of r);
+  (* the appended range changed under the read: a full load that still
+     extends the old bytes *)
+  let structures_old () =
+    Vida.invalidate db "S";
+    ignore (Vida.query ~reuse:false db mixed_query)
+  in
+  write_file path old;
+  structures_old ();
+  append_file path a;
+  let probed = Option.get (FP.probe path) in
+  write_file path (old ^ String.map (fun c -> if c = '1' then '2' else c) a ^ b);
+  let r = repair probed in
+  check_bool "changed under the read: a full load" true (buffer_of r = read_file path);
+  check_int "rows of the full load" 130 (rows_of r);
+  (* the old bytes changed too: the full load no longer extends them, so
+     there is no repair and nothing is replaced *)
+  write_file path old;
+  structures_old ();
+  let before = Structures.peek_buffer structures "S" in
+  append_file path a;
+  let probed = Option.get (FP.probe path) in
+  write_file path
+    ("ID" ^ String.sub old 2 (String.length old - 2)
+    ^ String.map (fun c -> if c = '1' then '2' else c) a);
+  check_bool "rewritten: no repair" true (repair probed = None);
+  check_bool "buffer untouched" true
+    (match (before, Structures.peek_buffer structures "S") with
+    | Some b, Some b' -> b == b'
+    | _ -> false);
+  rm path
+
 (* --- incremental extension == full rebuild (differential oracle) ------ *)
 
 let csv_diff label old_s appended =
@@ -427,7 +650,15 @@ let () =
         [ Alcotest.test_case "extends caches e2e" `Quick test_append_extends_caches;
           Alcotest.test_case "csv differential" `Quick test_csv_extend_differential;
           Alcotest.test_case "json differential" `Quick test_json_extend_differential;
-          Alcotest.test_case "xml differential" `Quick test_xml_extend_differential
+          Alcotest.test_case "xml differential" `Quick test_xml_extend_differential;
+          Alcotest.test_case "repair equals rebuild" `Quick test_repair_equals_rebuild;
+          Alcotest.test_case "one generation per repair" `Quick test_repair_one_generation
+        ] );
+      ( "schema-across-appends",
+        [ Alcotest.test_case "small csv widens" `Quick test_schema_widens_small_csv;
+          Alcotest.test_case "large csv kept" `Quick test_schema_kept_large_csv;
+          Alcotest.test_case "small json widens" `Quick test_schema_widens_small_json;
+          Alcotest.test_case "large json kept" `Quick test_schema_kept_large_json
         ] );
       ( "sidecar",
         [ Alcotest.test_case "roundtrip" `Quick test_sidecar_roundtrip;

@@ -19,35 +19,54 @@ let tmp_file contents =
 
 let test_infer_csv () =
   let path = tmp_file "id,name,score,ok\n1,ada,1.5,true\n2,bob,2,false\n,,," in
-  let schema = Infer.csv_schema (Vida_raw.Raw_buffer.of_path path) in
+  let schema = fst (Infer.csv_schema (Vida_raw.Raw_buffer.of_path path)) in
   let tys = List.map (fun a -> (a.Schema.name, a.Schema.ty)) (Schema.attributes schema) in
   check_bool "types" true
     (tys = [ ("id", Ty.Int); ("name", Ty.String); ("score", Ty.Float); ("ok", Ty.Bool) ])
 
 let test_infer_csv_widening () =
   let path = tmp_file "a,b\n1,x\n2.5,7\n" in
-  let schema = Infer.csv_schema (Vida_raw.Raw_buffer.of_path path) in
+  let schema = fst (Infer.csv_schema (Vida_raw.Raw_buffer.of_path path)) in
   check_bool "int widens to float" true (Ty.equal (Schema.attr schema 0).Schema.ty Ty.Float);
   check_bool "mixed widens to string" true (Ty.equal (Schema.attr schema 1).Schema.ty Ty.String)
 
 let test_infer_csv_headerless () =
   let path = tmp_file "1,2\n3,4\n" in
-  let schema = Infer.csv_schema ~header:false (Vida_raw.Raw_buffer.of_path path) in
+  let schema = fst (Infer.csv_schema ~header:false (Vida_raw.Raw_buffer.of_path path)) in
   Alcotest.(check (list string)) "generated names" [ "c0"; "c1" ] (Schema.names schema)
 
 let test_infer_csv_all_null_column () =
   let path = tmp_file "a\n\nNA\n" in
-  let schema = Infer.csv_schema (Vida_raw.Raw_buffer.of_path path) in
+  let schema = fst (Infer.csv_schema (Vida_raw.Raw_buffer.of_path path)) in
   check_bool "unconstrained column is Any" true (Ty.equal (Schema.attr schema 0).Schema.ty Ty.Any)
 
 let test_infer_json () =
   let path = tmp_file "{\"id\": 1, \"v\": 2.5}\n{\"id\": 2, \"v\": 3.5}\n" in
-  let ty = Infer.json_element (Vida_raw.Raw_buffer.of_path path) in
+  let ty = fst (Infer.json_element (Vida_raw.Raw_buffer.of_path path)) in
   check_bool "uniform objects" true
     (Ty.equal ty (Ty.Record [ ("id", Ty.Int); ("v", Ty.Float) ]));
   let path2 = tmp_file "{\"id\": 1}\n{\"other\": true}\n" in
   check_bool "conflicting objects fall back to Any" true
-    (Ty.equal (Infer.json_element (Vida_raw.Raw_buffer.of_path path2)) Ty.Any)
+    (Ty.equal (fst (Infer.json_element (Vida_raw.Raw_buffer.of_path path2))) Ty.Any)
+
+(* The sample ends just past its last record's newline (a quoted newline
+   ends nothing; the CSV header is a record), and nowhere when the file
+   ran out first — a trailing line without a newline is not complete. *)
+let test_infer_sample_end () =
+  let csv_end ?sample contents =
+    snd (Infer.csv_schema ?sample (Vida_raw.Raw_buffer.of_path (tmp_file contents)))
+  in
+  let json_end ?sample contents =
+    snd (Infer.json_element ?sample (Vida_raw.Raw_buffer.of_path (tmp_file contents)))
+  in
+  let check what expected got = Alcotest.(check (option int)) what expected got in
+  check "csv: two rows" (Some 7) (csv_end ~sample:2 "id\n1\n2\n3\n");
+  check "csv: quoted newline" (Some 11) (csv_end ~sample:2 "id\n\"a\nb\"\n2\n3\n");
+  check "csv: file too short" None (csv_end ~sample:3 "id\n1\n2\n");
+  check "csv: exactly the sample" (Some 7) (csv_end ~sample:2 "id\n1\n2\n");
+  check "csv: partial last row" None (csv_end ~sample:2 "id\n1\n2");
+  check "json: blank lines" (Some 17) (json_end ~sample:2 "{\"a\":1}\n\n{\"a\":2}\n{\"a\":3}\n");
+  check "json: file too short" None (json_end ~sample:2 "{\"a\":1}\n")
 
 (* --- prefix inference vs whole-file inference --- *)
 
@@ -111,7 +130,7 @@ let file_size path = In_channel.with_open_bin path In_channel.length |> Int64.to
    that it read well under the whole file. *)
 let same_csv ?header ?(prefix = false) what path =
   let before = Raw.Io_stats.current () in
-  let got = Infer.csv_schema ?header (Raw.Raw_buffer.of_path path) in
+  let got = fst (Infer.csv_schema ?header (Raw.Raw_buffer.of_path path)) in
   let read = (Raw.Io_stats.diff (Raw.Io_stats.current ()) before).Raw.Io_stats.bytes_read in
   check_bool (what ^ ": same schema as whole-file inference") true
     (Schema.equal got (whole_csv_schema ?header path));
@@ -120,7 +139,7 @@ let same_csv ?header ?(prefix = false) what path =
 
 let same_json ?(prefix = false) what path =
   let before = Raw.Io_stats.current () in
-  let got = Infer.json_element (Raw.Raw_buffer.of_path path) in
+  let got = fst (Infer.json_element (Raw.Raw_buffer.of_path path)) in
   let read = (Raw.Io_stats.diff (Raw.Io_stats.current ()) before).Raw.Io_stats.bytes_read in
   check_bool (what ^ ": same type as whole-file inference") true
     (Ty.equal got (whole_json_element path));
@@ -253,11 +272,11 @@ let test_infer_prefix_every_sample () =
     let what = Printf.sprintf "sample %d" sample in
     check_bool (what ^ ": csv") true
       (Schema.equal
-         (Infer.csv_schema ~sample (Raw.Raw_buffer.of_path csv))
+         (fst (Infer.csv_schema ~sample (Raw.Raw_buffer.of_path csv)))
          (whole_csv_schema ~sample csv));
     check_bool (what ^ ": json") true
       (Ty.equal
-         (Infer.json_element ~sample (Raw.Raw_buffer.of_path json))
+         (fst (Infer.json_element ~sample (Raw.Raw_buffer.of_path json)))
          (whole_json_element ~sample json))
   done
 
@@ -507,6 +526,7 @@ let () =
           Alcotest.test_case "csv headerless" `Quick test_infer_csv_headerless;
           Alcotest.test_case "csv null column" `Quick test_infer_csv_all_null_column;
           Alcotest.test_case "json" `Quick test_infer_json;
+          Alcotest.test_case "sample end" `Quick test_infer_sample_end;
           Alcotest.test_case "prefix = whole: hbp" `Quick test_infer_prefix_hbp;
           Alcotest.test_case "prefix = whole: quoted crlf" `Quick test_infer_prefix_quoted_crlf;
           Alcotest.test_case "prefix = whole: long first row" `Quick
