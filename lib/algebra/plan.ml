@@ -69,28 +69,51 @@ let children = function
     [ child ]
   | Product { left; right } | Join { left; right; _ } -> [ left; right ]
 
-let map_children f = function
-  | (Unit | Source _) as p -> p
-  | Select r -> Select { r with child = f r.child }
-  | Map r -> Map { r with child = f r.child }
-  | Unnest r -> Unnest { r with child = f r.child }
-  | Reduce r -> Reduce { r with child = f r.child }
-  | Nest r -> Nest { r with child = f r.child }
-  | Product { left; right } -> Product { left = f left; right = f right }
-  | Join r -> Join { r with left = f r.left; right = f r.right }
+(* Children that come back physically unchanged keep their parent: an
+   untouched subtree stays the same node, which the plan verifier's
+   per-derivation memo relies on to skip re-typing it. *)
+let map_children f p =
+  match p with
+  | Unit | Source _ -> p
+  | Select ({ child; _ } as r) ->
+    let c = f child in
+    if c == child then p else Select { r with child = c }
+  | Map ({ child; _ } as r) ->
+    let c = f child in
+    if c == child then p else Map { r with child = c }
+  | Unnest ({ child; _ } as r) ->
+    let c = f child in
+    if c == child then p else Unnest { r with child = c }
+  | Reduce ({ child; _ } as r) ->
+    let c = f child in
+    if c == child then p else Reduce { r with child = c }
+  | Nest ({ child; _ } as r) ->
+    let c = f child in
+    if c == child then p else Nest { r with child = c }
+  | Product { left; right } ->
+    let l = f left in
+    let r = f right in
+    if l == left && r == right then p else Product { left = l; right = r }
+  | Join ({ left; right; _ } as j) ->
+    let l = f left in
+    let r = f right in
+    if l == left && r == right then p else Join { j with left = l; right = r }
 
-let validate p =
+let validate ?(known = fun _ -> false) p =
   let problem = ref None in
   let fail fmt = Format.kasprintf (fun s -> if !problem = None then problem := Some s) fmt in
-  let externals = free_set p in
+  (* the externals are needed only for a variable no binder supplies *)
+  let externals = lazy (free_set p) in
   let check_expr bound e =
     List.iter
       (fun v ->
-        if (not (Sset.mem v bound)) && not (Sset.mem v externals) then
+        if (not (Sset.mem v bound)) && not (Sset.mem v (Lazy.force externals)) then
           fail "expression references unbound variable %s" v)
       (Expr.free_vars e)
   in
   let rec go p =
+    if not (known p) then check p
+  and check p =
     let binders = bound_vars p in
     let rec dup = function
       | [] -> ()
@@ -121,6 +144,7 @@ let validate p =
   match !problem with None -> Ok () | Some s -> Error s
 
 let rec equal a b =
+  a == b ||
   match a, b with
   | Unit, Unit -> true
   | Source a, Source b -> String.equal a.var b.var && Expr.equal a.expr b.expr

@@ -63,13 +63,17 @@ val free_vars : t -> string list
 
 (** [validate p] checks well-formedness: scalar expressions only reference
     bound or external variables, binders do not clash, [Reduce]/[Nest]
-    monoids are sane. Returns a description of the first problem found. *)
-val validate : t -> (unit, string) result
+    monoids are sane. Returns a description of the first problem found.
+    Subtrees for which [known] holds (default: none) were validated
+    before and are skipped; validity of a subtree does not depend on
+    where it sits. *)
+val validate : ?known:(t -> bool) -> t -> (unit, string) result
 
 (** Children of the node, for generic traversals. *)
 val children : t -> t list
 
-(** [map_children f p] rebuilds [p] with children [f]-transformed. *)
+(** [map_children f p] rebuilds [p] with children [f]-transformed; when
+    every child comes back physically unchanged, [p] itself is returned. *)
 val map_children : (t -> t) -> t -> t
 
 val equal : t -> t -> bool

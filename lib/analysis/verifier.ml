@@ -39,55 +39,110 @@ let element ~op ~var t =
 let fold_ty externals gamma monoid head =
   scalar_ty externals gamma (Expr.Singleton (monoid, head))
 
-let rec environment ~env:externals (p : Plan.t) : env =
+(* --- the per-derivation memo ---
+
+   Plans are immutable and closed over their own binders, so the schema a
+   node derives depends only on the node and the externals. Within one
+   derivation (one query's plan, its rewrites and their checks) the
+   externals are fixed, and a rewrite shares every subtree it did not
+   touch: keyed by physical identity, a node that has checked once is
+   never typed again. A node is stored only after it checked — and, on
+   the [verify] path, only after its subtree validated — so a failing
+   node fails again, with the same diagnostic. *)
+
+module Nodes = Hashtbl.Make (struct
+  type t = Plan.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(* what a checked node derives: a stream's environment schema, or the
+   value a [Reduce] folds its stream into *)
+type derived = Stream of env | Folded of Ty.t
+
+type memo = {
+  nodes : derived Nodes.t;
+  mutable externals : env;  (* the environment the entries were derived under *)
+  mutable typed : int;
+}
+
+let memo () = { nodes = Nodes.create 64; externals = []; typed = 0 }
+let typed m = m.typed
+
+(* the memo for a derivation under [env]: entries derived under other
+   externals are dropped *)
+let under given env =
+  match given with
+  | None -> { (memo ()) with externals = env }
+  | Some m ->
+    if m.externals != env then (
+      Nodes.reset m.nodes;
+      m.externals <- env);
+    m
+
+let rec derived m (p : Plan.t) : derived =
+  match Nodes.find_opt m.nodes p with
+  | Some d -> d
+  | None ->
+    let d = derive m p in
+    Nodes.add m.nodes p d;
+    m.typed <- m.typed + 1;
+    d
+
+and environment_in m p =
+  match derived m p with Stream gamma -> gamma | Folded _ -> []
+
+and derive m (p : Plan.t) : derived =
+  let externals = m.externals in
   match p with
-  | Plan.Unit -> []
+  | Plan.Unit -> Stream []
   | Plan.Source { var; expr } ->
-    [ (var, element ~op:"Source" ~var (scalar_ty externals [] expr)) ]
+    Stream [ (var, element ~op:"Source" ~var (scalar_ty externals [] expr)) ]
   | Plan.Select { pred; child } ->
-    let gamma = environment ~env:externals child in
+    let gamma = environment_in m child in
     check_bool externals gamma ~op:"Select" pred;
-    gamma
+    Stream gamma
   | Plan.Map { var; expr; child } ->
-    let gamma = environment ~env:externals child in
-    bind ~op:"Map" gamma (var, scalar_ty externals gamma expr)
+    let gamma = environment_in m child in
+    Stream (bind ~op:"Map" gamma (var, scalar_ty externals gamma expr))
   | Plan.Product { left; right } ->
-    let gl = environment ~env:externals left in
-    let gr = environment ~env:externals right in
-    List.fold_left (bind ~op:"Product") gl gr
+    let gl = environment_in m left in
+    let gr = environment_in m right in
+    Stream (List.fold_left (bind ~op:"Product") gl gr)
   | Plan.Join { pred; left; right } ->
-    let gl = environment ~env:externals left in
-    let gr = environment ~env:externals right in
+    let gl = environment_in m left in
+    let gr = environment_in m right in
     let gamma = List.fold_left (bind ~op:"Join") gl gr in
     check_bool externals gamma ~op:"Join" pred;
-    gamma
+    Stream gamma
   | Plan.Unnest { var; path; outer = _; child } ->
-    let gamma = environment ~env:externals child in
-    bind ~op:"Unnest" gamma
-      (var, element ~op:"Unnest" ~var (scalar_ty externals gamma path))
-  | Plan.Reduce _ ->
+    let gamma = environment_in m child in
+    Stream
+      (bind ~op:"Unnest" gamma
+         (var, element ~op:"Unnest" ~var (scalar_ty externals gamma path)))
+  | Plan.Reduce { monoid; head; child } ->
     (* a nested Reduce produces one scalar, not environments (its binding
        contribution is empty, as [Plan.bound_vars] states) *)
-    ignore (result_ty ~env:externals p);
-    []
+    let gamma = environment_in m child in
+    Folded (fold_ty externals gamma monoid head)
   | Plan.Nest { monoid; var; head; keys; child } ->
-    let gamma = environment ~env:externals child in
+    let gamma = environment_in m child in
     let keyts = List.map (fun (n, k) -> (n, scalar_ty externals gamma k)) keys in
     let folded = fold_ty externals gamma monoid head in
-    List.fold_left (bind ~op:"Nest") [] (keyts @ [ (var, folded) ])
+    Stream (List.fold_left (bind ~op:"Nest") [] (keyts @ [ (var, folded) ]))
 
-and result_ty ~env:externals (p : Plan.t) : Ty.t =
-  match p with
-  | Plan.Reduce { monoid; head; child } ->
-    let gamma = environment ~env:externals child in
-    fold_ty externals gamma monoid head
-  | p ->
-    let gamma = environment ~env:externals p in
+let result_ty_in m p =
+  match derived m p with
+  | Folded t -> t
+  | Stream gamma ->
     (* environments are name-addressed: binder order is presentational, so
        the result type is canonicalized — a rewrite that merely permutes
        binders (e.g. a join build-side swap) preserves it *)
     let gamma = List.sort (fun (a, _) (b, _) -> String.compare a b) gamma in
     Ty.Coll (Ty.Bag, Ty.Record gamma)
+
+let environment ~env p = environment_in (under None env) p
 
 let run ?(stage = "plan") ?rule f =
   match f () with
@@ -99,30 +154,37 @@ let run ?(stage = "plan") ?rule f =
          { stage; rule; reason = Printf.sprintf "%s (in %s)" reason context })
   | exception Vida_error.Error e -> Error e
 
-let infer ?stage ?rule ~env p = run ?stage ?rule (fun () -> result_ty ~env p)
+let infer ?stage ?rule ~env p =
+  run ?stage ?rule (fun () -> result_ty_in (under None env) p)
 
-let verify ?stage ?rule ~env p =
-  run ?stage ?rule (fun () ->
-      (match Plan.validate p with Ok () -> () | Error msg -> fail "%s" msg);
-      ignore (result_ty ~env p))
+(* Validate, then type, every node of [p] the memo does not hold yet;
+   returns the result type. Only here do nodes enter a caller's memo, so
+   an entry vouches for its whole subtree's validity too. *)
+let verified m p =
+  (match Plan.validate ~known:(Nodes.mem m.nodes) p with
+  | Ok () -> ()
+  | Error msg -> fail "%s" msg);
+  result_ty_in m p
 
-let verify_exn ?stage ?rule ~env p =
-  match verify ?stage ?rule ~env p with
+let verify ?memo ?stage ?rule ~env p =
+  run ?stage ?rule (fun () -> ignore (verified (under memo env) p))
+
+let verify_exn ?memo ?stage ?rule ~env p =
+  match verify ?memo ?stage ?rule ~env p with
   | Ok () -> ()
   | Error e -> Vida_error.error e
 
-let check_rewrite ~stage ~rule ~env ~before ~after =
+let check_rewrite ?memo ~stage ~rule ~env ~before ~after () =
+  let m = under memo env in
   (* a broken [before] predates this firing: report it against the stage
      so the diagnostic does not blame an innocent rule *)
-  match verify ~stage ~env before with
+  match run ~stage (fun () -> verified m before) with
   | Error _ as e -> e
-  | Ok () ->
-    match verify ~stage ~rule ~env after with
+  | Ok tb ->
+    match run ~stage ~rule (fun () -> verified m after) with
     | Error _ as e -> e
-    | Ok () ->
-      match run ~stage ~rule (fun () ->
-          let tb = result_ty ~env before in
-          let ta = result_ty ~env after in
+    | Ok ta ->
+      run ~stage ~rule (fun () ->
           (match Ty.unify tb ta with
           | Some _ -> ()
           | None ->
@@ -134,6 +196,3 @@ let check_rewrite ~stage ~rule ~env ~before ~after =
               if not (List.mem v fb) then
                 fail "rewrite introduced free variable %s" v)
             fa)
-      with
-      | Ok () -> Ok ()
-      | Error _ as e -> e

@@ -6,7 +6,13 @@ type entry = {
   sample_end : int option;
       (* where the inference sample ended ({!Infer.csv_schema}); an append
          at or beyond it cannot change the inferred format *)
+  ty : Vida_data.Ty.t;
+      (* the source's collection type, built once when the entry is added
+         or replaced: every query's type environment reads it *)
 }
+
+let entry ~explicit_schema ~sample_end source =
+  { source; explicit_schema; sample_end; ty = Source.collection_type source }
 
 (* registration/lookup race under concurrent sessions: one mutex guards
    the table and the insertion order together *)
@@ -48,7 +54,7 @@ let register_file t ~name ~path ~explicit format =
   let source =
     { Source.name; format; path = Some path; snapshot = Some snapshot }
   in
-  add t name { source; explicit_schema = explicit; sample_end };
+  add t name (entry ~explicit_schema:explicit ~sample_end source);
   source
 
 let register_csv t ~name ~path ?(delim = ',') ?(header = true) ?schema () =
@@ -72,14 +78,14 @@ let register_external t ~name ~element ~count ~produce =
     { Source.name; format = Source.External { element; count; produce };
       path = None; snapshot = None }
   in
-  add t name { source; explicit_schema = true; sample_end = None };
+  add t name (entry ~explicit_schema:true ~sample_end:None source);
   source
 
 let register_inline t ~name value =
   let source =
     { Source.name; format = Source.Inline value; path = None; snapshot = None }
   in
-  add t name { source; explicit_schema = true; sample_end = None };
+  add t name (entry ~explicit_schema:true ~sample_end:None source);
   source
 
 let find t name =
@@ -101,7 +107,10 @@ let unregister t name =
       t.order <- List.filter (fun n -> not (String.equal n name)) t.order)
 
 let type_env t =
-  List.map (fun s -> (s.Source.name, Source.collection_type s)) (sources t)
+  locked t (fun () ->
+      List.filter_map
+        (fun n -> Option.map (fun e -> (n, e.ty)) (Hashtbl.find_opt t.table n))
+        t.order)
 
 let stale_sources t = List.filter Source.stale (sources t)
 
@@ -110,7 +119,7 @@ let refresh ?delta ?probed t name =
      the table reads and the final replace are guarded *)
   match locked t (fun () -> Hashtbl.find_opt t.table name) with
   | None -> None
-  | Some ({ source; explicit_schema; sample_end } as entry) -> (
+  | Some ({ source; explicit_schema; sample_end; ty } as old) -> (
     match source.Source.path with
     | None -> Some source
     | Some path ->
@@ -130,8 +139,13 @@ let refresh ?delta ?probed t name =
         if explicit_schema || sample_kept then (source.Source.format, sample_end)
         else infer path source.Source.format
       in
+      (* a kept format keeps its type; a re-inferred one is typed anew *)
+      let ty =
+        if format == source.Source.format then ty
+        else Source.collection_type { source with Source.format }
+      in
       let source = { source with Source.format; snapshot = Some snapshot } in
       locked t (fun () ->
           if Hashtbl.mem t.table name then
-            Hashtbl.replace t.table name { entry with source; sample_end });
+            Hashtbl.replace t.table name { old with source; sample_end; ty });
       Some source)

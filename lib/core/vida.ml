@@ -372,24 +372,28 @@ let now_ms () = Unix.gettimeofday () *. 1000.
 let note_verify t e =
   locked t (fun () -> t.verify_log <- Vida_error.to_string e :: t.verify_log)
 
-let verify_stage t ~env stage plan =
+let verify_stage t ~memo ~env stage plan =
   match t.verify with
   | Off -> ()
   | Warn -> (
-    match Vida_analysis.Verifier.verify ~stage ~env plan with
+    match Vida_analysis.Verifier.verify ~memo:(Lazy.force memo) ~stage ~env plan with
     | Ok () -> ()
     | Error e -> note_verify t e)
-  | Strict -> Vida_analysis.Verifier.verify_exn ~stage ~env plan
+  | Strict -> Vida_analysis.Verifier.verify_exn ~memo:(Lazy.force memo) ~stage ~env plan
 
-(* Per-firing pre/post obligation: installed as the optimizer's rewrite
-   checker, and called for the JIT's count-head rewrite. [env] is only
-   forced when verification is on. *)
-let firing_check t ~env stage ~rule ~before ~after =
+(* Per-firing pre/post obligation: passed as the optimizer's rewrite
+   check, and called for the JIT's count-head rewrite. [env] and [memo]
+   are the query's own, forced only when verification is on: every
+   check of one derivation shares the memo, so a firing types only the
+   nodes its rule built. *)
+let firing_check t ~memo ~env stage ~rule ~before ~after =
   match t.verify with
   | Off -> ()
   | Warn | Strict -> (
-    let env = Lazy.force env in
-    match Vida_analysis.Verifier.check_rewrite ~stage ~rule ~env ~before ~after with
+    let env = Lazy.force env and memo = Lazy.force memo in
+    match
+      Vida_analysis.Verifier.check_rewrite ~memo ~stage ~rule ~env ~before ~after ()
+    with
     | Ok () -> ()
     | Error e -> if t.verify = Strict then raise (Vida_error.Error e) else note_verify t e)
 
@@ -519,12 +523,16 @@ and run_governed ~engine ~optimize ~reuse ~domains ~note_plan ~session t job :
         List.iter
           (fun (_, path) -> Governor.Breaker.check ~source:path)
           breaker_keys;
+        (* the query's raw-access window opens before its refresh: an
+           append repair, a file load or a map build it triggers is its
+           own *)
+        let io_before = Vida_raw.Io_stats.current () in
         let probed = refresh_referenced t refs in
         let epoch = Vida_raw.Epoch.create () in
         let epochs = pin_referenced t epoch ~probed refs in
         Vida_raw.Epoch.with_epoch epoch (fun () ->
             run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session
-              ~epochs t job)
+              ~epochs ~io_before t job)
       with Vida_error.Error e -> Error (Data_error e)
     in
     match outcome with
@@ -560,8 +568,8 @@ and run_governed ~engine ~optimize ~reuse ~domains ~note_plan ~session t job :
   in
   attempt retry_budget
 
-and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs t
-    job : (result, error) Result.t =
+and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs
+    ~io_before t job : (result, error) Result.t =
     try
       let t0 = now_ms () in
       (* per-submit domain override (the serving layer's degradation
@@ -574,21 +582,24 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs t
         | _ -> t.ctx
       in
       (* only plan derivation and the verifier read the type environment:
-         a plan-cache hit whose result is cached never builds it *)
+         a plan-cache hit whose result is cached never builds it. One
+         typing memo serves every check of this query's derivation. *)
       let venv = lazy (type_env t) in
+      let memo = lazy (Vida_analysis.Verifier.memo ()) in
       let derive note_plan expr =
         let venv = Lazy.force venv in
         let normalized = Rewrite.normalize expr in
         let plan = Vida_algebra.Translate.plan_of_comp normalized in
-        verify_stage t ~env:venv "translate" plan;
+        let verify_stage = verify_stage t ~memo ~env:venv in
+        verify_stage "translate" plan;
         let plan =
           if optimize then (
             let plan =
-              Vida_optimizer.Rules.with_checker
-                (firing_check t ~env:(Lazy.from_val venv) "optimize")
-                (fun () -> Vida_optimizer.Optimizer.optimize ctx plan)
+              Vida_optimizer.Optimizer.optimize
+                ~check:(firing_check t ~memo ~env:(Lazy.from_val venv) "optimize")
+                ctx plan
             in
-            verify_stage t ~env:venv "optimize" plan;
+            verify_stage "optimize" plan;
             plan)
           else plan
         in
@@ -668,7 +679,7 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs t
                key keep the original plan *)
             let jit_plan = Analysis.neutralize_count plan in
             if jit_plan != plan then
-              firing_check t ~env:venv "jit" ~rule:"neutralize-count-head"
+              firing_check t ~memo ~env:venv "jit" ~rule:"neutralize-count-head"
                 ~before:plan ~after:jit_plan;
             let guarded run =
               match run () with
@@ -700,7 +711,6 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs t
             else guarded (fun () -> Compile.query ctx jit_plan ())))
       in
       let t1 = now_ms () in
-      let io_before = Vida_raw.Io_stats.current () in
       match run () with
       | value ->
         let t2 = now_ms () in

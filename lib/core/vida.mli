@@ -136,8 +136,10 @@ type result = {
   plan : Vida_algebra.Plan.t;  (** the optimized plan that ran *)
   compile_ms : float;  (** parse + normalize + optimize + generate *)
   exec_ms : float;
-  raw_io : Vida_raw.Io_stats.snapshot;  (** raw-file work this query did *)
-  served_from_cache : bool;  (** no raw bytes were read *)
+  raw_io : Vida_raw.Io_stats.snapshot;
+      (** raw-file work this query did, from the refresh of its sources
+          (an append repair, a reload) through execution *)
+  served_from_cache : bool;  (** no raw bytes were read and no file loaded *)
   from_result_cache : bool;
       (** the whole result was re-used from a previous identical plan
           (paper §5 result re-use); implies [served_from_cache] *)

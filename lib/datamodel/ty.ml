@@ -9,7 +9,11 @@ type t =
   | Coll of coll * t
   | Any
 
+(* Physically equal types are equal: derived schemas share the field
+   types of the catalog's collection types, so comparing a schema with
+   itself does not walk a wide record. *)
 let rec equal a b =
+  a == b ||
   match a, b with
   | Bool, Bool | Int, Int | Float, Float | String, String | Any, Any -> true
   | Record fa, Record fb ->
@@ -19,21 +23,23 @@ let rec equal a b =
   | (Bool | Int | Float | String | Record _ | Coll _ | Any), _ -> false
 
 let rec unify a b =
-  match a, b with
-  | Any, t | t, Any -> Some t
-  | Int, Float | Float, Int -> Some Float
-  | Record fa, Record fb when List.length fa = List.length fb ->
-    let unify_field (na, ta) (nb, tb) =
-      if String.equal na nb then Option.map (fun t -> (na, t)) (unify ta tb)
+  if a == b then Some a
+  else
+    match a, b with
+    | Any, t | t, Any -> Some t
+    | Int, Float | Float, Int -> Some Float
+    | Record fa, Record fb when List.length fa = List.length fb ->
+      let unify_field (na, ta) (nb, tb) =
+        if String.equal na nb then Option.map (fun t -> (na, t)) (unify ta tb)
+        else None
+      in
+      let fields = List.map2 unify_field fa fb in
+      if List.for_all Option.is_some fields then
+        Some (Record (List.map Option.get fields))
       else None
-    in
-    let fields = List.map2 unify_field fa fb in
-    if List.for_all Option.is_some fields then
-      Some (Record (List.map Option.get fields))
-    else None
-  | Coll (ka, ta), Coll (kb, tb) when ka = kb ->
-    Option.map (fun t -> Coll (ka, t)) (unify ta tb)
-  | _ -> if equal a b then Some a else None
+    | Coll (ka, ta), Coll (kb, tb) when ka = kb ->
+      Option.map (fun t -> Coll (ka, t)) (unify ta tb)
+    | _ -> if equal a b then Some a else None
 
 let is_numeric = function Int | Float | Any -> true | _ -> false
 

@@ -25,11 +25,14 @@ type t =
       (** unknown type: used for gradually-typed raw sources whose schema is
           only partially described *)
 
+(** Structural equality; physically equal arguments answer at once. *)
 val equal : t -> t -> bool
 
 (** [unify a b] is the least upper bound of [a] and [b] if one exists:
     identical types unify, [Any] unifies with everything, [Int] and [Float]
-    unify to [Float] (numeric widening), records unify field-wise. *)
+    unify to [Float] (numeric widening), records unify field-wise.
+    Physically equal arguments return [Some a] at once, without walking
+    a (possibly wide) record. *)
 val unify : t -> t -> t option
 
 (** [is_numeric t] is true for [Int], [Float] and [Any]. *)

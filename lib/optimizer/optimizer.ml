@@ -64,7 +64,7 @@ let attach placed item =
 let apply_preds plan preds =
   List.fold_left (fun plan pred -> Plan.Select { pred; child = plan }) plan preds
 
-let greedy ctx items preds =
+let greedy ~check ctx items preds =
   let all_vars = List.map item_var items in
   let deps item =
     List.filter
@@ -86,7 +86,7 @@ let greedy ctx items preds =
       let score item =
         let bound' = item_var item :: bound in
         let satisfied, _ = List.partition (pred_ready bound') preds in
-        let trial = Rules.apply (apply_preds (attach placed item) satisfied) in
+        let trial = Rules.apply ~check (apply_preds (attach placed item) satisfied) in
         let est = Cost.estimate ctx trial in
         est.Cost.cost +. est.Cost.cardinality
       in
@@ -108,39 +108,40 @@ let greedy ctx items preds =
   build None [] items preds
 
 (* swap hash-join sides so the smaller estimated input is built *)
-let rec choose_build_sides ctx (p : Plan.t) =
-  let p = Plan.map_children (choose_build_sides ctx) p in
+let rec choose_build_sides ~check ctx (p : Plan.t) =
+  let p = Plan.map_children (choose_build_sides ~check ctx) p in
   match p with
   | Plan.Join ({ left; right; _ } as j) ->
     let l = Cost.estimate ctx left and r = Cost.estimate ctx right in
     if r.Cost.cardinality > l.Cost.cardinality *. 1.5 then (
       let p' = Plan.Join { j with left = right; right = left } in
-      !Rules.checker ~rule:"join-build-side-swap" ~before:p ~after:p';
+      check ~rule:"join-build-side-swap" ~before:p ~after:p';
       p')
     else p
   | p -> p
 
-let optimize_stream ctx (p : Plan.t) =
+let optimize_stream ~check ctx (p : Plan.t) =
   match decompose p with
-  | items, preds -> choose_build_sides ctx (Rules.apply (greedy ctx items preds))
-  | exception Unsupported -> choose_build_sides ctx (Rules.apply p)
+  | items, preds ->
+    choose_build_sides ~check ctx (Rules.apply ~check (greedy ~check ctx items preds))
+  | exception Unsupported -> choose_build_sides ~check ctx (Rules.apply ~check p)
 
-let optimize ctx (p : Plan.t) =
+let optimize ?(check = Rules.no_check) ctx (p : Plan.t) =
   (* grouping recognition first: the correlated group-by idiom becomes a
      single Nest pass, then its input stream is ordered as usual *)
   match Groupby.rewrite p with
   | Some (Plan.Reduce ({ child = Plan.Nest n; _ } as r) as nested) ->
-    !Rules.checker ~rule:"groupby-nest" ~before:p ~after:nested;
+    check ~rule:"groupby-nest" ~before:p ~after:nested;
     Plan.Reduce
-      { r with child = Plan.Nest { n with child = optimize_stream ctx n.child } }
+      { r with child = Plan.Nest { n with child = optimize_stream ~check ctx n.child } }
   | Some p' ->
-    !Rules.checker ~rule:"groupby-nest" ~before:p ~after:p';
+    check ~rule:"groupby-nest" ~before:p ~after:p';
     p'
   | None -> (
     match p with
-    | Plan.Reduce r -> Plan.Reduce { r with child = optimize_stream ctx r.child }
-    | Plan.Nest n -> Plan.Nest { n with child = optimize_stream ctx n.child }
-    | p -> optimize_stream ctx p)
+    | Plan.Reduce r -> Plan.Reduce { r with child = optimize_stream ~check ctx r.child }
+    | Plan.Nest n -> Plan.Nest { n with child = optimize_stream ~check ctx n.child }
+    | p -> optimize_stream ~check ctx p)
 
 let optimize_with_report ctx p =
   let before = Cost.estimate ctx p in

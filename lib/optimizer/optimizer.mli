@@ -19,10 +19,15 @@ type report = {
   rewritten : Vida_algebra.Plan.t;
 }
 
-(** [optimize ctx plan] returns the optimized plan. Plans whose stream part
-    contains shapes the decomposer does not handle (nested [Reduce]/[Nest])
-    still get the rewrite pass. *)
-val optimize : Vida_engine.Plugins.ctx -> Vida_algebra.Plan.t -> Vida_algebra.Plan.t
+(** [optimize ?check ctx plan] returns the optimized plan. Plans whose
+    stream part contains shapes the decomposer does not handle (nested
+    [Reduce]/[Nest]) still get the rewrite pass. Every rewrite firing —
+    rule applications, the greedy builder's cost trials included, build-side
+    swaps and the group-by recognition — is reported to [check] (default:
+    none). *)
+val optimize :
+  ?check:Rules.check -> Vida_engine.Plugins.ctx -> Vida_algebra.Plan.t ->
+  Vida_algebra.Plan.t
 
 (** [optimize_with_report ctx plan] also returns cost estimates before and
     after, for EXPLAIN output and tests. *)

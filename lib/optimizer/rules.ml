@@ -83,49 +83,44 @@ let builtin_rules =
 
 let extra_rules : rule list ref = ref []
 
-let checker :
-    (rule:string -> before:Plan.t -> after:Plan.t -> unit) ref =
-  ref (fun ~rule:_ ~before:_ ~after:_ -> ())
+type check = rule:string -> before:Plan.t -> after:Plan.t -> unit
 
-let with_checker f body =
-  let saved = !checker in
-  checker := f;
-  Fun.protect ~finally:(fun () -> checker := saved) body
+let no_check ~rule:_ ~before:_ ~after:_ = ()
 
 (* One rewrite attempt at the root: first applicable rule wins. Every
-   firing is reported to [checker] with the rule named — a subtree is
+   firing is reported to [check] with the rule named — a subtree is
    closed over its own binders (the algebra binds bottom-up), so it can be
    verified in isolation. *)
-let rewrite_root (p : Plan.t) : Plan.t option =
+let rewrite_root check (p : Plan.t) : Plan.t option =
   let rec try_rules = function
     | [] -> None
     | r :: rest -> (
       match r.rewrite p with
       | None -> try_rules rest
       | Some p' ->
-        !checker ~rule:r.name ~before:p ~after:p';
+        check ~rule:r.name ~before:p ~after:p';
         Some p')
   in
   try_rules (builtin_rules @ !extra_rules)
 
-let rec fixpoint_root p n =
+let rec fixpoint_root check p n =
   if n = 0 then p
   else
-    match rewrite_root p with
-    | Some p' -> fixpoint_root p' (n - 1)
+    match rewrite_root check p with
+    | Some p' -> fixpoint_root check p' (n - 1)
     | None -> p
 
-let rec pass p =
-  let p = fixpoint_root p 32 in
-  Plan.map_children pass p
+let rec pass check p =
+  let p = fixpoint_root check p 32 in
+  Plan.map_children (pass check) p
 
-let apply p =
+let apply ?(check = no_check) p =
   (* a pushed-down selection can enable further pushdown below it: iterate
      whole-tree passes to a (bounded) fixpoint *)
   let rec go p n =
     if n = 0 then p
     else
-      let p' = pass p in
+      let p' = pass check p in
       if Plan.equal p' p then p else go p' (n - 1)
   in
   go p 16

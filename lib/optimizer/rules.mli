@@ -11,7 +11,7 @@
     Rewrites are semantics-preserving on environment streams; the
     differential test-suite checks them against the reference executor,
     and every individual firing can additionally be checked by the plan
-    verifier through {!checker} — each rule is named, so a type-breaking
+    verifier through [apply]'s [check] — each rule is named, so a type-breaking
     firing is reported against the rule that produced it. *)
 
 (** One named local rewrite. [rewrite] returns [None] when the rule does
@@ -26,21 +26,20 @@ val builtin_rules : rule list
     default; reset it when done. *)
 val extra_rules : rule list ref
 
-(** Per-firing observation hook: called as [checker ~rule ~before ~after]
+(** Per-firing observation hook: called as [check ~rule ~before ~after]
     for every successful rule application ([before] the subtree it fired
-    on, [after] its replacement). The default is a no-op; installing the
-    plan verifier here turns every optimizer step into checked territory.
-    May raise (e.g. {!Vida_error.Error}) to abort the rewrite. *)
-val checker :
-  (rule:string -> before:Vida_algebra.Plan.t -> after:Vida_algebra.Plan.t -> unit) ref
+    on, [after] its replacement). Passing the plan verifier here turns
+    every optimizer step into checked territory. May raise (e.g.
+    {!Vida_error.Error}) to abort the rewrite. *)
+type check =
+  rule:string -> before:Vida_algebra.Plan.t -> after:Vida_algebra.Plan.t -> unit
 
-(** [with_checker f body] installs [f] for the duration of [body]
-    (exception-safe, restores the previous hook). *)
-val with_checker :
-  (rule:string -> before:Vida_algebra.Plan.t -> after:Vida_algebra.Plan.t -> unit) ->
-  (unit -> 'a) -> 'a
+(** The check that observes nothing. *)
+val no_check : check
 
-val apply : Vida_algebra.Plan.t -> Vida_algebra.Plan.t
+(** [apply ?check p] runs the rules to a bounded fixpoint, reporting every
+    firing to [check] (default: none). *)
+val apply : ?check:check -> Vida_algebra.Plan.t -> Vida_algebra.Plan.t
 
 (** [conjuncts e] splits nested conjunctions into a flat list. *)
 val conjuncts : Vida_calculus.Expr.t -> Vida_calculus.Expr.t list

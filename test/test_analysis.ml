@@ -16,6 +16,7 @@ open Vida_analysis
 
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
+let check_int = Alcotest.(check int)
 
 (* --- fixtures ------------------------------------------------------- *)
 
@@ -211,7 +212,7 @@ let test_check_rewrite_names_rule () =
   let after =
     Plan.Select { pred = Expr.Proj (age_gt 60, "nope"); child = patients_src }
   in
-  match Verifier.check_rewrite ~stage:"optimize" ~rule:"evil" ~env ~before ~after with
+  match Verifier.check_rewrite ~stage:"optimize" ~rule:"evil" ~env ~before ~after () with
   | Error (Vida_error.Plan_invalid { rule = Some r; _ }) ->
     check_string "rule named" "evil" r
   | Error e -> Alcotest.failf "wrong error: %s" (Vida_error.to_string e)
@@ -220,7 +221,7 @@ let test_check_rewrite_names_rule () =
 (* every optimizer rule firing on a corpus of plans must verify *)
 
 let strict_checker ~rule ~before ~after =
-  match Verifier.check_rewrite ~stage:"optimize" ~rule ~env ~before ~after with
+  match Verifier.check_rewrite ~stage:"optimize" ~rule ~env ~before ~after () with
   | Ok () -> ()
   | Error e -> raise (Vida_error.Error e)
 
@@ -247,10 +248,7 @@ let test_builtin_rules_verified () =
   in
   List.iter
     (fun p ->
-      let p' =
-        Vida_optimizer.Rules.with_checker strict_checker (fun () ->
-            Vida_optimizer.Rules.apply p)
-      in
+      let p' = Vida_optimizer.Rules.apply ~check:strict_checker p in
       match Verifier.verify ~stage:"optimize" ~env p' with
       | Ok () -> ()
       | Error e ->
@@ -272,10 +270,7 @@ let test_mutant_rule_rejected () =
   Fun.protect
     ~finally:(fun () -> Vida_optimizer.Rules.extra_rules := [])
     (fun () ->
-      match
-        Vida_optimizer.Rules.with_checker strict_checker (fun () ->
-            Vida_optimizer.Rules.apply plan)
-      with
+      match Vida_optimizer.Rules.apply ~check:strict_checker plan with
       | _ -> Alcotest.fail "type-breaking mutant rule not rejected"
       | exception Vida_error.Error (Vida_error.Plan_invalid { rule = Some r; _ })
         ->
@@ -303,7 +298,7 @@ let test_workload_rules_verified () =
   let ctx = Vida.ctx db in
   let wenv = Vida_catalog.Registry.type_env ctx.Vida_engine.Plugins.registry in
   let checker ~rule ~before ~after =
-    match Verifier.check_rewrite ~stage:"optimize" ~rule ~env:wenv ~before ~after with
+    match Verifier.check_rewrite ~stage:"optimize" ~rule ~env:wenv ~before ~after () with
     | Ok () -> ()
     | Error e -> raise (Vida_error.Error e)
   in
@@ -320,10 +315,7 @@ let test_workload_rules_verified () =
         | Error err ->
           Alcotest.failf "q%d fails after translate: %s"
             q.Vida_workload.Hbp_queries.id (Vida_error.to_string err));
-        let optimized =
-          Vida_optimizer.Rules.with_checker checker (fun () ->
-              Vida_optimizer.Optimizer.optimize ctx plan)
-        in
+        let optimized = Vida_optimizer.Optimizer.optimize ~check:checker ctx plan in
         match Verifier.verify ~stage:"optimize" ~env:wenv optimized with
         | Ok () -> ()
         | Error err ->
@@ -375,6 +367,190 @@ let test_strict_mode_aborts_on_mutant () =
         check_string "mutant named in query error" "mutant-broken-select" r
       | Error e -> Alcotest.failf "wrong error: %s" (Vida.error_to_string e)
       | Ok _ -> Alcotest.fail "strict mode ran a type-broken plan")
+
+(* --- the per-derivation typing memo ------------------------------------ *)
+
+let with_rules rules body =
+  Vida_optimizer.Rules.extra_rules := rules;
+  Fun.protect ~finally:(fun () -> Vida_optimizer.Rules.extra_rules := []) body
+
+let broken_select_mutant =
+  { Vida_optimizer.Rules.name = "mutant-broken-select";
+    rewrite =
+      (function
+      | Plan.Select { pred; child } ->
+        Some (Plan.Select { pred = Expr.Proj (pred, "nope"); child })
+      | _ -> None) }
+
+(* fires only on a selection pushed down onto the Genetics source: deep
+   inside a three-way join, never at a root the memo has not seen *)
+let deep_mutant =
+  { Vida_optimizer.Rules.name = "mutant-deep-genetics-select";
+    rewrite =
+      (function
+      | Plan.Select { pred; child = Plan.Source { var = "g"; _ } as child } ->
+        Some (Plan.Select { pred = Expr.Proj (pred, "nope"); child })
+      | _ -> None) }
+
+let three_way_query =
+  Printf.sprintf
+    "for { p <- Patients, g <- Genetics, b <- BrainRegions, p.id = g.id, g.id = b.id, \
+     p.age > 40, g.%s = 1 } yield bag (id := p.id, city := p.city, quality := b.quality)"
+    (Vida_workload.Hbp_data.snp_attr 1)
+
+let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: t -> drop (n - 1) t
+
+let test_deep_mutant_caught () =
+  let db = Lazy.force hbp_db in
+  with_rules [ deep_mutant ] (fun () ->
+      (* Warn: the firing is logged with the rule named *)
+      let seen = List.length (Vida.verify_log db) in
+      ignore (Vida.query db ~reuse:false three_way_query);
+      let logged = drop seen (Vida.verify_log db) in
+      check_bool "deep firing logged with the rule named" true
+        (List.exists
+           (fun line -> Astring.String.is_infix ~affix:"mutant-deep-genetics-select" line)
+           logged);
+      (* Strict: the same firing aborts the query *)
+      Vida.set_verify db Vida.Strict;
+      Fun.protect
+        ~finally:(fun () -> Vida.set_verify db Vida.Warn)
+        (fun () ->
+          match Vida.query db ~reuse:false three_way_query with
+          | Error (Vida.Data_error (Vida_error.Plan_invalid { rule = Some r; _ })) ->
+            check_string "deep mutant named" "mutant-deep-genetics-select" r
+          | Error e -> Alcotest.failf "wrong error: %s" (Vida.error_to_string e)
+          | Ok _ -> Alcotest.fail "strict mode ran a type-broken plan"))
+
+(* One derivation's checks, replayed as the pipeline makes them (the
+   translate stage, every optimizer firing, the optimize stage, the JIT's
+   count-head firing): each check run twice, under the derivation's
+   shared memo and under a fresh one. Returns the per-check outcomes of
+   both, and the log the fresh checks write. *)
+let replay_checks ctx env plan =
+  let shared = Verifier.memo () in
+  let outcomes = ref [] in
+  let check ~stage ~rule ~before ~after =
+    let s = Verifier.check_rewrite ~memo:shared ~stage ~rule ~env ~before ~after () in
+    let f = Verifier.check_rewrite ~stage ~rule ~env ~before ~after () in
+    outcomes := (stage ^ "/" ^ rule, s, f) :: !outcomes
+  in
+  let verify stage p =
+    let s = Verifier.verify ~memo:shared ~stage ~env p in
+    let f = Verifier.verify ~stage ~env p in
+    outcomes := (stage, s, f) :: !outcomes
+  in
+  verify "translate" plan;
+  let optimized = Vida_optimizer.Optimizer.optimize ~check:(check ~stage:"optimize") ctx plan in
+  verify "optimize" optimized;
+  let jit_plan = Vida_engine.Analysis.neutralize_count optimized in
+  if jit_plan != optimized then
+    check ~stage:"jit" ~rule:"neutralize-count-head" ~before:optimized ~after:jit_plan;
+  let outcomes = List.rev !outcomes in
+  let log =
+    List.filter_map
+      (fun (_, _, f) -> match f with Ok () -> None | Error e -> Some (Vida_error.to_string e))
+      outcomes
+  in
+  (outcomes, log)
+
+let plan_of text =
+  match Vida_calculus.Parser.parse text with
+  | Error msg -> Alcotest.failf "parse %s: %s" text msg
+  | Ok e -> Translate.plan_of_comp (Rewrite.normalize e)
+
+let corpus = lazy (Vida_workload.Hbp_queries.workload ~n:40 hbp_config)
+
+let test_memo_differential () =
+  let db = Lazy.force hbp_db in
+  let ctx = Vida.ctx db in
+  let wenv = Vida_catalog.Registry.type_env ctx.Vida_engine.Plugins.registry in
+  let same = function
+    | Ok (), Ok () -> true
+    | Error a, Error b -> Vida_error.to_string a = Vida_error.to_string b
+    | _ -> false
+  in
+  let failing = ref 0 and checks = ref 0 in
+  List.iter
+    (fun rules ->
+      with_rules rules (fun () ->
+          List.iter
+            (fun q ->
+              let text = q.Vida_workload.Hbp_queries.text in
+              let outcomes, _ = replay_checks ctx wenv (plan_of text) in
+              List.iter
+                (fun (what, s, f) ->
+                  incr checks;
+                  if Result.is_error f then incr failing;
+                  if not (same (s, f)) then
+                    Alcotest.failf "q%d %s: shared memo %s, fresh memo %s"
+                      q.Vida_workload.Hbp_queries.id what
+                      (match s with Ok () -> "ok" | Error e -> Vida_error.to_string e)
+                      (match f with Ok () -> "ok" | Error e -> Vida_error.to_string e))
+                outcomes)
+            (Lazy.force corpus)))
+    [ []; [ broken_select_mutant ]; [ deep_mutant ] ];
+  check_bool "the mutants fail checks" true (!failing > 0);
+  check_bool "every firing compared" true (!checks > !failing)
+
+(* the pipeline's log under its shared memo is the log fresh checks
+   write, query by query *)
+let test_memo_verify_log () =
+  let paths =
+    Vida_workload.Hbp_data.generate hbp_config
+      ~dir:(Filename.concat (Filename.get_temp_dir_name ()) "vida_analysis_test")
+  in
+  let db = Vida.create () in
+  Vida.csv db ~name:"Patients" ~path:paths.Vida_workload.Hbp_data.patients ();
+  Vida.csv db ~name:"Genetics" ~path:paths.Vida_workload.Hbp_data.genetics ();
+  Vida.json db ~name:"BrainRegions" ~path:paths.Vida_workload.Hbp_data.regions ();
+  let ctx = Vida.ctx db in
+  let wenv = Vida_catalog.Registry.type_env ctx.Vida_engine.Plugins.registry in
+  with_rules [ deep_mutant ] (fun () ->
+      List.iter
+        (fun q ->
+          let text = q.Vida_workload.Hbp_queries.text in
+          let _, expected = replay_checks ctx wenv (plan_of text) in
+          let seen = List.length (Vida.verify_log db) in
+          ignore (Vida.query db ~reuse:false text);
+          Alcotest.(check (list string))
+            (Printf.sprintf "q%d log" q.Vida_workload.Hbp_queries.id)
+            expected
+            (drop seen (Vida.verify_log db)))
+        (Lazy.force corpus));
+  check_bool "the deep mutant was logged" true (Vida.verify_log db <> [])
+
+let test_memo_types_built_nodes () =
+  let rule =
+    List.find
+      (fun r -> r.Vida_optimizer.Rules.name = "select-into-product")
+      Vida_optimizer.Rules.builtin_rules
+  in
+  let left = Plan.Join { pred = id_join; left = patients_src; right = regions_src } in
+  let right = Plan.Source { var = "q"; expr = Expr.Var "Patients" } in
+  let before = Plan.Select { pred = age_gt 70; child = Plan.Product { left; right } } in
+  let after =
+    match rule.rewrite before with Some p -> p | None -> Alcotest.fail "rule did not fire"
+  in
+  let m = Verifier.memo () in
+  (match Verifier.verify ~memo:m ~env before with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "before rejected: %s" (Vida_error.to_string e));
+  check_int "the before's six nodes typed" 6 (Verifier.typed m);
+  (match Verifier.check_rewrite ~memo:m ~stage:"optimize" ~rule:rule.name ~env ~before ~after () with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "firing rejected: %s" (Vida_error.to_string e));
+  check_int "only the pushed selection and the new product typed" 8 (Verifier.typed m);
+  ignore (Verifier.check_rewrite ~memo:m ~stage:"optimize" ~rule:rule.name ~env ~before ~after ());
+  check_int "a repeated check types nothing" 8 (Verifier.typed m);
+  (* a failing node is never stored: it fails again, the same way *)
+  let bad = Plan.Select { pred = Expr.Proj (age_gt 60, "nope"); child = left } in
+  let first = Verifier.verify ~memo:m ~env bad and again = Verifier.verify ~memo:m ~env bad in
+  check_bool "failure repeats" true
+    (match first, again with
+    | Error a, Error b -> Vida_error.to_string a = Vida_error.to_string b
+    | _ -> false);
+  check_int "a failing node is not stored" 8 (Verifier.typed m)
 
 (* --- normalization preserves typing (QCheck over the calculus) -------- *)
 
@@ -532,7 +708,11 @@ let () =
           Alcotest.test_case "mutant rejected" `Quick test_mutant_rule_rejected;
           Alcotest.test_case "workload rules verified" `Quick test_workload_rules_verified;
           Alcotest.test_case "strict end to end" `Quick test_strict_mode_end_to_end;
-          Alcotest.test_case "strict aborts mutant" `Quick test_strict_mode_aborts_on_mutant
+          Alcotest.test_case "strict aborts mutant" `Quick test_strict_mode_aborts_on_mutant;
+          Alcotest.test_case "memo catches deep mutant" `Quick test_deep_mutant_caught;
+          Alcotest.test_case "memo differential" `Quick test_memo_differential;
+          Alcotest.test_case "memo verify log" `Quick test_memo_verify_log;
+          Alcotest.test_case "memo types built nodes" `Quick test_memo_types_built_nodes
         ] );
       ( "typecheck",
         [ QCheck_alcotest.to_alcotest prop_normalize_preserves_typing;

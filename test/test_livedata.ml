@@ -264,6 +264,32 @@ let test_schema_kept_large_csv () =
   check_answers "after" db ~register [ "for { r <- S } yield count r"; "for { r <- S } yield max r.id" ];
   rm path
 
+(* A query's raw-access window opens before it refreshes its sources: the
+   append repair and the reload a query triggers are its own, so a query
+   that loaded a file is not reported as served from cache. *)
+let test_query_io_includes_repair () =
+  let path = tmp_file ("id,v,s\n" ^ int_rows ~first:1 150) in
+  let db = Vida.create ~domains:1 () in
+  Vida.csv db ~name:"S" ~path ();
+  let q = "for { r <- S } yield sum r.v" in
+  check_value "before the append" (Value.Int 113250) (Vida.query db q);
+  append_file path (int_rows ~first:151 2);
+  let result, io = Io_stats.measure (fun () -> Vida.query db q) in
+  (match result with
+  | Error e -> Alcotest.failf "post-append query: %s" (Vida.error_to_string e)
+  | Ok r ->
+    check_val "sum includes appended rows" (Value.Int 116280) r.Vida.value;
+    let raw = r.Vida.raw_io in
+    check_int "the repair's load reported" 1 raw.Io_stats.file_loads;
+    (* the repair re-converts the last old row's cell and the two new ones *)
+    check_int "the repair's conversions reported" 3 raw.Io_stats.values_converted;
+    check_bool "the whole query's raw work reported" true (raw = io);
+    check_bool "not served from cache" false r.Vida.served_from_cache);
+  let session = (Vida.stats db).Vida.io in
+  check_int "the session counts all 153 conversions" 153 session.Io_stats.values_converted;
+  check_int "the session counts both loads" 2 session.Io_stats.file_loads;
+  rm path
+
 let json_rows ~first n value =
   String.concat ""
     (List.init n (fun i -> Printf.sprintf "{\"id\":%d,\"a\":%s}\n" (first + i) (value (first + i))))
@@ -652,7 +678,8 @@ let () =
           Alcotest.test_case "json differential" `Quick test_json_extend_differential;
           Alcotest.test_case "xml differential" `Quick test_xml_extend_differential;
           Alcotest.test_case "repair equals rebuild" `Quick test_repair_equals_rebuild;
-          Alcotest.test_case "one generation per repair" `Quick test_repair_one_generation
+          Alcotest.test_case "one generation per repair" `Quick test_repair_one_generation;
+          Alcotest.test_case "query io includes repair" `Quick test_query_io_includes_repair
         ] );
       ( "schema-across-appends",
         [ Alcotest.test_case "small csv widens" `Quick test_schema_widens_small_csv;

@@ -353,6 +353,35 @@ let test_registry_staleness_and_refresh () =
   | None -> Alcotest.fail "refresh failed");
   check_int "fresh again" 0 (List.length (Registry.stale_sources reg))
 
+(* The type environment is kept per entry, built when the entry is added
+   or replaced: a refresh that re-infers and a re-registration under the
+   same name both show in it. *)
+let test_registry_type_env_follows_inference () =
+  let reg = Registry.create () in
+  let path = tmp_file "id,v\n1,10\n2,20\n" in
+  let _ = Registry.register_csv reg ~name:"S" ~path () in
+  let v_type () =
+    match List.assoc_opt "S" (Registry.type_env reg) with
+    | Some (Ty.Coll (Ty.Bag, Ty.Record fields)) -> List.assoc "v" fields
+    | _ -> Alcotest.fail "S is not a bag of records"
+  in
+  check_bool "v inferred int" true (Ty.equal (v_type ()) Ty.Int);
+  let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path in
+  output_string oc "3,2.5\n4,7.25\n";
+  close_out oc;
+  check_bool "refreshed" true (Registry.refresh reg "S" <> None);
+  check_bool "v widened to float" true (Ty.equal (v_type ()) Ty.Float);
+  Registry.unregister reg "S";
+  check_bool "unregistered source untyped" true
+    (List.assoc_opt "S" (Registry.type_env reg) = None);
+  let other = tmp_file "id,name\n1,ada\n" in
+  let _ = Registry.register_csv reg ~name:"S" ~path:other () in
+  check_bool "the new source's type" true
+    (match List.assoc_opt "S" (Registry.type_env reg) with
+    | Some t ->
+      Ty.equal t (Ty.Coll (Ty.Bag, Ty.Record [ ("id", Ty.Int); ("name", Ty.String) ]))
+    | None -> false)
+
 (* --- vbson --- *)
 
 let value_gen : Value.t QCheck.Gen.t =
@@ -542,7 +571,9 @@ let () =
       ( "registry",
         [ Alcotest.test_case "register/find" `Quick test_registry_csv_json_inline;
           Alcotest.test_case "duplicate/unregister" `Quick test_registry_duplicate_and_unregister;
-          Alcotest.test_case "staleness/refresh" `Quick test_registry_staleness_and_refresh
+          Alcotest.test_case "staleness/refresh" `Quick test_registry_staleness_and_refresh;
+          Alcotest.test_case "type env follows inference" `Quick
+            test_registry_type_env_follows_inference
         ] );
       ( "vbson",
         [ Alcotest.test_case "compact" `Quick test_vbson_compact;
