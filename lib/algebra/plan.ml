@@ -99,11 +99,11 @@ let map_children f p =
     let r = f right in
     if l == left && r == right then p else Join { j with left = l; right = r }
 
-let validate ?(known = fun _ -> false) p =
+let validate ?(known = fun _ -> false) ~externals p =
   let problem = ref None in
   let fail fmt = Format.kasprintf (fun s -> if !problem = None then problem := Some s) fmt in
   (* the externals are needed only for a variable no binder supplies *)
-  let externals = lazy (free_set p) in
+  let externals = lazy (Sset.of_list externals) in
   let check_expr bound e =
     List.iter
       (fun v ->

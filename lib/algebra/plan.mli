@@ -61,13 +61,16 @@ val bound_vars : t -> string list
     supplied by the session environment (registered sources, parameters). *)
 val free_vars : t -> string list
 
-(** [validate p] checks well-formedness: scalar expressions only reference
-    bound or external variables, binders do not clash, [Reduce]/[Nest]
+(** [validate ~externals p] checks well-formedness: scalar expressions
+    only reference bound variables or the caller's [externals] (for a
+    query, the registered sources and parameters; for a subplan, the
+    variables its context binds), binders do not clash, [Reduce]/[Nest]
     monoids are sane. Returns a description of the first problem found.
     Subtrees for which [known] holds (default: none) were validated
     before and are skipped; validity of a subtree does not depend on
     where it sits. *)
-val validate : ?known:(t -> bool) -> t -> (unit, string) result
+val validate :
+  ?known:(t -> bool) -> externals:string list -> t -> (unit, string) result
 
 (** Children of the node, for generic traversals. *)
 val children : t -> t list

@@ -161,7 +161,9 @@ let infer ?stage ?rule ~env p =
    returns the result type. Only here do nodes enter a caller's memo, so
    an entry vouches for its whole subtree's validity too. *)
 let verified m p =
-  (match Plan.validate ~known:(Nodes.mem m.nodes) p with
+  (match
+     Plan.validate ~known:(Nodes.mem m.nodes) ~externals:(List.map fst m.externals) p
+   with
   | Ok () -> ()
   | Error msg -> fail "%s" msg);
   result_ty_in m p

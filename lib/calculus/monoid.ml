@@ -150,6 +150,18 @@ type accumulator = {
 
 let accumulator m = { monoid = m; acc = zero m; items = []; count = 0 }
 
+let resumable = function
+  | Prim (Count | Sum | Prod | Max | Min | Avg | All | Some_) | Coll (Ty.Bag | Ty.List) ->
+    true
+  | Prim (Median | Top _ | Bottom _) | Coll (Ty.Set | Ty.Array) -> false
+
+let resume m carrier =
+  match m with
+  | Coll _ | Prim Median ->
+    let items = List.rev (Value.elements carrier) in
+    { monoid = m; acc = zero m; items; count = List.length items }
+  | Prim _ -> { monoid = m; acc = carrier; items = []; count = 0 }
+
 let add a v =
   match a.monoid, v with
   | Prim Median, Value.Null -> ()

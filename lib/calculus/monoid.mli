@@ -68,6 +68,17 @@ val accumulator : t -> accumulator
 val add : accumulator -> Vida_data.Value.t -> unit
 val contents : accumulator -> Vida_data.Value.t
 
+(** [resumable m] holds for the monoids whose fold continues from a stored
+    carrier at the cost of the new elements alone: count, sum, prod, max,
+    min, avg, all, some, and the in-order bag and list. *)
+val resumable : t -> bool
+
+(** [resume m carrier] is an accumulator that continues the fold which
+    produced [carrier] (a {!contents}): adding [vs] to it gives the
+    carrier of the whole fold, step for step, not a merge of two
+    partials. *)
+val resume : t -> Vida_data.Value.t -> accumulator
+
 (** [fold m vs] = [finalize m (fold_left (merge m) (zero m) (map (unit m) vs))]. *)
 val fold : t -> Vida_data.Value.t list -> Vida_data.Value.t
 

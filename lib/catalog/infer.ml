@@ -28,8 +28,7 @@ let widen a b =
    {!Semi_index}). Inference reads only a prefix holding more than
    [sample] records, so the sampled records are exactly those of the
    whole file, and the sample ends where [csv_end]/[json_end] of it say. *)
-let csv_end s n =
-  let len = String.length s in
+let csv_end { Raw_buffer.data = s; len } n =
   let i = ref 0 and ended = ref 0 and quoted = ref false in
   while !ended < n && !i < len do
     (match String.unsafe_get s !i with
@@ -40,8 +39,7 @@ let csv_end s n =
   done;
   if !ended >= n then Some !i else None
 
-let json_end s n =
-  let len = String.length s in
+let json_end { Raw_buffer.data = s; len } n =
   let i = ref 0 and ended = ref 0 in
   while !ended < n && !i < len do
     if String.unsafe_get s !i = '\n' && !i > 0 && String.unsafe_get s (!i - 1) <> '\n'
@@ -52,7 +50,10 @@ let json_end s n =
 
 let csv_schema ?(delim = ',') ?(header = true) ?(sample = 100) buf =
   let records = sample + if header then 1 else 0 in
-  let buf = Raw_buffer.prefix buf ~enough:(fun s -> csv_end s (records + 1) <> None) in
+  let buf =
+    Raw_buffer.prefix buf ~enough:(fun s ->
+        csv_end (Raw_buffer.view_of_string s) (records + 1) <> None)
+  in
   let sample_end = csv_end (Raw_buffer.contents buf) records in
   let pm = Positional_map.build ~delim ~header buf in
   let names = Positional_map.column_names pm in
@@ -101,7 +102,10 @@ let xml_element ?(sample = 50) buf =
   match go None 0 with Some t -> t | None -> Ty.Any
 
 let json_element ?(sample = 50) buf =
-  let buf = Raw_buffer.prefix buf ~enough:(fun s -> json_end s (sample + 1) <> None) in
+  let buf =
+    Raw_buffer.prefix buf ~enough:(fun s ->
+        json_end (Raw_buffer.view_of_string s) (sample + 1) <> None)
+  in
   let sample_end = json_end (Raw_buffer.contents buf) sample in
   let si = Semi_index.build buf in
   let n = min sample (Semi_index.object_count si) in

@@ -10,17 +10,30 @@ type engine = Jit | Generic
 (** How much the plan verifier participates in the query pipeline. *)
 type verify = Off | Warn | Strict
 
+(* What continues a cached fold over the rows an append added to its one
+   source: the fold's pre-finalize carrier (the value itself where
+   finalize is the identity), the source's row count, element type and
+   fingerprint when it was computed. *)
+type repair = {
+  r_source : string;
+  r_carrier : Value.t;
+  r_rows : int;
+  r_element : Ty.t;
+  r_fp : Vida_raw.Fingerprint.t;
+}
+
 (* A result-cache entry: the value, the sources it was computed from with
    their file fingerprints at computation time, and a memo of the value's
    wire encoding, filled by the first reply that needs it. Concurrent
    sessions may race to fill the memo; both compute the same bytes. The
    memo lives and dies with the entry, so a purge or a stale drop discards
-   it too. *)
+   it too. A repairable entry outlives an append to its source. *)
 type cached_result = {
   c_value : Value.t;
   c_sources : string list;
   c_stamps : (string * string) list;
   c_encoded : Value.encoded option Atomic.t;
+  c_repair : repair option;
 }
 
 type t = {
@@ -37,6 +50,7 @@ type t = {
   result_cache : (string, cached_result) Hashtbl.t;
   mutable result_hits : int;
   mutable result_stale_drops : int;
+  mutable result_repairs : int;
   (* plan cache (serving layer): query text -> optimized plan, stamped
      with the source fingerprints and the catalog revision it was derived
      under; a hit skips parse/typecheck/translate/optimize entirely *)
@@ -125,7 +139,8 @@ let create ?cache_capacity ?domains ?(limits = Governor.unlimited) ?state_dir
   { registry; ctx; params = []; limits; verify = Warn; verify_log = [];
     queries_run = 0; queries_from_cache = 0;
     session_io = Vida_raw.Io_stats.zero; result_cache = Hashtbl.create 64;
-    result_hits = 0; result_stale_drops = 0; plan_cache = Hashtbl.create 64;
+    result_hits = 0; result_stale_drops = 0; result_repairs = 0;
+    plan_cache = Hashtbl.create 64;
     plan_hits = 0; plan_misses = 0; catalog_rev = 0;
     state; plan_spill; plan_warm_hits = 0; ledger_pending;
     last_persist_ms = 0.;
@@ -182,11 +197,16 @@ let external_source t ~name ~element ~count ~produce =
   ignore (Registry.register_external t.registry ~name ~element ~count ~produce);
   bump_rev t
 
-let purge_results t source =
+(* Drops the results computed from [source]; after an append the
+   repairable ones stay, to be continued at their next lookup. *)
+let purge_results ?(keep_repairable = false) t source =
   locked t (fun () ->
       let victims =
         Hashtbl.fold
-          (fun key c acc -> if List.mem source c.c_sources then key :: acc else acc)
+          (fun key c acc ->
+            if List.mem source c.c_sources && not (keep_repairable && c.c_repair <> None)
+            then key :: acc
+            else acc)
           t.result_cache []
       in
       List.iter (Hashtbl.remove t.result_cache) victims;
@@ -257,6 +277,7 @@ type result = {
   raw_io : Vida_raw.Io_stats.snapshot;
   served_from_cache : bool;
   from_result_cache : bool;
+  repaired : bool;
   plan_from_cache : bool;
       (* the optimized plan came from the instance plan cache: parse,
          typecheck, translation and optimization were all skipped *)
@@ -282,6 +303,7 @@ type stats = {
   queries_from_cache : int;
   result_reuse_hits : int;
   result_stale_drops : int;
+  result_repairs : int;
   plan_cache_hits : int;
   plan_cache_misses : int;
   cache : Vida_storage.Cache.stats;
@@ -326,7 +348,10 @@ let refresh_referenced t refs =
         match Plugins.refresh_source t.ctx source with
         | `Unchanged, Some fp -> Some (v, fp)
         | `Unchanged, None -> None
-        | (`Extended | `Rebuilt), _ ->
+        | `Extended, _ ->
+          purge_results ~keep_repairable:true t v;
+          None
+        | `Rebuilt, _ ->
           purge_results t v;
           None)
       | None -> None)
@@ -361,6 +386,74 @@ let pin_referenced t epoch ~probed refs =
 (* wall-clock milliseconds: reported durations must include time spent
    blocked or on worker domains, which CPU time ([Sys.time]) misses *)
 let now_ms () = Unix.gettimeofday () *. 1000.
+
+(* Counts one executed query and its raw work since [io_before] in the
+   session; returns that work and whether it touched no raw bytes. *)
+let note_executed t ~io_before =
+  let raw_io = Vida_raw.Io_stats.diff (Vida_raw.Io_stats.current ()) io_before in
+  let served_from_cache =
+    raw_io.Vida_raw.Io_stats.bytes_read = 0 && raw_io.Vida_raw.Io_stats.file_loads = 0
+  in
+  locked t (fun () ->
+      t.queries_run <- t.queries_run + 1;
+      if served_from_cache then t.queries_from_cache <- t.queries_from_cache + 1;
+      t.session_io <-
+        (let open Vida_raw.Io_stats in
+         { bytes_read = t.session_io.bytes_read + raw_io.bytes_read;
+           fields_tokenized = t.session_io.fields_tokenized + raw_io.fields_tokenized;
+           values_converted = t.session_io.values_converted + raw_io.values_converted;
+           objects_parsed = t.session_io.objects_parsed + raw_io.objects_parsed;
+           index_probes = t.session_io.index_probes + raw_io.index_probes;
+           file_loads = t.session_io.file_loads + raw_io.file_loads }));
+  (raw_io, served_from_cache)
+
+(* --- result repair (paper §2.1: derived state follows the raw file) ---
+
+   A cached fold over one source, with a resumable monoid, survives an
+   append to that source. Its next lookup folds only the rows the append
+   added, from the stored carrier, on the chain row fold. It recomputes
+   instead when the element type changed, under a cleaning policy or bad
+   rows, when the old generation ended mid-row, or when the current
+   generation does not extend the stored one. *)
+
+(* The repair record of a fold computed in the current epoch, [None]
+   when its source's structure does not hold the pinned generation. *)
+let fold_repair t ctx ~r_source ~r_carrier ~r_element =
+  match (Registry.find t.registry r_source, Vida_raw.Epoch.pinned r_source) with
+  | Some source, Some r_fp ->
+    Option.map
+      (fun r_rows -> { r_source; r_carrier; r_rows; r_element; r_fp })
+      (Plugins.item_count ctx source)
+  | _ -> None
+
+let repair_result t ctx plan c =
+  match c.c_repair with
+  | None -> None
+  | Some r -> (
+    match (Registry.find t.registry r.r_source, plan) with
+    | Some source, Vida_algebra.Plan.Reduce { monoid; _ }
+      when Ty.equal (Source.element_type source) r.r_element -> (
+      match Plugins.items_before ctx source ~old_fp:r.r_fp with
+      | Some (from, n) when from = r.r_rows -> (
+        match
+          Parallel.resume ctx (Analysis.neutralize_count plan) ~carrier:r.r_carrier ~from
+        with
+        | Some (r_carrier, n') when n' = n ->
+          Option.map
+            (fun r_fp ->
+              { c with c_value = Monoid.finalize monoid r_carrier;
+                c_stamps = source_fingerprints t c.c_sources;
+                c_encoded = Atomic.make None;
+                c_repair = Some { r with r_carrier; r_rows = n; r_fp } })
+            (Vida_raw.Epoch.pinned r.r_source)
+        | Some _ | None -> None
+        | exception
+            (Plugins.Engine_error _ | Eval.Error _ | Value.Type_error _ | Invalid_argument _)
+          ->
+          (* the recompute reports it *)
+          None)
+      | Some _ | None -> None)
+    | _ -> None)
 
 (* --- plan-verifier participation (ISSUE: typed-IR invariant checking).
 
@@ -629,23 +722,30 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs
       in
       let cached =
         (* a hit is only a hit while the underlying files are unchanged;
-           a stale entry is dropped and the query recomputed *)
+           a stale entry is continued over its source's appended rows
+           when it can be, else dropped and the query recomputed *)
         match
           if reuse then
             locked t (fun () -> Hashtbl.find_opt t.result_cache cache_key)
           else None
         with
         | Some c ->
-          if fingerprints_fresh t c.c_stamps then Some c
+          if fingerprints_fresh t c.c_stamps then `Hit c
           else (
-            locked t (fun () ->
-                Hashtbl.remove t.result_cache cache_key;
-                t.result_stale_drops <- t.result_stale_drops + 1);
-            None)
-        | None -> None
+            let t1 = now_ms () in
+            match repair_result t ctx plan c with
+            | Some c' ->
+              locked t (fun () -> Hashtbl.replace t.result_cache cache_key c');
+              `Repaired (c', t1, now_ms ())
+            | None ->
+              locked t (fun () ->
+                  Hashtbl.remove t.result_cache cache_key;
+                  t.result_stale_drops <- t.result_stale_drops + 1);
+              `Miss)
+        | None -> `Miss
       in
       match cached with
-      | Some c ->
+      | `Hit c ->
         locked t (fun () ->
             t.queries_run <- t.queries_run + 1;
             t.queries_from_cache <- t.queries_from_cache + 1;
@@ -653,9 +753,31 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs
         Ok
           { value = c.c_value; plan; compile_ms = now_ms () -. t0; exec_ms = 0.;
             raw_io = Vida_raw.Io_stats.zero; served_from_cache = true;
-            from_result_cache = true; plan_from_cache;
+            from_result_cache = true; repaired = false; plan_from_cache;
             governor = Governor.report session; epochs; encoded = c.c_encoded }
-      | None -> (
+      | `Repaired (c, t1, t2) ->
+        (* the refresh that grew the source was this query's raw work *)
+        let raw_io, served_from_cache = note_executed t ~io_before in
+        locked t (fun () -> t.result_repairs <- t.result_repairs + 1);
+        Ok
+          { value = c.c_value; plan; compile_ms = t1 -. t0; exec_ms = t2 -. t1; raw_io;
+            served_from_cache; from_result_cache = true; repaired = true; plan_from_cache;
+            governor = Governor.report session; epochs; encoded = c.c_encoded }
+      | `Miss -> (
+      (* a fold that may be continued after an append keeps its carrier *)
+      let repair_source =
+        if not reuse then None
+        else
+          Option.bind (Parallel.resumable ctx plan) (fun name ->
+              Option.map
+                (fun source -> (name, Source.element_type source))
+                (Registry.find t.registry name))
+      in
+      let carrier = ref None in
+      let ctx =
+        if repair_source = None then ctx
+        else { ctx with Plugins.carrier = Some (fun c -> carrier := Some c) }
+      in
       let run_generic () = (Interp.query ctx plan) () in
       (* degradation ladder, rung 1: a JIT code-generation or execution
          failure demotes the query to the Generic engine instead of failing
@@ -714,36 +836,23 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs
       match run () with
       | value ->
         let t2 = now_ms () in
-        let raw_io = Vida_raw.Io_stats.diff (Vida_raw.Io_stats.current ()) io_before in
-        let served_from_cache =
-          raw_io.Vida_raw.Io_stats.bytes_read = 0
-          && raw_io.Vida_raw.Io_stats.file_loads = 0
-        in
-        locked t (fun () ->
-            t.queries_run <- t.queries_run + 1;
-            if served_from_cache then
-              t.queries_from_cache <- t.queries_from_cache + 1;
-            t.session_io <-
-              (let open Vida_raw.Io_stats in
-               { bytes_read = t.session_io.bytes_read + raw_io.bytes_read;
-                 fields_tokenized =
-                   t.session_io.fields_tokenized + raw_io.fields_tokenized;
-                 values_converted =
-                   t.session_io.values_converted + raw_io.values_converted;
-                 objects_parsed = t.session_io.objects_parsed + raw_io.objects_parsed;
-                 index_probes = t.session_io.index_probes + raw_io.index_probes;
-                 file_loads = t.session_io.file_loads + raw_io.file_loads
-               }));
+        let raw_io, served_from_cache = note_executed t ~io_before in
         let encoded = Atomic.make None in
         if reuse then (
           let c_sources = Vida_algebra.Plan.free_vars plan in
           let c_stamps = source_fingerprints t c_sources in
+          let c_repair =
+            match (repair_source, !carrier) with
+            | Some (r_source, r_element), Some r_carrier ->
+              fold_repair t ctx ~r_source ~r_carrier ~r_element
+            | _ -> None
+          in
           locked t (fun () ->
               Hashtbl.replace t.result_cache cache_key
-                { c_value = value; c_sources; c_stamps; c_encoded = encoded }));
+                { c_value = value; c_sources; c_stamps; c_encoded = encoded; c_repair }));
         Ok
           { value; plan; compile_ms = t1 -. t0; exec_ms = t2 -. t1; raw_io;
-            served_from_cache; from_result_cache = false; plan_from_cache;
+            served_from_cache; from_result_cache = false; repaired = false; plan_from_cache;
             governor = Governor.report session; epochs; encoded }
       | exception Plugins.Engine_error msg -> Error (Engine_error msg)
       | exception Eval.Error msg -> Error (Engine_error msg)
@@ -1026,13 +1135,14 @@ let analysis_report (a : analysis) =
 
 let stats (t : t) =
   let queries_run, queries_from_cache, result_reuse_hits, result_stale_drops,
-      plan_cache_hits, plan_cache_misses, io =
+      result_repairs, plan_cache_hits, plan_cache_misses, io =
     locked t (fun () ->
         ( t.queries_run, t.queries_from_cache, t.result_hits,
-          t.result_stale_drops, t.plan_hits, t.plan_misses, t.session_io ))
+          t.result_stale_drops, t.result_repairs, t.plan_hits, t.plan_misses,
+          t.session_io ))
   in
   { queries_run; queries_from_cache; result_reuse_hits; result_stale_drops;
-    plan_cache_hits; plan_cache_misses;
+    result_repairs; plan_cache_hits; plan_cache_misses;
     cache = Vida_storage.Cache.stats t.ctx.Plugins.cache;
     io;
     structures_bytes = Structures.footprint t.ctx.Plugins.structures

@@ -142,7 +142,11 @@ type result = {
   served_from_cache : bool;  (** no raw bytes were read and no file loaded *)
   from_result_cache : bool;
       (** the whole result was re-used from a previous identical plan
-          (paper §5 result re-use); implies [served_from_cache] *)
+          (paper §5 result re-use), as it was or [repaired]; an
+          unrepaired one implies [served_from_cache] *)
+  repaired : bool;
+      (** the cached result was continued over the rows an append added
+          to its source, not recomputed ({!stats}' [result_repairs]) *)
   plan_from_cache : bool;
       (** the optimized plan was served by the instance plan cache —
           parse, typecheck, translation and optimization were skipped.
@@ -286,6 +290,9 @@ type stats = {
   result_stale_drops : int;
       (** cached results dropped because a referenced file's fingerprint
           changed since the result was computed *)
+  result_repairs : int;
+      (** cached folds continued over the rows an append added to their
+          source, instead of recomputed (also [from_result_cache]) *)
   plan_cache_hits : int;  (** queries whose optimized plan was reused *)
   plan_cache_misses : int;
       (** lookups that re-planned (no entry, stale entry, or a catalog

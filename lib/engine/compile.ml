@@ -143,6 +143,11 @@ and compile_query ctx ~outer_slots (plan : Plan.t) : (Value.t array -> unit) -> 
     let nslots = base + List.length vars in
     let chead = compile_scalar ctx slots head in
     let needs = needs_table plan in
+    (* a fold with no outer bindings hands its carrier over: the root's
+       (a plan whose carrier is kept has no subquery) *)
+    let finalize =
+      if outer_slots = [] then Plugins.finalize_root ctx monoid else Monoid.finalize monoid
+    in
     fun init ->
       let env = Array.make nslots Value.Null in
       init env;
@@ -153,7 +158,7 @@ and compile_query ctx ~outer_slots (plan : Plan.t) : (Value.t array -> unit) -> 
       in
       run ();
       List.iter (fun flush -> flush ()) !flushes;
-      Monoid.finalize monoid (Monoid.contents acc)
+      finalize (Monoid.contents acc)
   | p ->
     (* non-reduce top: produce the bag of binding records, matching the
        reference executor *)

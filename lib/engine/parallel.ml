@@ -63,8 +63,9 @@ let chain_vars var steps =
 
 (* Closure compilation of [e] must not reach shared mutable state when run
    on a worker domain; the effect analysis decides, and a decline carries
-   the offending subterm so callers (and `.analyze`) can explain it. *)
-let scoped ctx ~bound ~where e =
+   the offending subterm so callers (and `.analyze`) can explain it. A
+   [quiet] check (a result repair's) logs nothing. *)
+let scoped ?(quiet = false) ctx ~bound ~where e =
   match
     Effects.worker_verdict ~bound
       ~params:(List.map fst ctx.Plugins.params)
@@ -72,14 +73,14 @@ let scoped ctx ~bound ~where e =
   with
   | Ok () -> true
   | Error r ->
-    note_decline ~where (Effects.reason_to_string r);
+    if not quiet then note_decline ~where (Effects.reason_to_string r);
     false
 
-let steps_scoped ctx ~bound ~where steps =
+let steps_scoped ?quiet ctx ~bound ~where steps =
   List.for_all
     (function
-      | Vector.VFilter p -> scoped ctx ~bound ~where:(where ^ " filter") p
-      | Vector.VBind (_, e) -> scoped ctx ~bound ~where:(where ^ " binding") e)
+      | Vector.VFilter p -> scoped ?quiet ctx ~bound ~where:(where ^ " filter") p
+      | Vector.VBind (_, e) -> scoped ?quiet ctx ~bound ~where:(where ^ " binding") e)
     steps
 
 (* Fields of [source] the plan needs for chain variable [var]. [Whole] is
@@ -109,7 +110,7 @@ type chain = {
   columns : (string * Value.t array) array;
 }
 
-let resolve_chain ctx plan (p : Plan.t) =
+let resolve_chain ?quiet ctx plan (p : Plan.t) =
   match Vector.decompose p [] with
   | None -> None
   | Some (var, name, steps) -> (
@@ -117,7 +118,7 @@ let resolve_chain ctx plan (p : Plan.t) =
     | None -> None
     | Some source -> (
       let bound = chain_vars var steps in
-      if not (steps_scoped ctx ~bound ~where:"chain" steps) then None
+      if not (steps_scoped ?quiet ctx ~bound ~where:"chain" steps) then None
       else
         match fields_for ctx plan ~var source with
         | None -> None (* Whole needed, format can't reconstruct rows *)
@@ -159,24 +160,40 @@ let record_of_columns columns i =
   in
   Value.Record (go (Array.length columns - 1) [])
 
-let fold_chain_rows ctx ~domains ~monoid ~head (c : chain) =
+(* Rows [from, c.n) of the chain folded into a pre-finalize carrier. With
+   a stored [carrier] the fold continues it: at one domain row by row
+   from the carrier itself, on more domains as morsel partials merged
+   after it. *)
+let fold_chain_rows ctx ~domains ~monoid ~head ?(from = 0) ?carrier (c : chain) =
   let vars = chain_vars c.var c.steps in
   let slots = List.mapi (fun i v -> (v, i)) vars in
   let nslots = List.length vars in
-  let acc =
-    Vector.fold_morsels ~domains ~monoid ~subject:"rows" c.n (fun ~lo ~hi ->
-        let compiled = compile_steps ctx ~slots c.steps in
-        let chead = Compile.scalar ctx ~slots head in
-        let env = Array.make nslots Value.Null in
-        let acc = Monoid.accumulator monoid in
-        for i = lo to hi - 1 do
-          Governor.poll ~source:"parallel" ();
-          env.(0) <- record_of_columns c.columns i;
-          run_steps compiled env (fun () -> Monoid.add acc (chead env))
-        done;
-        Monoid.contents acc)
+  let fold acc ~lo ~hi =
+    let compiled = compile_steps ctx ~slots c.steps in
+    let chead = Compile.scalar ctx ~slots head in
+    let env = Array.make nslots Value.Null in
+    for i = lo to hi - 1 do
+      Governor.poll ~source:"parallel" ();
+      env.(0) <- record_of_columns c.columns i;
+      run_steps compiled env (fun () -> Monoid.add acc (chead env))
+    done;
+    Monoid.contents acc
   in
-  Monoid.finalize monoid acc
+  if domains <= 1 then
+    let acc =
+      match carrier with
+      | Some carrier -> Monoid.resume monoid carrier
+      | None -> Monoid.accumulator monoid
+    in
+    fold acc ~lo:from ~hi:c.n
+  else
+    let partial =
+      Vector.fold_morsels ~domains ~monoid ~subject:"rows" (c.n - from) (fun ~lo ~hi ->
+          fold (Monoid.accumulator monoid) ~lo:(from + lo) ~hi:(from + hi))
+    in
+    match carrier with
+    | Some carrier -> Monoid.merge monoid carrier partial
+    | None -> partial
 
 (* The row path behind a kernel decline: a Reduce over one chain folds in
    morsels. *)
@@ -191,8 +208,42 @@ let reduce_rows ctx ~budget (plan : Plan.t) =
       else
         let domains = Morsel.domains_for_rows ~domains:budget c.n in
         if domains <= 1 then None
-        else Some (fold_chain_rows ctx ~domains ~monoid ~head c))
+        else Some (Plugins.finalize_root ctx monoid (fold_chain_rows ctx ~domains ~monoid ~head c)))
   | _ -> None
+
+(* --- result repair ---
+
+   A cached fold over one source's chain, computed when the source held
+   [from] rows, is continued over the rows an append added: the monoid
+   guarantees fold (old ++ new) = fold old ⊕ fold new, and a resumable
+   monoid computes the right side from the stored carrier at the cost of
+   the new rows alone. *)
+
+let resumable_chain ctx (plan : Plan.t) =
+  match plan with
+  | Plan.Reduce { monoid; head; child } when Monoid.resumable monoid -> (
+    match Vector.decompose child [] with
+    | Some (var, name, steps) ->
+      let bound = chain_vars var steps in
+      if steps_scoped ~quiet:true ctx ~bound ~where:"chain" steps
+         && scoped ~quiet:true ctx ~bound ~where:"fold head" head
+      then Some (monoid, head, child, name)
+      else None
+    | None -> None)
+  | _ -> None
+
+let resumable ctx plan =
+  Option.map (fun (_, _, _, name) -> name) (resumable_chain ctx plan)
+
+let resume ctx plan ~carrier ~from =
+  match resumable_chain ctx plan with
+  | None -> None
+  | Some (monoid, head, child, _) -> (
+    match resolve_chain ~quiet:true ctx plan child with
+    | Some c when c.n >= from ->
+      let domains = Morsel.domains_for_rows ~domains:ctx.Plugins.domains (c.n - from) in
+      Some (fold_chain_rows ctx ~domains ~monoid ~head ~from ~carrier c, c.n)
+    | Some _ | None -> None)
 
 let try_query ctx ?domains (plan : Plan.t) : Value.t option =
   declines := [];

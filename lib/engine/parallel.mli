@@ -44,3 +44,25 @@ val last_declines : unit -> decline list
     {!Vida_raw.Morsel} minimum-rows floor. *)
 val try_query :
   Plugins.ctx -> ?domains:int -> Vida_algebra.Plan.t -> Vida_data.Value.t option
+
+(** {2 Result repair}
+
+    A cached result of a [Reduce] over a Select*/Map* chain on one
+    source, with a {!Vida_calculus.Monoid.resumable} monoid and nothing a
+    worker could not run (no subquery), continues over rows an append
+    added, through the same row fold. *)
+
+(** [resumable ctx plan] is the one source such a plan folds, or [None]
+    when the plan has another shape. Logs no decline. *)
+val resumable : Plugins.ctx -> Vida_algebra.Plan.t -> string option
+
+(** [resume ctx plan ~carrier ~from] folds rows [[from, n)] of the
+    plan's chain into the pre-finalize [carrier] of a fold over rows
+    [[0, from)], and returns the new carrier with [n], the row count
+    now. At one domain the rows are added to the carrier in order, so the
+    carrier is the one a fold over all [n] rows produces, bit for bit.
+    [None] when the plan is not {!resumable} or its source holds fewer
+    than [from] rows. The plan should carry {!Analysis.neutralize_count}. *)
+val resume :
+  Plugins.ctx -> Vida_algebra.Plan.t -> carrier:Vida_data.Value.t -> from:int ->
+  (Vida_data.Value.t * int) option

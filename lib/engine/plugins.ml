@@ -27,6 +27,8 @@ type ctx = {
       (* guards [cleaning]/[bad_rows]/[structural_quarantined] under
          concurrent sessions; the unlocked per-row bad-set probes are the
          registered race-allowed cell [bad_rows_cell] below *)
+  carrier : (Value.t -> unit) option;
+      (* the root fold's pre-finalize carrier, for a result repair *)
 }
 
 exception Engine_error of string
@@ -61,7 +63,13 @@ let create_ctx ?cache_capacity ?(params = []) ?domains registry =
     restored_quarantine = Hashtbl.create 4;
     feedback = Feedback.create ();
     domains = Vida_raw.Morsel.resolve ?requested:domains ();
-    lock = Vida_sync.Lock.create ~rank:45 ~name:"engine.plugins" () }
+    lock = Vida_sync.Lock.create ~rank:45 ~name:"engine.plugins" ();
+    carrier = None }
+
+(* The root fold's result: its carrier goes to [ctx.carrier] first. *)
+let finalize_root ctx monoid acc =
+  Option.iter (fun k -> k acc) ctx.carrier;
+  Vida_calculus.Monoid.finalize monoid acc
 
 let whole_object_item = "__object__"
 
@@ -897,6 +905,65 @@ let refresh_source ctx (source : Source.t) =
       match Vida_raw.Fingerprint.probe path with
       | Some fp when snapshot_matches fp -> (`Unchanged, Some fp)
       | probed -> (rebuilt (), probed)))
+
+(* --- the generation a result repair continues ---
+
+   A cached fold can continue over appended rows only if the rows it
+   folded are the first rows now, as they were: read off the source's
+   built row structure (positional map, semi-index, XML index), when that
+   structure holds the generation the query pinned and the source is
+   clean (no policy, no bad rows). *)
+let pinned_items ctx (source : Source.t) =
+  let name = source.Source.name in
+  let structure =
+    match source.Source.format with
+    | Source.Csv _ ->
+      Option.map
+        (fun pm ->
+          ( Vida_raw.Positional_map.buffer pm,
+            Vida_raw.Positional_map.row_count pm,
+            fun size -> Vida_raw.Positional_map.rows_within pm ~size ))
+        (Structures.peek_posmap ctx.structures name)
+    | Source.Json_lines _ ->
+      Option.map
+        (fun si ->
+          ( Vida_raw.Semi_index.buffer si,
+            Vida_raw.Semi_index.object_count si,
+            fun size -> Vida_raw.Semi_index.objects_within si ~size ))
+        (Structures.peek_semi_index ctx.structures name)
+    | Source.Xml _ -> (
+      (* a damaged element is the cleaning layer's: recompute *)
+      match Structures.peek_xml_index ctx.structures name with
+      | Some xi when Vida_raw.Xml_index.bad_spans xi = [] ->
+        Some
+          ( Vida_raw.Xml_index.buffer xi,
+            Vida_raw.Xml_index.element_count xi,
+            fun size -> Vida_raw.Xml_index.elements_within xi ~size )
+      | Some _ | None -> None)
+    | _ -> None
+  in
+  let clean () =
+    bad_row_count ctx name = 0 && not (locked ctx (fun () -> Hashtbl.mem ctx.cleaning name))
+  in
+  match (structure, Vida_raw.Epoch.pinned name) with
+  | Some (buf, _, _), Some pin
+    when Vida_raw.Raw_buffer.loaded buf && clean ()
+         && Vida_raw.Fingerprint.equal (Vida_raw.Fingerprint.of_buffer buf) pin ->
+    structure
+  | _ -> None
+
+let item_count ctx source = Option.map (fun (_, n, _) -> n) (pinned_items ctx source)
+
+let items_before ctx source ~(old_fp : Vida_raw.Fingerprint.t) =
+  match pinned_items ctx source with
+  | Some (buf, n, within) ->
+    let v = Vida_raw.Raw_buffer.contents buf in
+    let size = old_fp.Vida_raw.Fingerprint.size in
+    if size < v.len
+       && Vida_raw.Fingerprint.equal (Vida_raw.Fingerprint.of_sub v.data ~size) old_fp
+    then Option.map (fun k -> (k, n)) (within size)
+    else None
+  | None -> None
 
 let set_cleaning ctx ~source policy =
   locked ctx (fun () -> Hashtbl.replace ctx.cleaning source policy);

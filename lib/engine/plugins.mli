@@ -47,6 +47,10 @@ type ctx = {
           unlocked by design; that tolerance is registered with the
           sanitizer as the race-allowed cell ["plugins.bad-rows"]
           (see DESIGN.md §14) instead of prose *)
+  carrier : (Vida_data.Value.t -> unit) option;
+      (** receives the pre-finalize carrier of the plan's root fold, on a
+          per-query copy of the context whose result may later be
+          continued over appended rows; [None] otherwise *)
 }
 
 (** [create_ctx ?domains] resolves the domain budget as
@@ -56,6 +60,11 @@ type ctx = {
 val create_ctx :
   ?cache_capacity:int -> ?params:(string * Vida_data.Value.t) list ->
   ?domains:int -> Vida_catalog.Registry.t -> ctx
+
+(** [finalize_root ctx m acc] is [Monoid.finalize m acc], the plan's root
+    fold finishing; [acc] is handed to [ctx.carrier] first. *)
+val finalize_root :
+  ctx -> Vida_calculus.Monoid.t -> Vida_data.Value.t -> Vida_data.Value.t
 
 exception Engine_error of string
 
@@ -134,6 +143,22 @@ val refresh_source :
     source's caches are dropped so already-decoded columns are re-read
     under the new policy. *)
 val set_cleaning : ctx -> source:string -> Vida_cleaning.Policy.t -> unit
+
+(** [item_count ctx source] is the row (CSV), object (JSON lines) or
+    element (XML) count of the generation the ambient epoch pinned for
+    [source], read off its built structure. [None] for other formats,
+    under a cleaning policy, bad rows or damaged XML elements, or when no
+    structure of that generation is loaded. *)
+val item_count : ctx -> Vida_catalog.Source.t -> int option
+
+(** [items_before ctx source ~old_fp] is, for the same structure, when
+    its generation extends generation [old_fp] by append, the number of
+    items generation [old_fp] held, paired with {!item_count}. [None]
+    when that generation's last item did not end at a newline inside its
+    bytes (an append may have completed it), or on any condition under
+    which {!item_count} is [None]. *)
+val items_before :
+  ctx -> Vida_catalog.Source.t -> old_fp:Vida_raw.Fingerprint.t -> (int * int) option
 
 (** [cleaning_policy ctx source] — the active policy ([Policy.default]
     when none was set). *)

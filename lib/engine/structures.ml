@@ -146,6 +146,8 @@ let checkpoint_posmap t source =
 let peek_semi_index t name =
   locked t (fun () -> Hashtbl.find_opt t.semi_indexes name)
 
+let peek_xml_index t name = locked t (fun () -> Hashtbl.find_opt t.xml_indexes name)
+
 (* --- append-aware incremental repair (paper §2.1, refined) ---
 
    §2.1 drops auxiliary structures when the underlying file changes. For
@@ -172,9 +174,9 @@ type repair = {
    the old bytes [old_fp]: the structures extend from them. *)
 let appended_buffer old ~path ~old_fp ~probed =
   let tail_read =
-    match Option.bind old (Raw_buffer.extend ~size:probed.Fingerprint.size) with
-    | Some buf when Fingerprint.equal (Fingerprint.of_buffer buf) probed -> Some buf
-    | Some _ | None -> None
+    Option.bind old
+      (Raw_buffer.extend ~size:probed.Fingerprint.size ~accept:(fun v ->
+           Fingerprint.equal (Fingerprint.of_view v) probed))
   in
   match tail_read with
   | Some _ -> tail_read

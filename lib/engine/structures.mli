@@ -52,7 +52,7 @@ val warm_restores : t -> int
 
 val rebuilds : t -> int
 
-(** [peek_buffer]/[peek_posmap]/[peek_semi_index] return an already-built
+(** [peek_buffer]/[peek_posmap]/[peek_semi_index]/[peek_xml_index] return an already-built
     structure without building one — cost estimation and change detection
     must not trigger file scans. *)
 val peek_buffer : t -> string -> Vida_raw.Raw_buffer.t option
@@ -60,6 +60,8 @@ val peek_buffer : t -> string -> Vida_raw.Raw_buffer.t option
 val peek_posmap : t -> string -> Vida_raw.Positional_map.t option
 
 val peek_semi_index : t -> string -> Vida_raw.Semi_index.t option
+
+val peek_xml_index : t -> string -> Vida_raw.Xml_index.t option
 
 (** {1 Append-aware incremental repair} *)
 

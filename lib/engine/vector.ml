@@ -226,17 +226,19 @@ let promote ~field (arr : Value.t array) : col =
 (* Promotion memo, keyed by physical identity of the boxed column: the
    plugins cache hands out the same immutable array until invalidation,
    and live-data extension replaces arrays wholesale, so [==] is exact.
-   Bounded FIFO; a stale entry simply ages out. *)
-let memo : (Value.t array * col) list ref = ref []
+   Bounded FIFO. The key is weak: a column the cache replaced (an append
+   extends it into a new array) is not kept alive by its memo entry, and
+   neither is its promotion. *)
+let memo : (Value.t array, col) Ephemeron.K1.t list ref = ref []
 let memo_lock = Vida_sync.Lock.create ~rank:65 ~name:"vector.memo" ()
 let memo_cap = 64
 
 let promote_memo ~field arr =
   match
     Vida_sync.Lock.protect memo_lock (fun () ->
-        List.find_opt (fun (a, _) -> a == arr) !memo)
+        List.find_map (fun e -> Ephemeron.K1.query e arr) !memo)
   with
-  | Some (_, c) -> c
+  | Some c -> c
   | None ->
     let c = promote ~field arr in
     Vida_sync.Lock.protect memo_lock (fun () ->
@@ -245,7 +247,7 @@ let promote_memo ~field arr =
             List.filteri (fun i _ -> i < memo_cap - 1) !memo
           else !memo
         in
-        memo := (arr, c) :: kept);
+        memo := Ephemeron.K1.make arr c :: kept);
     c
 
 (* --- typed kernel IR -------------------------------------------------- *)
@@ -2064,7 +2066,7 @@ let run_candidate ctx ~domains (c : candidate) () : Value.t =
       Feedback.record ctx.Plugins.feedback
         ~key:(Feedback.cardinality_key c.name)
         ~observed:(float_of_int nrows);
-    Monoid.finalize c.monoid acc
+    Plugins.finalize_root ctx c.monoid acc
 
 (* The one way into the kernels, for {!Compile.query} (one domain) and
    {!Parallel.try_query}: [`Run] executes the whole plan vectorized, the

@@ -124,7 +124,7 @@ let rewrite (plan : Plan.t) : Plan.t option =
              classified)
       in
       let rewritten = Plan.Reduce { monoid = out_m; head = head'; child = nest } in
-      match Plan.validate rewritten with
+      match Plan.validate ~externals:(Plan.free_vars plan) rewritten with
       | Ok () -> Some rewritten
       | Error _ -> None))
   | _ -> None

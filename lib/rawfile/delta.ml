@@ -13,11 +13,11 @@ type t =
   | Rewritten
   | Vanished
 
-let classify_contents ~old_fp s =
-  let new_size = String.length s in
+let classify_contents ~old_fp (v : Raw_buffer.view) =
+  let new_size = v.len and s = v.data in
   let old_size = old_fp.Fingerprint.size in
   if new_size = old_size then
-    if Fingerprint.equal (Fingerprint.of_contents s) old_fp then Unchanged
+    if Fingerprint.equal (Fingerprint.of_view v) old_fp then Unchanged
     else Rewritten
   else if new_size < old_size then Truncated { old_size; new_size }
   else if Fingerprint.equal (Fingerprint.of_sub s ~size:old_size) old_fp then

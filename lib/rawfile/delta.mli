@@ -21,8 +21,9 @@ type t =
     pinning the file's current generation need not probe it again. *)
 val classify : old_fp:Fingerprint.t -> string -> t * Fingerprint.t option
 
-(** [classify_contents ~old_fp s] classifies in-memory bytes [s] against
-    the old fingerprint — for revalidating a freshly loaded buffer. *)
-val classify_contents : old_fp:Fingerprint.t -> string -> t
+(** [classify_contents ~old_fp v] classifies the bytes of a buffer view
+    against the old fingerprint — for revalidating a freshly loaded
+    buffer. *)
+val classify_contents : old_fp:Fingerprint.t -> Raw_buffer.view -> t
 
 val describe : t -> string

@@ -59,17 +59,17 @@ let changed ~source delta =
 
 (* Revalidate freshly loaded bytes against the pin (buffer loads: a reload
    mid-query must not hand the query a newer generation). *)
-let validate_contents ~source contents =
+let validate_contents ~source view =
   match pinned source with
   | None -> ()
   | Some fp -> (
-    match Delta.classify_contents ~old_fp:fp contents with
+    match Delta.classify_contents ~old_fp:fp view with
     | Delta.Unchanged -> ()
     | delta -> changed ~source delta)
 
 (* Buffer loads validate through this hook (direct dependency would be a
    cycle: Epoch → Delta → Fingerprint → Raw_buffer). *)
-let () = Raw_buffer.validate_load := fun ~source s -> validate_contents ~source s
+let () = Raw_buffer.validate_load := fun ~source v -> validate_contents ~source v
 
 (* --- periodic on-disk probe from scan loops --- *)
 

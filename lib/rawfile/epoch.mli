@@ -40,10 +40,10 @@ val pinned : string -> Fingerprint.t option
 
 (** {1 Revalidation} *)
 
-(** [validate_contents ~source s] checks freshly loaded bytes [s] against
-    the ambient pin for [source]; raises [Source_changed] on mismatch.
-    No-op without an ambient epoch or pin. *)
-val validate_contents : source:string -> string -> unit
+(** [validate_contents ~source v] checks the freshly loaded bytes of view
+    [v] against the ambient pin for [source]; raises [Source_changed] on
+    mismatch. No-op without an ambient epoch or pin. *)
+val validate_contents : source:string -> Raw_buffer.view -> unit
 
 (** [check ~source ()] is the cheap per-item tick for scan loops: every
     [stride]-th call per epoch re-probes the pinned file on disk and

@@ -41,7 +41,8 @@ let of_contents s = of_sub s ~size:(String.length s)
 
 (* Digests the three windows in place: revalidating a loaded source must
    not copy the file or count as raw access. *)
-let of_buffer buf = of_contents (Raw_buffer.contents buf)
+let of_view (v : Raw_buffer.view) = of_sub v.data ~size:v.len
+let of_buffer buf = of_view (Raw_buffer.contents buf)
 
 (* Direct read, bypassing Raw_buffer and Io_stats: validation probes must
    not count as raw-data access or force a buffer reload. *)

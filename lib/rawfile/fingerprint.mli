@@ -29,6 +29,9 @@ val of_contents : string -> t
     fingerprint a file holding exactly that prefix would have. *)
 val of_sub : string -> size:int -> t
 
+(** [of_view v] fingerprints the bytes of one buffer view, in place. *)
+val of_view : Raw_buffer.view -> t
+
 (** [of_buffer buf] fingerprints a raw buffer: the three windows are
     digested in place over the loaded bytes (loading them first if
     needed). No copy of the file, no {!Io_stats} accounting. *)

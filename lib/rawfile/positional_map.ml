@@ -57,8 +57,7 @@ let derive_rows ?(first_start = 0) ~source s len newlines =
 
 let scan_rows ?(domains = 1) buf =
   let source = Raw_buffer.path buf in
-  let s = Raw_buffer.contents buf in
-  let len = String.length s in
+  let { Raw_buffer.data = s; len } = Raw_buffer.contents buf in
   Io_stats.add_bytes_read len;
   let d = Morsel.domains_for_bytes ~domains len in
   let newlines =
@@ -112,6 +111,32 @@ let build ?(delim = ',') ?(header = true) ?domains buf =
     cols = Hashtbl.create 16 }
 
 let row_count t = Array.length t.row_starts
+let buffer t = t.buf
+
+(* number of leading entries of the sorted [starts] below [size] *)
+let count_below starts size =
+  let lo = ref 0 and hi = ref (Array.length starts) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if starts.(mid) < size then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* A row ends at the newline just before the next row's start, the last
+   row at the newline after its stop (past a '\r'), if the file has one. *)
+let rows_within t ~size =
+  let k = count_below t.row_starts size in
+  if k = 0 then None
+  else
+    let ended =
+      if k < row_count t then t.row_starts.(k) <= size
+      else
+        let { Raw_buffer.data; len } = Raw_buffer.contents t.buf in
+        let stop = t.row_stops.(k - 1) in
+        stop < len
+        && (if String.unsafe_get data stop = '\n' then stop else stop + 1) < size
+    in
+    if ended then Some k else None
 let column_names t = t.header_names
 let delim t = t.delim
 
@@ -145,7 +170,7 @@ let populate_range t arrays ~row_lo ~row_hi =
     let targets = Array.of_list sorted in
     let anchor_col, anchor_offsets = anchor t first in
     let source = Raw_buffer.path t.buf in
-    let s = Raw_buffer.contents t.buf in
+    let s = (Raw_buffer.contents t.buf).data in
     let visited = ref 0 in
     for row = row_lo to row_hi - 1 do
       Vida_governor.Governor.poll ~source ();
@@ -187,7 +212,7 @@ let field t ~row ~col =
   let start_pos =
     match anchor_offsets with Some offs -> offs.(row) | None -> t.row_starts.(row)
   in
-  let s = Raw_buffer.contents t.buf in
+  let s = (Raw_buffer.contents t.buf).data in
   let pos = Csv.skip_fields_str ~delim:t.delim s ~row_end start_pos (col - anchor_col) in
   if pos > row_end then ""
   else fst (Csv.field_content_str ~delim:t.delim s ~row_end pos)
@@ -196,7 +221,7 @@ let fields t ~row ~cols =
   let sorted = List.sort_uniq compare cols in
   let results = Hashtbl.create (List.length sorted) in
   let row_end = t.row_stops.(row) in
-  let s = Raw_buffer.contents t.buf in
+  let s = (Raw_buffer.contents t.buf).data in
   (* walk ascending columns, reusing the position reached so far *)
   let _ =
     List.fold_left
@@ -230,7 +255,7 @@ let record_while_scanning ?(from = 0) t ~cols f =
   populate t cols_sorted;
   let nrows = row_count t in
   let source = Raw_buffer.path t.buf in
-  let s = Raw_buffer.contents t.buf in
+  let s = (Raw_buffer.contents t.buf).data in
   (* hoisted out of the row loop: the offset array per sorted column, the
      sorted-position of each requested column, and a scratch buffer for
      the sorted extraction — only the per-row result array the callback
@@ -279,8 +304,7 @@ let extend t buf =
   if nrows_old = 0 then build ~delim:t.delim ~header:(t.header_names <> []) buf
   else (
     let source = Raw_buffer.path buf in
-    let s = Raw_buffer.contents buf in
-    let len = String.length s in
+    let { Raw_buffer.data = s; len } = Raw_buffer.contents buf in
     let keep = nrows_old - 1 in
     let resume = t.row_starts.(keep) in
     Io_stats.add_bytes_read (len - resume);

@@ -22,6 +22,16 @@ type t
 val build : ?delim:char -> ?header:bool -> ?domains:int -> Raw_buffer.t -> t
 
 val row_count : t -> int
+
+(** [buffer t] is the buffer view the map indexes. *)
+val buffer : t -> Raw_buffer.t
+
+(** [rows_within t ~size] is [Some k] when the first [k] rows are exactly
+    the rows of the file's first [size] bytes: no row runs across [size]
+    and the [k]th ends at a newline before it. [None] when a row
+    straddles [size] (that prefix ended mid-row) or none starts before
+    it. *)
+val rows_within : t -> size:int -> int option
 val column_names : t -> string list  (** empty when the file has no header *)
 
 val delim : t -> char

@@ -1,6 +1,23 @@
+(* A file's bytes live in a store with spare capacity past the committed
+   length; each generation of the file is a view of it: the shared bytes
+   plus that generation's own length. Bytes below the committed length
+   never change, so an append claims the tail with a compare-and-set on
+   it, writes past every existing view and publishes a longer view over
+   the same store: older generations keep reading their own prefix. The
+   spare capacity always holds [poison], so a reader that runs past its
+   view reads bytes no file holds. *)
+type store = { bytes : Bytes.t; committed : int Atomic.t; spare : int }
+
+type view = { data : string; len : int }
+
 type backing = File | Memory of string
 
-type t = { path : string; backing : backing; mutable contents : string option }
+type t = { path : string; backing : backing; mutable contents : (store * view) option }
+
+let poison = '\xff'
+
+let store_of_string s =
+  { bytes = Bytes.unsafe_of_string s; committed = Atomic.make (String.length s); spare = 0 }
 
 let of_path path = { path; backing = File; contents = None }
 
@@ -13,7 +30,7 @@ let path t = t.path
    direct call would be a dependency cycle (Epoch → Delta → Fingerprint →
    Raw_buffer). Identity until Epoch is linked, in which case no epoch can
    be ambient either. *)
-let validate_load : (source:string -> string -> unit) ref =
+let validate_load : (source:string -> view -> unit) ref =
   ref (fun ~source:_ _ -> ())
 
 (* Opens the file for one load attempt; transient failures surface as
@@ -47,9 +64,11 @@ let governed_read t read =
   Vida_governor.Governor.Breaker.success ~source:t.path;
   s
 
+let view_of_string s = { data = s; len = String.length s }
+
 let force t =
   match t.contents with
-  | Some s -> s
+  | Some (_, v) -> v
   | None ->
     let s =
       match t.backing with
@@ -58,12 +77,13 @@ let force t =
         let s = governed_read t (fun ic -> really_input_string ic (in_channel_length ic)) in
         (* a load (or reload) mid-query must not hand the query a newer
            generation than the one it pinned at start *)
-        !validate_load ~source:t.path s;
+        !validate_load ~source:t.path (view_of_string s);
         s
     in
     Io_stats.add_file_loads 1;
-    t.contents <- Some s;
-    s
+    let v = view_of_string s in
+    t.contents <- Some (store_of_string s, v);
+    v
 
 let prefix_window = 65536
 
@@ -89,57 +109,97 @@ let prefix t ~enough =
           in
           grow prefix_window)
     in
-    { path = t.path; backing = Memory s; contents = Some s }
+    { path = t.path; backing = Memory s; contents = Some (store_of_string s, view_of_string s) }
 
-(* The old bytes plus a read of only the file's bytes from their end up
-   to [size], on the governed load path; [None] when the file is now
-   shorter than [size]. *)
-let extend t ~size =
+(* A fresh store for [size] bytes whose first [have] are [v]'s: its spare
+   capacity doubles the previous store's, or the append's, whichever is
+   larger, and is capped at an eighth of the length, so copies are
+   amortized over the appends they make room for and the heap carries at
+   most an eighth of the file in spare bytes. *)
+let fresh_store (st : store) (v : view) ~size =
+  let spare = min (size / 8) (2 * max st.spare (size - v.len)) in
+  let bytes = Bytes.create (size + spare) in
+  Bytes.blit_string v.data 0 bytes 0 v.len;
+  Bytes.fill bytes size spare poison;
+  { bytes; committed = Atomic.make size; spare }
+
+(* Claims [have, size) of [st] for the view of length [have]: only one
+   extension of a given tail wins, a loser (or a tail past the capacity)
+   gets a fresh store. *)
+let claim (st : store) (v : view) ~size =
+  if size <= Bytes.length st.bytes && Atomic.compare_and_set st.committed v.len size
+  then st
+  else fresh_store st v ~size
+
+(* Gives a claimed tail back: the bytes become poison again and the
+   committed length returns to [have]. No view past [have] was published,
+   so no other extension can have claimed beyond it meanwhile. *)
+let release (st : store) ~have ~size =
+  Bytes.fill st.bytes have (size - have) poison;
+  ignore (Atomic.compare_and_set st.committed size have)
+
+(* The old view plus a read of only the file's bytes from its end up to
+   [size], into the tail of the old store when it is free; [None] when the
+   file is now shorter than [size] or [accept] refuses the new view. *)
+let extend t ~size ~accept =
   match (t.contents, t.backing) with
   | None, _ | _, Memory _ -> None
-  | Some old, File ->
-    let have = String.length old in
+  | Some (st, v), File ->
+    let have = v.len in
     if size < have then None
     else
       governed_read t (fun ic ->
           if in_channel_length ic < size then None
           else (
-            let b = Bytes.create size in
-            Bytes.blit_string old 0 b 0 have;
-            seek_in ic have;
-            match really_input ic b have (size - have) with
-            | () -> Some (Bytes.unsafe_to_string b)
-            | exception End_of_file -> None))
-      |> Option.map (fun s ->
-             !validate_load ~source:t.path s;
+            let st' = claim st v ~size in
+            let v' = { data = Bytes.unsafe_to_string st'.bytes; len = size } in
+            let give_back () = if st' == st then release st ~have ~size in
+            match
+              seek_in ic have;
+              really_input ic st'.bytes have (size - have);
+              !validate_load ~source:t.path v';
+              accept v'
+            with
+            | true -> Some (st', v')
+            | false | (exception End_of_file) ->
+              give_back ();
+              None
+            | exception e ->
+              give_back ();
+              raise e))
+      |> Option.map (fun contents ->
              Io_stats.add_file_loads 1;
-             { path = t.path; backing = File; contents = Some s })
+             { path = t.path; backing = File; contents = Some contents })
 
-let length t = String.length (force t)
+let length t = (force t).len
 
-(* The whole file as one immutable string, for validated-range scan loops
-   that want [String.unsafe_get] without a per-byte bounds check. Does not
-   count toward [bytes_read] (callers account for what they consume). *)
+(* The file's bytes as a view, for validated-range scan loops that want
+   [String.unsafe_get] without a per-byte bounds check. Does not count
+   toward [bytes_read] (callers account for what they consume). *)
 let contents t = force t
 
 let slice t ~pos ~len =
-  let s = force t in
-  if pos < 0 || len < 0 || pos + len > String.length s then
+  let v = force t in
+  if pos < 0 || len < 0 || pos + len > v.len then
     Vida_error.truncated ~source:t.path ~offset:(max 0 pos)
-      "%d bytes at [%d,%d) of a %d-byte file" len pos (pos + len) (String.length s);
+      "%d bytes at [%d,%d) of a %d-byte file" len pos (pos + len) v.len;
   Io_stats.add_bytes_read len;
-  String.sub s pos len
+  String.sub v.data pos len
 
 let char_at t pos =
-  let s = force t in
-  if pos < 0 || pos >= String.length s then
+  let v = force t in
+  if pos < 0 || pos >= v.len then
     Vida_error.truncated ~source:t.path ~offset:(max 0 pos)
-      "one byte at %d of a %d-byte file" pos (String.length s);
-  String.unsafe_get s pos
+      "one byte at %d of a %d-byte file" pos v.len;
+  String.unsafe_get v.data pos
 
 let index_from t pos c =
-  let s = force t in
-  if pos >= String.length s then None else String.index_from_opt s (max 0 pos) c
+  let v = force t in
+  if pos >= v.len then None
+  else
+    match String.index_from_opt v.data (max 0 pos) c with
+    | Some i when i < v.len -> Some i
+    | Some _ | None -> None
 
 let loaded t = t.contents <> None
 

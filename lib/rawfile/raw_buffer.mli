@@ -14,6 +14,20 @@
 
 type t
 
+(** One generation of the file's bytes: [data] holds them at
+    [[0, len)]. [data] may be longer than [len] — later generations of a
+    file that grew by append share it — and every byte past [len] is
+    either a later generation's or {!poison}: take bounds from [len],
+    never from [String.length data]. *)
+type view = private { data : string; len : int }
+
+(** The byte that fills spare capacity: not a delimiter, quote, newline
+    or digit, so a reader that runs past its view changes an answer. *)
+val poison : char
+
+(** [view_of_string s] is the view of all of [s]. *)
+val view_of_string : string -> view
+
 (** [of_path path] creates a lazy view; the file is read on first access.
     A load under an ambient {!Epoch} with a pin for [path] validates the
     bytes against the pin and raises [Source_changed] on mismatch — a
@@ -30,12 +44,12 @@ val of_string : source:string -> string -> t
 val path : t -> string
 val length : t -> int
 
-(** [contents t] is the whole file as one immutable string (faulted in on
-    first use). Scan loops use it to hoist bounds checks: validate a range
-    once, then read with [String.unsafe_get]. Does not count toward
-    [bytes_read].
+(** [contents t] is the whole file as a view (faulted in on first use).
+    Scan loops use it to hoist bounds checks: validate a range against
+    [len] once, then read [data] with [String.unsafe_get]. Does not count
+    toward [bytes_read].
     @raise Vida_error.Error ([Io_failure]) if the file cannot be read. *)
-val contents : t -> string
+val contents : t -> view
 
 (** [prefix t ~enough] is an in-memory buffer over the first bytes of the
     file, for samplers that need only its head (schema inference). The
@@ -49,16 +63,20 @@ val contents : t -> string
     @raise Vida_error.Error ([Io_failure]) if the file cannot be read. *)
 val prefix : t -> enough:(string -> bool) -> t
 
-(** [extend t ~size] is a new buffer over the first [size] bytes of
-    [t]'s file, built from [t]'s loaded bytes and a read of only the
-    bytes past them: what a load would return if the file grew by append
-    to [size] bytes. It counts one file load and goes through a load's
-    governed path and epoch validation; [t] is not touched. [None] when
-    [t] is not a loaded file buffer or the file is shorter than [size].
-    The caller checks the result against the file's fingerprint: bytes
-    below the old length are not re-read.
+(** [extend t ~size ~accept] is a new buffer over the first [size]
+    bytes of [t]'s file, built from [t]'s loaded bytes and a read of only
+    the bytes past them: what a load would return if the file grew by
+    append to [size] bytes. The read lands in spare capacity past [t]'s
+    view when no other extension claimed it first, so no old byte is
+    copied; otherwise (or when the capacity is short) the new buffer gets
+    a fresh store with room for later appends. [t]'s view is not touched.
+    It counts one file load and goes through a load's governed path and
+    epoch validation. [None] when [t] is not a loaded file buffer, the
+    file is shorter than [size], or [accept] refuses the new view (the
+    caller checks it against the file's fingerprint: bytes below the old
+    length are not re-read); a claimed tail is then given back.
     @raise Vida_error.Error ([Io_failure]) if the file cannot be read. *)
-val extend : t -> size:int -> t option
+val extend : t -> size:int -> accept:(view -> bool) -> t option
 
 (** [slice t ~pos ~len] copies bytes out of the view. Counts toward
     [bytes_read].
@@ -85,4 +103,4 @@ val invalidate : t -> unit
 (** Load-time validation hook, installed by {!Epoch} at module init (a
     direct dependency would be a cycle through {!Fingerprint}). Not for
     application use. *)
-val validate_load : (source:string -> string -> unit) ref
+val validate_load : (source:string -> view -> unit) ref

@@ -25,8 +25,7 @@ let collect_newlines s ~source ~lo ~hi =
   List.rev !acc
 
 let build ?(domains = 1) buf =
-  let s = Raw_buffer.contents buf in
-  let len = String.length s in
+  let { Raw_buffer.data = s; len } = Raw_buffer.contents buf in
   Io_stats.add_bytes_read len;
   let source = Raw_buffer.path buf in
   let d = Morsel.domains_for_bytes ~domains len in
@@ -53,6 +52,20 @@ let build ?(domains = 1) buf =
   { buf; obj_bounds; tables = Array.make (Array.length obj_bounds) None; indexed = 0 }
 
 let object_count t = Array.length t.obj_bounds
+let buffer t = t.buf
+
+(* An object's bounds end at its newline, or at the end of the file. *)
+let objects_within t ~size =
+  let lo = ref 0 and hi = ref (object_count t) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if fst t.obj_bounds.(mid) < size then lo := mid + 1 else hi := mid
+  done;
+  let k = !lo in
+  if k = 0 then None
+  else
+    let pos, len = t.obj_bounds.(k - 1) in
+    if pos + len < size then Some k else None
 
 (* Extend an index built over the old prefix of [buf] after an append.
    The last old object may have been a partial line (writer paused
@@ -63,8 +76,7 @@ let extend t buf =
   let n_old = object_count t in
   if n_old = 0 then build buf
   else (
-    let s = Raw_buffer.contents buf in
-    let len = String.length s in
+    let { Raw_buffer.data = s; len } = Raw_buffer.contents buf in
     let source = Raw_buffer.path buf in
     let keep = n_old - 1 in
     let resume = fst t.obj_bounds.(keep) in

@@ -16,6 +16,15 @@ val build : ?domains:int -> Raw_buffer.t -> t
 
 val object_count : t -> int
 
+(** [buffer t] is the buffer view the index covers. *)
+val buffer : t -> Raw_buffer.t
+
+(** [objects_within t ~size] is [Some k] when the first [k] objects are
+    exactly the objects of the file's first [size] bytes: the [k]th ends
+    at a newline before [size] and no later one starts before it. [None]
+    when an object straddles [size] or none starts before it. *)
+val objects_within : t -> size:int -> int option
+
 (** [extend t buf] extends an index built over the old prefix of [buf]
     (see {!Delta.Appended}) to cover appended bytes: the rescan resumes
     from the start of the last old object (which may have been a partial

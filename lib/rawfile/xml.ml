@@ -6,15 +6,15 @@ let error ~source pos fmt = Vida_error.parse_error ~source ~offset:pos fmt
 
 let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
 
-let rec skip_ws s pos =
-  if pos < String.length s && is_ws s.[pos] then skip_ws s (pos + 1) else pos
+(* The scanners read [s] up to [n], which bounds every look-ahead: a
+   buffer view's bytes past its length are not the document's. *)
+let rec skip_ws ~n s pos = if pos < n && is_ws s.[pos] then skip_ws ~n s (pos + 1) else pos
 
 let is_name_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' | ':' -> true
   | _ -> false
 
-let read_name ~source s pos =
-  let n = String.length s in
+let read_name ~source ~n s pos =
   let stop = ref pos in
   while !stop < n && is_name_char s.[!stop] do
     incr stop
@@ -77,50 +77,48 @@ let sniff text =
       | t -> Value.String t))
 
 (* skip <!-- --> comments and <? ?> processing instructions *)
-let rec skip_misc ~source s pos =
-  let pos = skip_ws s pos in
-  let n = String.length s in
+let rec skip_misc ~source ~n s pos =
+  let pos = skip_ws ~n s pos in
   if pos + 3 < n && String.sub s pos 4 = "<!--" then (
     let rec find i =
       if i + 2 >= n then error ~source i "unterminated comment"
       else if String.sub s i 3 = "-->" then i + 3
       else find (i + 1)
     in
-    skip_misc ~source s (find (pos + 4)))
+    skip_misc ~source ~n s (find (pos + 4)))
   else if pos + 1 < n && String.sub s pos 2 = "<?" then (
     let rec find i =
       if i + 1 >= n then error ~source i "unterminated processing instruction"
       else if String.sub s i 2 = "?>" then i + 2
       else find (i + 1)
     in
-    skip_misc ~source s (find (pos + 2)))
+    skip_misc ~source ~n s (find (pos + 2)))
   else if pos + 1 < n && String.sub s pos 2 = "<!" then (
     (* DOCTYPE and friends: skip to the closing '>' *)
     match String.index_from_opt s pos '>' with
-    | Some j -> skip_misc ~source s (j + 1)
-    | None -> error ~source pos "unterminated declaration")
+    | Some j when j < n -> skip_misc ~source ~n s (j + 1)
+    | Some _ | None -> error ~source pos "unterminated declaration")
   else pos
 
-let read_attributes ~source s pos =
-  let n = String.length s in
+let read_attributes ~source ~n s pos =
   let rec go acc nattrs pos =
     Vida_error.Limits.check_fields ~source ~offset:pos nattrs;
-    let pos = skip_ws s pos in
+    let pos = skip_ws ~n s pos in
     if pos >= n then error ~source pos "unterminated tag"
     else if s.[pos] = '>' || s.[pos] = '/' then (List.rev acc, pos)
     else (
-      let name, pos = read_name ~source s pos in
-      let pos = skip_ws s pos in
+      let name, pos = read_name ~source ~n s pos in
+      let pos = skip_ws ~n s pos in
       if pos >= n || s.[pos] <> '=' then
         error ~source pos "expected '=' after attribute %s" name;
-      let pos = skip_ws s (pos + 1) in
+      let pos = skip_ws ~n s (pos + 1) in
       if pos >= n || (s.[pos] <> '"' && s.[pos] <> '\'') then
         error ~source pos "expected a quoted attribute value";
       let quote = s.[pos] in
       let stop =
         match String.index_from_opt s (pos + 1) quote with
-        | Some j -> j
-        | None -> error ~source pos "unterminated attribute value"
+        | Some j when j < n -> j
+        | Some _ | None -> error ~source pos "unterminated attribute value"
       in
       let value = decode_entities (String.sub s (pos + 1) (stop - pos - 1)) in
       go ((name, sniff value) :: acc) (nattrs + 1) (stop + 1))
@@ -159,13 +157,12 @@ let assemble attrs children text =
     in
     Value.Record (attrs @ grouped @ text_field)
 
-let rec parse_element_at ~source ~depth s pos =
+let rec parse_element_at ~source ~n ~depth s pos =
   Vida_error.Limits.check_nesting ~source ~offset:pos depth;
-  let pos = skip_misc ~source s pos in
-  let n = String.length s in
+  let pos = skip_misc ~source ~n s pos in
   if pos >= n || s.[pos] <> '<' then error ~source pos "expected '<'";
-  let tag, pos = read_name ~source s (pos + 1) in
-  let attrs, pos = read_attributes ~source s pos in
+  let tag, pos = read_name ~source ~n s (pos + 1) in
+  let attrs, pos = read_attributes ~source ~n s pos in
   if pos < n && s.[pos] = '/' then (
     if pos + 1 >= n || s.[pos + 1] <> '>' then error ~source pos "expected '/>'";
     (assemble attrs [] "", pos + 2))
@@ -178,20 +175,20 @@ let rec parse_element_at ~source ~depth s pos =
       if pos >= n then error ~source pos "unterminated element <%s>" tag
       else if s.[pos] = '<' then
         if pos + 1 < n && s.[pos + 1] = '/' then (
-          let close, pos' = read_name ~source s (pos + 2) in
+          let close, pos' = read_name ~source ~n s (pos + 2) in
           if not (String.equal close tag) then
             error ~source pos "mismatched </%s> for <%s>" close tag;
-          let pos' = skip_ws s pos' in
+          let pos' = skip_ws ~n s pos' in
           if pos' >= n || s.[pos'] <> '>' then error ~source pos' "expected '>'";
           pos' + 1)
         else if pos + 3 < n && String.sub s pos 4 = "<!--" then
-          content (skip_misc ~source s pos)
+          content (skip_misc ~source ~n s pos)
         else if pos + 1 < n && (s.[pos + 1] = '?' || s.[pos + 1] = '!') then
-          content (skip_misc ~source s pos)
+          content (skip_misc ~source ~n s pos)
         else (
           (* child element: remember its tag before recursing *)
-          let child_tag, _ = read_name ~source s (pos + 1) in
-          let v, pos' = parse_element_at ~source ~depth:(depth + 1) s pos in
+          let child_tag, _ = read_name ~source ~n s (pos + 1) in
+          let v, pos' = parse_element_at ~source ~n ~depth:(depth + 1) s pos in
           children := (child_tag, v) :: !children;
           content pos')
       else (
@@ -202,15 +199,18 @@ let rec parse_element_at ~source ~depth s pos =
     (assemble attrs (List.rev !children) (Buffer.contents text), pos))
 
 let parse_element ?(source = default_source) s pos =
-  parse_element_at ~source ~depth:0 s pos
+  parse_element_at ~source ~n:(String.length s) ~depth:0 s pos
+
+let skip_element_n ~source ~n s pos = snd (parse_element_at ~source ~n ~depth:0 s pos)
 
 let skip_element ?(source = default_source) s pos =
-  snd (parse_element_at ~source ~depth:0 s pos)
+  skip_element_n ~source ~n:(String.length s) s pos
 
 let parse_document ?(source = default_source) s =
-  let pos = skip_misc ~source s 0 in
-  let v, pos = parse_element_at ~source ~depth:0 s pos in
-  let pos = skip_misc ~source s pos in
+  let n = String.length s in
+  let pos = skip_misc ~source ~n s 0 in
+  let v, pos = parse_element_at ~source ~n ~depth:0 s pos in
+  let pos = skip_misc ~source ~n s pos in
   if pos <> String.length s then error ~source pos "trailing content after the root element"
   else (
     Io_stats.add_objects_parsed 1;
@@ -218,19 +218,19 @@ let parse_document ?(source = default_source) s =
 
 let children_bounds ?(source = default_source) s =
   let n = String.length s in
-  let pos = skip_misc ~source s 0 in
+  let pos = skip_misc ~source ~n s 0 in
   if pos >= n || s.[pos] <> '<' then error ~source pos "expected the root element";
-  let _, pos = read_name ~source s (pos + 1) in
-  let _, pos = read_attributes ~source s pos in
+  let _, pos = read_name ~source ~n s (pos + 1) in
+  let _, pos = read_attributes ~source ~n s pos in
   if pos < n && s.[pos] = '/' then []
   else (
     let bounds = ref [] in
     let rec scan pos =
-      let pos = skip_misc ~source s pos in
+      let pos = skip_misc ~source ~n s pos in
       if pos >= n then error ~source pos "unterminated root element"
       else if s.[pos] = '<' && pos + 1 < n && s.[pos + 1] = '/' then ()
       else if s.[pos] = '<' then (
-        let stop = skip_element ~source s pos in
+        let stop = skip_element_n ~source ~n s pos in
         bounds := (pos, stop - pos) :: !bounds;
         scan stop)
       else scan (pos + 1)
@@ -254,8 +254,7 @@ type tolerant_scan = {
    [root] — shared by the full scan and append-resumption ({!Xml_index}
    extends its index by re-running exactly this loop over the new tail,
    so incremental and full scans cannot diverge). *)
-let scan_children ?(source = default_source) ~root ~from s =
-  let n = String.length s in
+let scan_children ~source ~n ~root ~from s =
   let resync from =
     let rec go i =
       if i + 1 >= n then n
@@ -268,7 +267,7 @@ let scan_children ?(source = default_source) ~root ~from s =
      root; a stray one (left behind by a damaged record) is reported as
      a bad span and skipped so the records after it still come back *)
   let closes_root pos =
-    match Vida_error.guard (fun () -> read_name ~source s (pos + 2)) with
+    match Vida_error.guard (fun () -> read_name ~source ~n s (pos + 2)) with
     | Ok (name, _) -> String.equal name root
     | Result.Error _ -> false
   in
@@ -276,7 +275,7 @@ let scan_children ?(source = default_source) ~root ~from s =
   let rec scan pos =
     if pos >= n then (n, false)
     else (
-      match Vida_error.guard (fun () -> skip_misc ~source s pos) with
+      match Vida_error.guard (fun () -> skip_misc ~source ~n s pos) with
       | Result.Error e ->
         bad := (pos, n - pos, Vida_error.to_string e) :: !bad;
         (n, false)
@@ -289,7 +288,7 @@ let scan_children ?(source = default_source) ~root ~from s =
             bad := (pos, next - pos, "stray closing tag") :: !bad;
             scan next)
         else if s.[pos] = '<' then (
-          match Vida_error.guard (fun () -> skip_element ~source s pos) with
+          match Vida_error.guard (fun () -> skip_element_n ~source ~n s pos) with
           | Ok stop ->
             bounds := (pos, stop - pos) :: !bounds;
             scan stop
@@ -303,14 +302,14 @@ let scan_children ?(source = default_source) ~root ~from s =
   { scan_bounds = List.rev !bounds; scan_bad = List.rev !bad;
     scan_root = Some root; scan_stop = stop; scan_closed = closed }
 
-let children_bounds_scan ?(source = default_source) s =
-  let n = String.length s in
+let children_bounds_scan ?(source = default_source) ?len s =
+  let n = Option.value len ~default:(String.length s) in
   match
     Vida_error.guard (fun () ->
-        let pos = skip_misc ~source s 0 in
+        let pos = skip_misc ~source ~n s 0 in
         if pos >= n || s.[pos] <> '<' then error ~source pos "expected the root element";
-        let name, pos = read_name ~source s (pos + 1) in
-        let _, pos = read_attributes ~source s pos in
+        let name, pos = read_name ~source ~n s (pos + 1) in
+        let _, pos = read_attributes ~source ~n s pos in
         (name, pos))
   with
   | Result.Error e ->
@@ -319,9 +318,10 @@ let children_bounds_scan ?(source = default_source) s =
   | Ok (root, pos) when pos < n && s.[pos] = '/' ->
     { scan_bounds = []; scan_bad = []; scan_root = Some root; scan_stop = pos;
       scan_closed = true }
-  | Ok (root, pos) -> scan_children ~source ~root ~from:(pos + 1) s
+  | Ok (root, pos) -> scan_children ~source ~n ~root ~from:(pos + 1) s
 
-let children_bounds_resume ?source ~root ~from s = scan_children ?source ~root ~from s
+let children_bounds_resume ?(source = default_source) ?len ~root ~from s =
+  scan_children ~source ~n:(Option.value len ~default:(String.length s)) ~root ~from s
 
 let children_bounds_tolerant ?source s =
   let r = children_bounds_scan ?source s in

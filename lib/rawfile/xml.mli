@@ -54,10 +54,13 @@ type tolerant_scan = {
   scan_closed : bool;  (** the scan ended at the root's closing tag *)
 }
 
-val children_bounds_scan : ?source:string -> string -> tolerant_scan
+(** [children_bounds_scan ?len s] is the tolerant scan over [s]'s first
+    [len] bytes (default: all of [s]); nothing at or past [len] is read. *)
+val children_bounds_scan : ?source:string -> ?len:int -> string -> tolerant_scan
 
 (** [children_bounds_resume ~root ~from s] continues the child scan of a
     document rooted at [root] from byte [from] — the same loop the full
-    scan runs, so resumed and full scans cannot diverge. *)
+    scan runs, so resumed and full scans cannot diverge. [len] bounds it as
+    in {!children_bounds_scan}. *)
 val children_bounds_resume :
-  ?source:string -> root:string -> from:int -> string -> tolerant_scan
+  ?source:string -> ?len:int -> root:string -> from:int -> string -> tolerant_scan

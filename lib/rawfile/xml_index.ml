@@ -5,9 +5,10 @@ type t = {
   bounds : (int * int) array;
   bad_spans : (int * int * string) list;
       (* malformed child elements skipped during the build: (pos, len, reason) *)
-  list_tags : (string, unit) Hashtbl.t;
+  list_tags : (string, int) Hashtbl.t;
       (* top-level tags that repeat in at least one element: normalized to
-         lists in every element, so the collection has a uniform shape *)
+         lists in every element, so the collection has a uniform shape;
+         each with the file length of the generation that found it *)
   root : string option;  (* root element name; None when it failed to parse *)
   scan_stop : int;  (* where the child scan stopped *)
   closed : bool;  (* the scan ended at the root's closing tag *)
@@ -23,7 +24,7 @@ let raw_element buf bounds i =
    single-vs-repeated ambiguity must be resolved file-globally or elements
    get inconsistent types. Returns whether a tag not already in
    [list_tags] was added (existing elements' normalization changes). *)
-let record_list_tags ~source buf bounds list_tags ~lo ~hi =
+let record_list_tags ~source buf bounds list_tags ~at ~lo ~hi =
   let added = ref false in
   for i = lo to hi - 1 do
     Vida_governor.Governor.poll ~source ();
@@ -36,29 +37,47 @@ let record_list_tags ~source buf bounds list_tags ~lo ~hi =
           | Value.List _ ->
             if not (Hashtbl.mem list_tags tag) then (
               added := true;
-              Hashtbl.replace list_tags tag ())
+              Hashtbl.replace list_tags tag at)
           | _ -> ())
         fields
     | _ -> ()
   done;
   !added
 
+(* The child scans read the view in place, and each scanned byte is
+   counted once. *)
 let build buf =
-  let len = Raw_buffer.length buf in
+  let { Raw_buffer.data; len } = Raw_buffer.contents buf in
   let source = Raw_buffer.path buf in
   Io_stats.add_bytes_read len;
-  let contents = Raw_buffer.slice buf ~pos:0 ~len in
   (* tolerant scan: a malformed element is recorded as a bad span and
      skipped, instead of one bad record poisoning the whole file *)
-  let scan = Xml.children_bounds_scan ~source contents in
+  let scan = Xml.children_bounds_scan ~source ~len data in
   let bounds = Array.of_list scan.Xml.scan_bounds in
   let list_tags = Hashtbl.create 8 in
-  ignore (record_list_tags ~source buf bounds list_tags ~lo:0 ~hi:(Array.length bounds));
+  ignore
+    (record_list_tags ~source buf bounds list_tags ~at:len ~lo:0 ~hi:(Array.length bounds));
   { buf; bounds; bad_spans = scan.Xml.scan_bad; list_tags;
     root = scan.Xml.scan_root; scan_stop = scan.Xml.scan_stop;
     closed = scan.Xml.scan_closed; data_len = len }
 
 let element_count t = Array.length t.bounds
+let buffer t = t.buf
+
+(* Elements are whole, so an element starting before [size] ended there
+   unless it was the partial one at that generation's end (then a bad
+   span, not counted by it); a tag that became a list later changed how
+   every old element normalizes. *)
+let elements_within t ~size =
+  let k = ref 0 in
+  while !k < element_count t && fst t.bounds.(!k) < size do
+    incr k
+  done;
+  let ended = !k > 0 && (let pos, len = t.bounds.(!k - 1) in pos + len <= size) in
+  if ended && Hashtbl.fold (fun _ at ok -> ok && at <= size) t.list_tags true
+     && not (List.exists (fun (pos, len, _) -> pos < size && pos + len > size) t.bad_spans)
+  then Some !k
+  else None
 let bad_spans t = t.bad_spans
 
 (* Extend an index built over the old prefix of [buf] after an append.
@@ -78,9 +97,8 @@ let extend t buf =
   | Some _ when t.closed ->
     ({ t with buf; data_len = Raw_buffer.length buf }, false)
   | Some root ->
-    let len = Raw_buffer.length buf in
+    let { Raw_buffer.data; len } = Raw_buffer.contents buf in
     let source = Raw_buffer.path buf in
-    let contents = Raw_buffer.slice buf ~pos:0 ~len in
     let trailing, kept_bad =
       List.partition (fun (p, l, _) -> p + l >= t.data_len) t.bad_spans
     in
@@ -88,7 +106,7 @@ let extend t buf =
       List.fold_left (fun acc (p, _, _) -> min acc p) t.scan_stop trailing
     in
     Io_stats.add_bytes_read (len - resume);
-    let scan = Xml.children_bounds_resume ~source ~root ~from:resume contents in
+    let scan = Xml.children_bounds_resume ~source ~len ~root ~from:resume data in
     let old_n = Array.length t.bounds in
     let bounds = Array.append t.bounds (Array.of_list scan.Xml.scan_bounds) in
     let list_tags = Hashtbl.copy t.list_tags in
@@ -98,7 +116,7 @@ let extend t buf =
         closed = scan.Xml.scan_closed; data_len = len }
     in
     let added =
-      record_list_tags ~source buf bounds list_tags ~lo:old_n
+      record_list_tags ~source buf bounds list_tags ~at:len ~lo:old_n
         ~hi:(Array.length bounds)
     in
     (t', added)
@@ -139,7 +157,7 @@ let field_value t ~elem ~field =
 
 let footprint t = (16 * Array.length t.bounds) + (24 * Hashtbl.length t.list_tags)
 
-let sorted_tags tbl = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
+let sorted_tags tbl = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
 
 (* Structural equality over everything derived — the differential oracle
    for incremental == full-rebuild tests. *)

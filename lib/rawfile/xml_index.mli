@@ -31,6 +31,15 @@ val element_value : t -> int -> Vida_data.Value.t
     and callers must drop element-derived caches. *)
 val extend : t -> Raw_buffer.t -> t * bool
 
+(** [buffer t] is the buffer view the index covers. *)
+val buffer : t -> Raw_buffer.t
+
+(** [elements_within t ~size] is [Some k] when the first [k] elements are
+    exactly the elements of the file's first [size] bytes, normalized as
+    they were then: each ends before [size], no element or bad span runs
+    across it, and no tag became a list after it. [None] otherwise. *)
+val elements_within : t -> size:int -> int option
+
 (** structural equality of everything derived (bounds, bad spans, list
     tags) — the differential oracle for incremental-vs-full tests. *)
 val equal_structure : t -> t -> bool

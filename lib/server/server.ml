@@ -108,7 +108,8 @@ let respond fields = Value.to_json (Value.Record fields)
    answer would be silently accepted. *)
 
 (* The value's encoding and tag come from the result's memo, so a
-   result-cache hit splices bytes already encoded for an earlier reply.
+   result-cache hit splices bytes already encoded for an earlier reply; a
+   repaired result is a new value, reported as a miss.
    The tag covers exactly the text spliced in as the last field, so the
    payload is byte-identical to [respond] over the whole record. *)
 let ok_payload req_id (r : Vida.result) =
@@ -120,7 +121,8 @@ let ok_payload req_id (r : Vida.result) =
       @@ field "cache"
            (Value.String (if r.Vida.plan_from_cache then "hit" else "miss"))
       @@ field "result_cache"
-           (Value.String (if r.Vida.from_result_cache then "hit" else "miss"))
+           (Value.String
+              (if r.Vida.from_result_cache && not r.Vida.repaired then "hit" else "miss"))
       @@ field "compile_ms" (Value.Float r.Vida.compile_ms)
       @@ field "exec_ms" (Value.Float r.Vida.exec_ms)
       @@ field "v_crc" (Value.Int crc) [])

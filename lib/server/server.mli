@@ -28,7 +28,9 @@
       corrupted-but-parseable answer end-to-end. The value text and its
       tag come from the result's [encoded] memo ({!Vida.encoded}): a
       result-cache hit splices bytes encoded for an earlier reply, and
-      the frame is byte-identical to encoding the whole record;
+      the frame is byte-identical to encoding the whole record; a cached
+      result repaired over appended rows is a new value and reports
+      ["result_cache": "miss"];
     - failure: [{"id", "status": "error", "kind", "code", "message"}] with
       [kind]/[code] from {!Vida_error.kind_name}/{!Vida_error.exit_code};
       a shed query ([kind = "overloaded"], code 77, or

@@ -42,6 +42,9 @@ let sources =
 
 let eval_env = Eval.env_of_list sources
 
+(* a query's externals: the registered sources *)
+let externals = List.map fst sources
+
 let plan_of s = Translate.plan_of_comp (Rewrite.normalize (Parser.parse_exn s))
 
 (* --- translation shape --- *)
@@ -84,7 +87,7 @@ let test_query_to_plan_error () =
 
 let test_validate_ok () =
   let p = plan_of "for { e <- Employees, d <- Departments, e.deptNo = d.id } yield sum 1" in
-  match Plan.validate p with
+  match Plan.validate ~externals p with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "expected valid plan: %s" msg
 
@@ -95,15 +98,31 @@ let test_validate_rejects_unbound () =
         child = Plan.Source { var = "e"; expr = Expr.Var "Employees" }
       }
   in
-  (* ghost is free in the whole plan, hence assumed external: fine *)
-  check_bool "external ok" true (Plan.validate p = Ok ());
+  (* ghost is supplied by the caller as an external: fine *)
+  check_bool "external ok" true (Plan.validate ~externals:("ghost" :: externals) p = Ok ());
   let bad =
     Plan.Product
       { left = Plan.Source { var = "e"; expr = Expr.Var "Employees" };
         right = Plan.Source { var = "e"; expr = Expr.Var "Departments" }
       }
   in
-  check_bool "duplicate binder rejected" true (Result.is_error (Plan.validate bad))
+  check_bool "duplicate binder rejected" true
+    (Result.is_error (Plan.validate ~externals bad))
+
+(* A variable neither bound nor among the caller's externals is an error,
+   even though it is free in the whole plan. *)
+let test_validate_unbound_external () =
+  let p =
+    Plan.Select
+      { pred =
+          Expr.BinOp (Expr.Gt, Expr.Proj (Expr.Var "zz", "a"), Expr.int 1);
+        child = Plan.Source { var = "p"; expr = Expr.Var "Patients" }
+      }
+  in
+  match Plan.validate ~externals:[ "Patients" ] p with
+  | Error msg ->
+    check_bool "names the variable" true (Astring.String.is_infix ~affix:"zz" msg)
+  | Ok () -> Alcotest.fail "zz is bound nowhere and is no external"
 
 let test_bound_free_vars () =
   let p = plan_of "for { e <- Employees, d <- Departments, e.deptNo = d.id } yield sum 1" in
@@ -137,7 +156,7 @@ let test_differential () =
       let e = Parser.parse_exn s in
       let expected = Eval.eval eval_env e in
       let p = Translate.plan_of_comp (Rewrite.normalize e) in
-      (match Plan.validate p with
+      (match Plan.validate ~externals p with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "invalid plan for %S: %s" s msg);
       let actual = Naive_exec.run ~sources p in
@@ -259,6 +278,8 @@ let () =
       ( "plan",
         [ Alcotest.test_case "validate ok" `Quick test_validate_ok;
           Alcotest.test_case "validate unbound/dup" `Quick test_validate_rejects_unbound;
+          Alcotest.test_case "validate unbound external" `Quick
+            test_validate_unbound_external;
           Alcotest.test_case "bound/free vars" `Quick test_bound_free_vars;
           Alcotest.test_case "equal" `Quick test_plan_equal;
           Alcotest.test_case "pretty printer" `Quick test_pp_plan

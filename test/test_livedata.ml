@@ -18,6 +18,9 @@ module SI = Vida_raw.Semi_index
 module XI = Vida_raw.Xml_index
 module Governor = Vida_governor.Governor
 
+(* the bytes one buffer view holds, without the spare capacity past it *)
+let view_bytes (v : RB.view) = String.sub v.RB.data 0 v.RB.len
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -80,7 +83,7 @@ let test_delta_classify () =
   check_bool "vanished" true (Delta.classify ~old_fp:fp path = (Delta.Vanished, None));
   (* in-memory variant: same classification without touching disk *)
   check_bool "contents appended" true
-    (match Delta.classify_contents ~old_fp:fp (old_s ^ "3,30\n") with
+    (match Delta.classify_contents ~old_fp:fp (RB.view_of_string (old_s ^ "3,30\n")) with
     | Delta.Appended _ -> true
     | _ -> false)
 
@@ -362,7 +365,7 @@ let test_repair_equals_rebuild () =
     (Vida.stats db).Vida.cache.Vida_storage.Cache.entries;
   check_int "resident bytes equal a fresh load" (resident fresh) (resident db);
   (match Structures.peek_buffer (Vida.ctx db).Plugins.structures "S" with
-  | Some buf -> check_bool "buffer equals a full load" true (RB.contents buf = read_file path)
+  | Some buf -> check_bool "buffer equals a full load" true (view_bytes (RB.contents buf) = read_file path)
   | None -> Alcotest.fail "no buffer");
   check_answers "after" db ~register:(fun db -> Vida.csv db ~name:"S" ~path ()) [ mixed_query ];
   rm path
@@ -384,7 +387,7 @@ let test_repair_one_generation () =
     Structures.repair_appended structures (source_of db "S") ~old_fp ~probed
   in
   let buffer_of = function
-    | Some r -> RB.contents r.Structures.new_buffer
+    | Some r -> view_bytes (RB.contents r.Structures.new_buffer)
     | None -> Alcotest.fail "repair refused an append"
   in
   let rows_of = function
@@ -481,6 +484,248 @@ let test_xml_extend_differential () =
      shape of every element — the extension must say so *)
   xml_diff "new repeated tag" ~expect_new_tag:true "<root><e><x>1</x></e>"
     "<e><x>2</x><x>3</x></e></root>"
+
+(* --- growable raw buffer ----------------------------------------------- *)
+
+let fixed_rows ~first n =
+  String.concat "" (List.init n (fun i -> Printf.sprintf "%04d,%04d\n" (first + i) (7 * (first + i))))
+
+let extend_to buf size ~accept =
+  match RB.extend buf ~size ~accept with
+  | Some b -> b
+  | None -> Alcotest.failf "extension to %d bytes refused" size
+
+(* Appends land in the spare capacity of one shared store: each view reads
+   its own prefix, a tail is claimed once, and a refused extension gives
+   its tail back as poison. *)
+let test_buffer_views_share_capacity () =
+  let old = "id,v\n" ^ fixed_rows ~first:1 100 in
+  let a = fixed_rows ~first:101 2 and b = fixed_rows ~first:103 2 in
+  let path = tmp_file old in
+  let b0 = RB.of_path path in
+  check_int "loaded" (String.length old) (RB.length b0);
+  let accept _ = true in
+  append_file path a;
+  let b1 = extend_to b0 (String.length (old ^ a)) ~accept in
+  append_file path b;
+  let b2 = extend_to b1 (String.length (old ^ a ^ b)) ~accept in
+  let v1 = RB.contents b1 and v2 = RB.contents b2 in
+  check_bool "the second append wrote into the first one's store" true (v1.RB.data == v2.RB.data);
+  check_bool "the old view reads its own prefix" true (view_bytes (RB.contents b0) = old);
+  check_bool "the first extension reads its prefix" true (view_bytes v1 = old ^ a);
+  check_bool "the second extension" true (view_bytes v2 = old ^ a ^ b);
+  let spare v = String.sub v.RB.data v.RB.len (String.length v.RB.data - v.RB.len) in
+  check_bool "spare capacity is poison" true
+    (String.length (spare v2) > 0 && String.for_all (fun c -> c = RB.poison) (spare v2));
+  (* a map over the older view keeps answering from its prefix *)
+  let pm1 = PM.build b1 in
+  check_int "rows of the older view" 102 (PM.row_count pm1);
+  Alcotest.(check string) "its last row" "0102" (PM.field pm1 ~row:101 ~col:0);
+  (match RB.slice b1 ~pos:(String.length (old ^ a)) ~len:1 with
+  | _ -> Alcotest.fail "read past the view"
+  | exception Vida_error.Error (Vida_error.Truncated _) -> ());
+  (* the tail past [b1] is taken: a second extension of [b1] copies *)
+  let b1' = extend_to b1 (String.length (old ^ a ^ b)) ~accept in
+  check_bool "a lost claim gets a fresh store" false ((RB.contents b1').RB.data == v2.RB.data);
+  check_bool "with the same bytes" true (view_bytes (RB.contents b1') = old ^ a ^ b);
+  check_bool "and leaves the winner alone" true (view_bytes (RB.contents b2) = old ^ a ^ b);
+  (* a refused extension gives its claimed tail back *)
+  let c = fixed_rows ~first:105 1 in
+  append_file path c;
+  let size = String.length (old ^ a ^ b ^ c) in
+  check_bool "refused" true (RB.extend b2 ~size ~accept:(fun _ -> false) = None);
+  check_bool "tail poisoned again" true (String.for_all (fun c -> c = RB.poison) (spare v2));
+  let b3 = extend_to b2 size ~accept in
+  check_bool "the tail is claimable again" true ((RB.contents b3).RB.data == v2.RB.data);
+  check_bool "with the appended bytes" true (view_bytes (RB.contents b3) = old ^ a ^ b ^ c);
+  rm path
+
+(* --- result repair ------------------------------------------------------- *)
+
+let repair_rows ~first n =
+  String.concat ""
+    (List.init n (fun i ->
+         let k = first + i in
+         Printf.sprintf "%d,%d,%.3f,%s\n" k (k * 7 mod 31)
+           (1.0 +. (float_of_int (k mod 7) *. 0.013))
+           (if k mod 3 = 0 then "a" else "b")))
+
+(* every resumable monoid *)
+let repair_queries =
+  [ "for { r <- S, r.v > 20 } yield count r"; "for { r <- S } yield sum r.f";
+    "for { r <- S } yield prod r.f"; "for { r <- S, r.s = \"a\" } yield max r.f";
+    "for { r <- S } yield min r.v"; "for { r <- S, r.s = \"a\" } yield avg r.f";
+    "for { r <- S } yield all r.v >= 0"; "for { r <- S } yield some r.v > 29";
+    "for { r <- S, r.v > 25 } yield bag (id := r.id, f := r.f)" ]
+
+let query_ok db ?reuse q =
+  match Vida.query ?reuse db q with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "%s: %s" q (Vida.error_to_string e)
+
+(* After each append every cached fold is continued, not recomputed, and
+   equals the recompute bit for bit: at one domain the fold goes on from
+   the stored carrier, row by row. *)
+let repair_differential label ~register ~path queries chunks =
+  let db = Vida.create ~domains:1 () in
+  register db;
+  List.iter (fun q -> ignore (query_ok db q)) queries;
+  List.iteri
+    (fun i chunk ->
+      append_file path chunk;
+      List.iter
+        (fun q ->
+          let what = Printf.sprintf "%s, append %d: %s" label (i + 1) q in
+          let r = query_ok db q in
+          check_bool (what ^ ": repaired") true (r.Vida.repaired && r.Vida.from_result_cache);
+          let recomputed = query_ok db ~reuse:false q in
+          check_bool (what ^ ": bit-identical to the recompute") true
+            (compare r.Vida.value recomputed.Vida.value = 0))
+        queries;
+      check_answers label db ~register queries)
+    chunks;
+  check_int (label ^ ": repairs") (List.length queries * List.length chunks)
+    (Vida.stats db).Vida.result_repairs
+
+let test_repair_differential_csv () =
+  let path = tmp_file ("id,v,f,s\n" ^ repair_rows ~first:1 150) in
+  repair_differential "csv" ~path
+    ~register:(fun db -> Vida.csv db ~name:"S" ~path ())
+    repair_queries
+    [ repair_rows ~first:151 40; repair_rows ~first:191 1; repair_rows ~first:192 25 ];
+  rm path
+
+let repair_objects ~first n =
+  String.concat ""
+    (List.init n (fun i ->
+         let k = first + i in
+         Printf.sprintf "{\"id\":%d,\"v\":%d,\"f\":%.3f,\"s\":\"%s\"}\n" k (k * 7 mod 31)
+           (1.0 +. (float_of_int (k mod 7) *. 0.013))
+           (if k mod 3 = 0 then "a" else "b")))
+
+let test_repair_differential_json () =
+  let path = tmp_file (repair_objects ~first:1 80) in
+  repair_differential "json" ~path
+    ~register:(fun db -> Vida.json db ~name:"S" ~path ())
+    repair_queries
+    [ repair_objects ~first:81 30; "\n" ^ repair_objects ~first:111 2 ];
+  rm path
+
+(* in-order list folds need an ordered source: XML elements *)
+let test_repair_differential_xml () =
+  let element k = Printf.sprintf "<e><id>%d</id><v>%d</v></e>" k (k * 7 mod 31) in
+  let elements ~first n = String.concat "" (List.init n (fun i -> element (first + i))) in
+  let path = tmp_file ("<root>" ^ elements ~first:1 60) in
+  repair_differential "xml" ~path
+    ~register:(fun db -> Vida.xml db ~name:"S" ~path ())
+    [ "for { r <- S, r.v > 10 } yield list r.id"; "for { r <- S } yield sum r.v" ]
+    [ elements ~first:61 5; elements ~first:66 3 ];
+  rm path
+
+(* What a repair cannot vouch for is recomputed: an old last row that an
+   append completed, a re-inferred element type, a tag that became a list. *)
+let recomputed label db ~register q expected =
+  let r = query_ok db q in
+  check_bool (label ^ ": recomputed") false (r.Vida.repaired || r.Vida.from_result_cache);
+  check_val (label ^ ": answer") expected r.Vida.value;
+  check_answers label db ~register [ q ]
+
+let test_repair_falls_back () =
+  (* the old file ended mid-row *)
+  let path = tmp_file ("id,v,f,s\n" ^ repair_rows ~first:1 150 ^ "151,1") in
+  let register db = Vida.csv db ~name:"S" ~path () in
+  let db = Vida.create ~domains:1 () in
+  register db;
+  let q = "for { r <- S } yield sum r.v" in
+  ignore (query_ok db q);
+  append_file path ("2,1.000,b\n" ^ repair_rows ~first:152 3);
+  let expected = (query_ok (let d = Vida.create ~domains:1 () in register d; d) ~reuse:false q).Vida.value in
+  recomputed "completed row" db ~register q expected;
+  (* and the next append, now after a whole row, is repaired *)
+  append_file path (repair_rows ~first:155 2);
+  check_bool "then repaired" true (query_ok db q).Vida.repaired;
+  rm path;
+  (* a small file re-infers: Int widens to Float *)
+  let path = tmp_file ("id,v,s\n" ^ int_rows ~first:1 10) in
+  let register db = Vida.csv db ~name:"S" ~path () in
+  let db = Vida.create ~domains:1 () in
+  register db;
+  ignore (query_ok db "for { r <- S } yield sum r.v");
+  append_file path "11,2.5,n11\n";
+  recomputed "re-inferred" db ~register "for { r <- S } yield sum r.v" (Value.Float 552.5);
+  rm path;
+  (* a tag repeated only in appended elements *)
+  let path = tmp_file "<root><e><x>1</x></e><e><x>2</x></e>" in
+  let register db = Vida.xml db ~name:"S" ~path () in
+  let db = Vida.create ~domains:1 () in
+  register db;
+  let q = "for { r <- S } yield count r" in
+  ignore (query_ok db q);
+  append_file path "<e><x>3</x><x>4</x></e>";
+  recomputed "new list tag" db ~register q (Value.Int 3);
+  rm path
+
+(* Two sessions meet the same stale entry: each continues the stored
+   carrier or reads the other's repair, and both answers are the
+   recompute's. *)
+let test_repair_concurrent () =
+  let path = tmp_file ("id,v,f,s\n" ^ repair_rows ~first:1 150) in
+  let register db = Vida.csv db ~name:"S" ~path () in
+  let db = Vida.create ~domains:1 () in
+  register db;
+  let queries = [ "for { r <- S } yield sum r.f"; "for { r <- S, r.s = \"a\" } yield avg r.f" ] in
+  List.iter (fun q -> ignore (query_ok db q)) queries;
+  for round = 0 to 2 do
+    append_file path (repair_rows ~first:(151 + (round * 10)) 10);
+    let session () = List.map (fun q -> query_ok db q) queries in
+    let other = Domain.spawn session in
+    let mine = session () in
+    let theirs = Domain.join other in
+    List.iteri
+      (fun i q ->
+        let recomputed = (query_ok db ~reuse:false q).Vida.value in
+        List.iter
+          (fun (r : Vida.result) ->
+            check_bool (q ^ ": from the result cache") true r.Vida.from_result_cache;
+            check_bool (q ^ ": equals the recompute") true (compare r.Vida.value recomputed = 0))
+          [ List.nth mine i; List.nth theirs i ])
+      queries
+  done;
+  let repairs = (Vida.stats db).Vida.result_repairs in
+  check_bool "each entry repaired once or twice per append" true (repairs >= 6 && repairs <= 12);
+  check_answers "concurrent" db ~register queries;
+  rm path
+
+(* The XML index scans the view in place: each byte of the file is counted
+   once per scan, and an append re-infers from one whole-file load. *)
+let test_xml_counts_each_byte_once () =
+  let element k = Printf.sprintf "<patient><id>%d</id><age>%d</age></patient>\n" k (20 + (k mod 50)) in
+  let elements ~first n = String.concat "" (List.init n (fun i -> element (first + i))) in
+  let old = "<root>\n" ^ elements ~first:1 150 in
+  let path = tmp_file old in
+  let element_bytes ~first n = String.length (elements ~first n) - n (* newlines *) in
+  let db = Vida.create ~domains:1 () in
+  Vida.xml db ~name:"X" ~path ();
+  let q = "for { p <- X } yield sum p.age" in
+  let first = query_ok db q in
+  (* the build's scan, then each element parsed twice: for its list tags
+     and for the decoded column *)
+  check_int "first query: the file once, each element twice"
+    (String.length old + (2 * element_bytes ~first:1 150))
+    first.Vida.raw_io.Io_stats.bytes_read;
+  let appended = elements ~first:151 8 in
+  append_file path appended;
+  let io = refresh_appended db "X" in
+  (* re-inference scans the whole new file once, parses each element for
+     its list tags and the first 50 for their type; the extension scans
+     the appended bytes and parses each new element twice *)
+  check_int "refresh: re-inference once, the appended bytes once"
+    (String.length old + String.length appended
+    + element_bytes ~first:1 158 + element_bytes ~first:1 50
+    + String.length appended + (2 * element_bytes ~first:151 8))
+    io.Io_stats.bytes_read;
+  check_int "refresh: re-inference load and tail read" 2 io.Io_stats.file_loads;
+  rm path
 
 (* --- crash-safe sidecar store ----------------------------------------- *)
 
@@ -679,7 +924,8 @@ let () =
           Alcotest.test_case "xml differential" `Quick test_xml_extend_differential;
           Alcotest.test_case "repair equals rebuild" `Quick test_repair_equals_rebuild;
           Alcotest.test_case "one generation per repair" `Quick test_repair_one_generation;
-          Alcotest.test_case "query io includes repair" `Quick test_query_io_includes_repair
+          Alcotest.test_case "query io includes repair" `Quick test_query_io_includes_repair;
+          Alcotest.test_case "xml counts each byte once" `Quick test_xml_counts_each_byte_once
         ] );
       ( "schema-across-appends",
         [ Alcotest.test_case "small csv widens" `Quick test_schema_widens_small_csv;
@@ -695,6 +941,14 @@ let () =
         ] );
       ( "chaos",
         [ Alcotest.test_case "soak" `Slow test_chaos_soak ] );
+      ( "raw-buffer",
+        [ Alcotest.test_case "views share capacity" `Quick test_buffer_views_share_capacity ] );
+      ( "result-repair",
+        [ Alcotest.test_case "csv differential" `Quick test_repair_differential_csv;
+          Alcotest.test_case "json differential" `Quick test_repair_differential_json;
+          Alcotest.test_case "xml differential" `Quick test_repair_differential_xml;
+          Alcotest.test_case "falls back" `Quick test_repair_falls_back;
+          Alcotest.test_case "concurrent sessions" `Quick test_repair_concurrent ] );
       ( "io-fault",
         [ Alcotest.test_case "only is exact" `Quick test_io_fault_only_exact ] )
     ]

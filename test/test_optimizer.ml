@@ -147,7 +147,7 @@ let test_optimize_preserves_semantics () =
     (fun q ->
       let plan = plan_of q in
       let optimized = Optimizer.optimize ctx plan in
-      (match Plan.validate optimized with
+      (match Plan.validate ~externals:(Registry.names registry) optimized with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "optimized plan invalid for %S: %s" q msg);
       let expected = Naive_exec.run ~sources plan in
@@ -209,7 +209,7 @@ let test_optimize_unnest_dependency_respected () =
   let q = "for { o <- Orders, i <- o.items, i.q > 1 } yield sum i.q" in
   let plan = plan_of q in
   let optimized = Optimizer.optimize ctx plan in
-  (match Plan.validate optimized with
+  (match Plan.validate ~externals:(Registry.names registry) optimized with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "invalid: %s" msg);
   let sources = reference_sources ctx in

@@ -357,10 +357,53 @@ let wait_for ?(timeout_s = 5.) pred =
   in
   go ()
 
+let describe_stats (st : Server.stats) =
+  let a = st.Server.admission in
+  Printf.sprintf
+    "running=%d queued=%d admitted=%d shed=%d active_connections=%d served=%d \
+     disconnect_cancels=%d pool_active_regions=%d pool_inflight=%d"
+    a.G.Admission.running a.G.Admission.queued a.G.Admission.admitted_total
+    a.G.Admission.shed_total st.Server.active_connections st.Server.served
+    st.Server.disconnect_cancels st.Server.pool.Vida_raw.Morsel.Pool.active_regions
+    st.Server.pool.Vida_raw.Morsel.Pool.inflight
+
+(* A test-local watchdog over one step: a step still running after
+   [limit_s] prints its name and a [Server.stats] snapshot (given a few
+   seconds of its own, since the snapshot may block on the stuck lock),
+   then ends the process with a failure. A hang fails the run; nothing is
+   retried or skipped. *)
+let watched ?(limit_s = 60.) srv step f =
+  let finished = Atomic.make false in
+  let deadline = Unix.gettimeofday () +. limit_s in
+  let _dog : Thread.t =
+    Thread.create
+      (fun () ->
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+          Thread.delay 0.01
+        done;
+        if not (Atomic.get finished) then (
+          Printf.eprintf "watchdog: step %S still running after %.0f s\n%!" step limit_s;
+          let _snapshot : Thread.t =
+            Thread.create
+              (fun () ->
+                Printf.eprintf "watchdog: Server.stats: %s\n%!"
+                  (describe_stats (Server.stats srv)))
+              ()
+          in
+          Thread.delay 5.;
+          Printf.eprintf "watchdog: failing the test run\n%!";
+          Unix._exit 70))
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Atomic.set finished true) f
+
 let test_disconnect_cancels () =
   let gate = Atomic.make false in
   let db = gated_db gate in
-  with_server db (fun srv ->
+  let srv = Server.create db in
+  Fun.protect
+    ~finally:(fun () -> watched srv "Server.stop" (fun () -> Server.stop srv))
+    (fun () ->
       let fd = raw_connect (Server.address srv) in
       Frame.write fd "{\"id\": 9, \"query\": \"for { s <- SlowSrc } yield count s\"}";
       (* let the query reach the gated scan, then vanish *)
@@ -378,15 +421,17 @@ let test_disconnect_cancels () =
              let st = Server.stats srv in
              st.Server.admission.G.Admission.running = 0
              && st.Server.active_connections = 0));
-      let st = Server.stats srv in
+      (* each step from here on runs under the watchdog *)
+      let st = watched srv "Server.stats" (fun () -> Server.stats srv) in
       check_int "no queue residue" 0 st.Server.admission.G.Admission.queued;
       check_int "pool regions drained" 0
         st.Server.pool.Vida_raw.Morsel.Pool.active_regions;
       (* untouched clients keep working afterwards *)
       Atomic.set gate true;
-      with_client srv (fun c ->
-          let r = Server.Client.query c "for { s <- SlowSrc } yield count s" in
-          check_string "post-cancel query ok" "ok" (fld_str r "status")))
+      watched srv "post-cancel query" (fun () ->
+          with_client srv (fun c ->
+              let r = Server.Client.query c "for { s <- SlowSrc } yield count s" in
+              check_string "post-cancel query ok" "ok" (fld_str r "status"))))
 
 (* A request pipelined behind one still running leaves the socket
    readable with a live peer: the connection thread must neither mistake
