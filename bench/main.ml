@@ -794,7 +794,7 @@ let micro () =
 
 let governor () =
   section "R1: query-lifecycle governor under injected faults";
-  let module FI = Vida_raw.Fault_inject in
+  let module FP = Vida_raw.Fault_plan in
   let module G = Vida_governor.Governor in
   let p = Lazy.force paths in
   let db = Vida.create () in
@@ -817,12 +817,15 @@ let governor () =
          JIT compile failure (degrades to the Generic engine) *)
       let faulty_io = i mod 5 = 0 in
       let faulty_jit = i mod 7 = 0 in
-      if faulty_io then (
-        Vida.invalidate db "Patients";
-        FI.install_io_plan (FI.io_plan ~fail_loads:1 ()));
-      if faulty_jit then G.Chaos.fail_jit_compiles 1;
+      if faulty_io then Vida.invalidate db "Patients";
+      let plan =
+        (if faulty_io then [ FP.Load { fail = 1; latency_ms = 0.; only = None } ] else [])
+        @ if faulty_jit then [ FP.Jit_compile { fail = 1 } ] else []
+      in
       let row =
-        match Vida.query ~reuse:false db q.Hbp_queries.text with
+        match
+          FP.with_plan plan (fun () -> Vida.query ~reuse:false db q.Hbp_queries.text)
+        with
         | Ok r ->
           let g = r.Vida.governor in
           incr ok;
@@ -833,23 +836,20 @@ let governor () =
           (i, Vida_error.kind_name e, 0., 0, 0)
         | Error e -> failwith (Vida.error_to_string e)
       in
-      FI.clear_io_plan ();
-      G.Chaos.reset ();
       rows := row :: !rows)
     qs;
   (* a deliberately slow reload under injected latency and a tight
      deadline: must finish with a structured deadline error — never a
      hang, never a crash, never a wrong answer *)
   Vida.invalidate db "Genetics";
-  FI.install_io_plan (FI.io_plan ~latency_ms:50. ());
   Vida.set_limits db { G.unlimited with G.deadline_ms = Some 10. };
   let deadline_outcome =
-    match Vida.query ~reuse:false db "for { g <- Genetics } yield count g" with
-    | Error (Vida.Data_error e) -> Vida_error.kind_name e
-    | Ok _ -> "ok"
-    | Error e -> failwith (Vida.error_to_string e)
+    FP.with_plan [ FP.Load { fail = 0; latency_ms = 50.; only = None } ] (fun () ->
+        match Vida.query ~reuse:false db "for { g <- Genetics } yield count g" with
+        | Error (Vida.Data_error e) -> Vida_error.kind_name e
+        | Ok _ -> "ok"
+        | Error e -> failwith (Vida.error_to_string e))
   in
-  FI.clear_io_plan ();
   Vida.set_limits db G.unlimited;
   rows := (List.length qs, deadline_outcome, 0., 0, 0) :: !rows;
   let rows = List.rev !rows in
@@ -1475,7 +1475,7 @@ let resilience () =
   let module Chaos = Vida_server.Chaos in
   let module GA = Vida_governor.Governor.Admission in
   let module GB = Vida_governor.Governor.Breaker in
-  let module Fault = Vida_raw.Fault_inject in
+  let module Fault = Vida_raw.Fault_plan in
   let n = max 2_000 (int_of_float (50_000. *. sf)) in
   let buf = Buffer.create (n * 8) in
   Buffer.add_string buf "v,k\n";
@@ -1540,24 +1540,24 @@ let resilience () =
   GB.set_config { GB.failure_threshold = 3; cooldown_ms = 150. };
   let db = Vida.create () in
   Vida.csv db ~name:"S" ~path ();
-  Fault.install_io_plan
-    (Fault.io_plan ~fail_loads:1_000_000 ~only:(Filename.basename path) ());
-  let failing_s =
-    let t0 = now_s () in
-    ignore (Vida.query db q);
-    now_s () -. t0
+  let failing_s, shed_s =
+    Fault.with_plan
+      [ Fault.Load { fail = 1_000_000; latency_ms = 0.; only = Some (Filename.basename path) } ]
+      (fun () ->
+        let failing_s =
+          let t0 = now_s () in
+          ignore (Vida.query db q);
+          now_s () -. t0
+        in
+        let tripped = ref 0 in
+        while GB.state ~source:path <> `Open && !tripped < 10 do
+          incr tripped;
+          ignore (Vida.query db q)
+        done;
+        let t0 = now_s () in
+        ignore (Vida.query db q);
+        (failing_s, now_s () -. t0))
   in
-  let tripped = ref 0 in
-  while GB.state ~source:path <> `Open && !tripped < 10 do
-    incr tripped;
-    ignore (Vida.query db q)
-  done;
-  let shed_s =
-    let t0 = now_s () in
-    ignore (Vida.query db q);
-    now_s () -. t0
-  in
-  Fault.clear_io_plan ();
   (* heal: from the moment the source recovers, how long until a query
      flows again (cooldown wait + half-open probe) *)
   let heal_s =

@@ -495,6 +495,6 @@ let run t plan =
   match try_vector t plan with
   | Some (monoid, head, items, preds) -> (
     try vector_run t monoid head items preds
-    with Not_vectorizable -> Plan_interp.run ~resolve:(resolve_generic t) plan)
+    with Not_vectorizable -> Vida_engine.Interp.resolved ~resolve:(resolve_generic t) plan)
   | None | exception Not_vectorizable ->
-    Plan_interp.run ~resolve:(resolve_generic t) plan
+    Vida_engine.Interp.resolved ~resolve:(resolve_generic t) plan

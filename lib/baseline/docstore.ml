@@ -72,4 +72,4 @@ let run t plan =
                       | None -> Value.Null ))
                   fs)))
   in
-  Plan_interp.run ~resolve plan
+  Vida_engine.Interp.resolved ~resolve plan

@@ -74,4 +74,4 @@ let run t plan =
   let resolve name ~need:_ _ =
     invalid_arg (Printf.sprintf "Mediator: source %S not placed on any backend" name)
   in
-  Plan_interp.run ~resolve plan
+  Vida_engine.Interp.resolved ~resolve plan

@@ -189,4 +189,4 @@ let run t plan =
     in
     scan t ~name ~fields consumer
   in
-  Plan_interp.run ~resolve plan
+  Vida_engine.Interp.resolved ~resolve plan

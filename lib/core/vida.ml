@@ -792,7 +792,7 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs
         match engine with
         | Generic -> run_generic ()
         | Jit -> (
-          match Governor.Chaos.take_jit_failure () with
+          match Vida_raw.Fault_plan.jit_failure () with
           | Some reason -> degrade reason
           | None -> (
             (* one count-head rewrite per JIT execution, before the kernels

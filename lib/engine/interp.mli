@@ -1,13 +1,27 @@
-(** The generic "pre-cooked" engine (paper §4's foil).
+(** The one Volcano executor: tuple-at-a-time over name→value
+    environments, with hash joins on equality conjuncts, grouped [Nest]
+    and three-valued filters. Two callers share it, differing only in how
+    a generator's elements are streamed and how a scalar is evaluated.
 
-    Executes the same algebra with the same algorithms (hash joins, grouped
-    nests) and the same raw-file substrates, but with none of the per-query
-    specialization the JIT performs: environments are name→value maps
-    rebuilt per tuple, scalars are interpreted by walking the AST, input
-    plugins are invoked generically (no projection pushdown — every field
-    is fetched). The JIT-vs-interpreted benchmark (DESIGN.md A1) measures
-    exactly the interpretation overhead this engine keeps. *)
+    - {!query} is the generic "pre-cooked" engine, paper §4's foil. It
+      runs the same algebra over the same raw-file substrates with none of
+      the JIT's per-query specialization: environments are rebuilt per
+      tuple, scalars are interpreted by walking the AST, and input plugins
+      fetch every field (no projection pushdown). The JIT-vs-interpreted
+      benchmark (DESIGN.md A1) measures exactly this overhead.
+    - {!resolved} is the classical engine the baseline stores share; their
+      differences live in storage layout and scan, which [resolve]
+      supplies. *)
 
 (** [query ctx plan] runs [plan] generically, producing the same result as
     {!Compile.query}. *)
 val query : Plugins.ctx -> Vida_algebra.Plan.t -> unit -> Vida_data.Value.t
+
+(** [resolved ~resolve plan] executes [plan]. [resolve name ~need consumer]
+    must stream the elements of source [name]; [need] is the projection
+    hint (stores that can, read less).
+    @raise Invalid_argument on an unknown source (propagated from
+    [resolve]). *)
+val resolved :
+  resolve:(string -> need:Analysis.need -> (Vida_data.Value.t -> unit) -> unit) ->
+  Vida_algebra.Plan.t -> Vida_data.Value.t

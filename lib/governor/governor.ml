@@ -471,7 +471,7 @@ end
 
    State is process-global under one mutex, keyed by the source's backing
    path (what the raw-buffer load path sees) — the same shape as
-   [Limits]/[Io_fault]: breakers protect sources, not sessions. *)
+   [Limits]: breakers protect sources, not sessions. *)
 module Breaker = struct
   type config = {
     failure_threshold : int;  (* consecutive failures that trip the breaker *)
@@ -679,28 +679,4 @@ module Breaker = struct
                 in
                 Open (now -. (!cfg.cooldown_ms -. remaining))))
           persisted)
-end
-
-(* --- chaos hooks ---------------------------------------------------- *)
-
-(* Deterministic engine-level fault injection: arm [n] JIT failures and
-   the next [n] JIT compilations act as if code generation failed, forcing
-   the governor's jit->generic degradation path. Complements the raw-byte
-   faults in [Vida_raw.Fault_inject] at the engine layer. *)
-module Chaos = struct
-  let jit_failures = Atomic.make 0
-
-  let fail_jit_compiles n = Atomic.set jit_failures n
-  let reset () = Atomic.set jit_failures 0
-
-  let take_jit_failure () =
-    let rec take () =
-      let n = Atomic.get jit_failures in
-      if n > 0 then
-        if Atomic.compare_and_set jit_failures n (n - 1) then
-          Some "injected JIT compile failure"
-        else take ()
-      else None
-    in
-    take ()
 end

@@ -293,19 +293,3 @@ module Breaker : sig
       persisted cooldown remains (clamped to the current config's
       cooldown). Existing entries for the same source are overwritten. *)
 end
-
-(** {1 Engine-level fault injection}
-
-    Deterministic chaos hooks for exercising the degradation ladder in
-    tests and the bench harness (raw-byte faults live in
-    {!Vida_raw.Fault_inject}). *)
-module Chaos : sig
-  val fail_jit_compiles : int -> unit
-  (** arm [n] injected JIT compile failures: the next [n] JIT compilations
-      degrade to the Generic engine. *)
-
-  val take_jit_failure : unit -> string option
-  (** consume one armed failure (called by the engine facade). *)
-
-  val reset : unit -> unit
-end

@@ -17,10 +17,10 @@
    Layout:  magic | header-crc32(4) | generation(8 LE) | nframes(8 LE)
             | nframes * ( len(8 LE) | crc32(4) | bytes )
 
-   The crash hook simulates the unflushed-rename failure mode for tests:
-   when armed, a write still publishes, but the published file is
-   truncated at a seeded random offset, as if the process died before
-   writeback completed. *)
+   A [Sidecar_tear] fault ({!Fault_plan}) simulates the unflushed-rename
+   failure mode for tests: a write still publishes, but the published
+   file is truncated at a seeded random offset, as if the process died
+   before writeback completed. *)
 
 (* --- CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) --- *)
 
@@ -42,48 +42,6 @@ let crc32 ?(crc = 0) s ~pos ~len =
   !c lxor 0xFFFFFFFF land 0xFFFFFFFF
 
 let crc32_string s = crc32 s ~pos:0 ~len:(String.length s)
-
-(* --- crash injection hook --- *)
-
-module Crash = struct
-  type mode = Off | Seeded of { mutable state : int64 }
-
-  let mode = ref Off
-  let count = ref 0
-  let mutex = Vida_sync.Lock.create ~rank:90 ~name:"raw.sidecar-crash" ()
-
-  let arm_random ~seed =
-    Vida_sync.Lock.protect mutex (fun () ->
-        mode := Seeded { state = Int64.of_int seed };
-        count := 0)
-
-  let disarm () = Vida_sync.Lock.protect mutex (fun () -> mode := Off)
-
-  let crashes () = !count
-
-  (* splitmix64 step, same generator as Fault_inject *)
-  let next_int64 st =
-    let open Int64 in
-    let z = add st 0x9E3779B97F4A7C15L in
-    let m = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-    let m = mul (logxor m (shift_right_logical m 27)) 0x94D049BB133111EBL in
-    (z, logxor m (shift_right_logical m 31))
-
-  (* [Some offset] when this write should be torn at [offset]. Roughly
-     half of armed writes crash, at a uniform offset in [0, len). *)
-  let plan_crash ~len =
-    Vida_sync.Lock.protect mutex (fun () ->
-        match !mode with
-        | Off -> None
-        | Seeded s ->
-          let st, r = next_int64 s.state in
-          s.state <- st;
-          let bits = Int64.to_int (Int64.logand r 0x3FFFFFFFFFFFFFFFL) in
-          if bits land 1 = 0 || len = 0 then None
-          else (
-            incr count;
-            Some (bits lsr 1 mod len)))
-end
 
 (* --- encoding helpers --- *)
 
@@ -191,8 +149,8 @@ let generation ~path ~magic =
   match read ~path ~magic with Sidecar { generation; _ } -> Some generation | _ -> None
 
 (* The write path is audited for OS failure: every open/write/rename may
-   fail for real (disk full, fd exhaustion) or by an installed
-   {!Sys_fault} plan, and every such failure surfaces as a typed
+   fail for real (disk full, fd exhaustion) or by an armed
+   {!Fault_plan}, and every such failure surfaces as a typed
    [State_failure] (kind "state", exit 80) with the temp file cleaned up —
    callers on the persistence path degrade to no-persist mode, they never
    see an untyped [Sys_error] or abort. *)
@@ -205,6 +163,32 @@ let state_fail ~path ~op e =
   in
   Vida_error.state_failure ~source:path ~op "%s" reason
 
+let publish ?op ~path contents =
+  let fail stage e = state_fail ~path ~op:(Option.value op ~default:stage) e in
+  let tmp = path ^ ".tmp" in
+  let oc =
+    try
+      Fault_plan.on_os `Open ~path;
+      open_out_bin tmp
+    with (Sys_error _ | Unix.Unix_error _) as e -> fail "open" e
+  in
+  (try
+     Fault_plan.on_os `Write ~path;
+     output_string oc contents;
+     close_out oc
+   with e ->
+     close_out_noerr oc;
+     (try Sys.remove tmp with Sys_error _ -> ());
+     (match e with
+     | Sys_error _ | Unix.Unix_error _ -> fail "write" e
+     | e -> raise e));
+  try
+    Fault_plan.on_os `Rename ~path;
+    Sys.rename tmp path
+  with (Sys_error _ | Unix.Unix_error _) as e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    fail "rename" e
+
 let write ~path ~magic ?generation:gen frames =
   let generation =
     match gen with
@@ -213,34 +197,10 @@ let write ~path ~magic ?generation:gen frames =
       match generation ~path ~magic with Some g -> g + 1 | None -> 1)
   in
   let payload = encode ~magic ~generation frames in
-  let published =
-    match Crash.plan_crash ~len:(String.length payload) with
+  publish ~path
+    (match Fault_plan.tear ~path ~len:(String.length payload) with
     | None -> payload
-    | Some offset -> String.sub payload 0 offset
-  in
-  let tmp = path ^ ".tmp" in
-  let oc =
-    try
-      Sys_fault.on_open ~path;
-      open_out_bin tmp
-    with (Sys_error _ | Unix.Unix_error _) as e -> state_fail ~path ~op:"open" e
-  in
-  (try
-     Sys_fault.on_write ~path;
-     output_string oc published;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     (match e with
-     | Sys_error _ | Unix.Unix_error _ -> state_fail ~path ~op:"write" e
-     | e -> raise e));
-  (try
-     Sys_fault.on_rename ~path;
-     Sys.rename tmp path
-   with (Sys_error _ | Unix.Unix_error _) as e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     state_fail ~path ~op:"rename" e);
+    | Some offset -> String.sub payload 0 offset);
   generation
 
 let quarantine path =

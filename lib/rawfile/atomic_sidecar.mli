@@ -12,13 +12,20 @@
 
 (** [write ~path ~magic ?generation frames] atomically publishes [frames]
     under [path]. The generation defaults to one more than the current
-    sidecar's (or 1); the generation written is returned. When the crash
-    hook is armed, the published file may be deterministically torn.
+    sidecar's (or 1); the generation written is returned. Under a
+    [Sidecar_tear] fault ({!Fault_plan}) the published file may be
+    deterministically torn.
     An OS failure anywhere on the write path — disk full, fd exhaustion,
-    an injected {!Sys_fault} — removes the temp file and raises a typed
+    an injected {!Fault_plan} fault — removes the temp file and raises a typed
     [Vida_error.State_failure] (kind ["state"], exit 80), never an
     untyped [Sys_error]. *)
 val write : path:string -> magic:string -> ?generation:int -> string list -> int
+
+(** [publish ?op ~path contents] writes [contents] to a temp file beside
+    [path] and renames it over [path], with the same failure discipline
+    as {!write}: the [State_failure] names [op] (default: the failing
+    step, ["open"], ["write"] or ["rename"]). *)
+val publish : ?op:string -> path:string -> string -> unit
 
 type read_result =
   | Sidecar of { generation : int; frames : string list }
@@ -34,16 +41,3 @@ val quarantine : string -> string option
 
 (** CRC32 (IEEE) of a whole string — exposed for tests. *)
 val crc32_string : string -> int
-
-(** {1 Crash injection}
-
-    Simulates the crash-after-rename failure mode: while armed, each
-    {!write} may (seeded, ~half the time) publish a file truncated at a
-    random offset, as if the process died before writeback completed. *)
-module Crash : sig
-  val arm_random : seed:int -> unit
-  val disarm : unit -> unit
-
-  (** writes torn since last {!arm_random}. *)
-  val crashes : unit -> int
-end

@@ -7,19 +7,13 @@ type fault =
   | Garbage_append of int
   | Overwrite of { offset : int; bytes : string }
 
-(* splitmix64-style deterministic stream; Random is avoided so a seed
-   reproduces the exact same corruption everywhere. *)
-let mix state =
-  let open Int64 in
-  state := add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
+(* a seeded stream, so a seed reproduces the exact same corruption
+   everywhere *)
 let rand_int state bound =
   if bound <= 0 then 0
-  else Int64.to_int (Int64.rem (Int64.logand (mix state) Int64.max_int) (Int64.of_int bound))
+  else
+    Int64.to_int
+      (Int64.rem (Int64.logand (Fault_plan.splitmix state) Int64.max_int) (Int64.of_int bound))
 
 let apply_one state s fault =
   let n = String.length s in
@@ -68,59 +62,6 @@ let apply ?(seed = 0) faults s =
   List.fold_left (apply_one state) s faults
 
 let buffer ~source ?seed faults s = Raw_buffer.of_string ~source (apply ?seed faults s)
-
-(* --- injected IO faults (transient failures, latency) ----------------
-
-   Configuration facade over {!Io_fault}: the state lives below
-   [Raw_buffer] (which consults it on every load attempt), the knobs live
-   here with the rest of the fault-injection surface. *)
-
-type io_plan = Io_fault.plan = {
-  fail_loads : int;
-  latency_ms : float;
-  only : string option;
-}
-
-let io_plan ?(fail_loads = 0) ?(latency_ms = 0.) ?only () =
-  { fail_loads; latency_ms; only }
-
-let install_io_plan = Io_fault.install
-let clear_io_plan = Io_fault.clear
-let with_io_plan = Io_fault.with_plan
-let io_failures_injected = Io_fault.failures_injected
-
-(* --- sidecar crash injection -----------------------------------------
-
-   Facade over {!Atomic_sidecar.Crash}: while armed, sidecar publishes
-   may be deterministically torn, exercising the load-side CRC /
-   quarantine / rebuild path. *)
-
-let arm_sidecar_crash ~seed = Atomic_sidecar.Crash.arm_random ~seed
-let disarm_sidecar_crash = Atomic_sidecar.Crash.disarm
-let sidecar_crashes = Atomic_sidecar.Crash.crashes
-
-(* --- injected OS write faults ----------------------------------------
-
-   Facade over {!Sys_fault}: deterministic ENOSPC / EMFILE / EIO on the
-   durable-state write paths (sidecar publishes, state-dir artifacts), so
-   the disk-full degradation contract — typed [State_failure], no-persist
-   degraded mode, never an abort — is exactly testable. *)
-
-type sys_errno = Sys_fault.errno
-
-type sys_plan = Sys_fault.plan = {
-  fail_opens : int;
-  fail_writes : int;
-  fail_renames : int;
-  errno : sys_errno;
-  only : string option;
-}
-
-let sys_plan = Sys_fault.plan
-let install_sys_plan = Sys_fault.install
-let clear_sys_plan = Sys_fault.clear
-let with_sys_plan = Sys_fault.with_plan
-let sys_failures_injected = Sys_fault.failures_injected
 
 let corrupt_file ?seed faults ~path =
   let ic = open_in_bin path in

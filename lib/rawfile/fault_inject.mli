@@ -5,7 +5,8 @@
     views. The fault model covers what hostile user files actually exhibit:
     truncation (a writer died mid-file), bit flips (storage corruption),
     short reads (bytes silently missing mid-stream), and trailing garbage
-    (a partially overwritten file). *)
+    (a partially overwritten file). Faults in how reading, writing and
+    publishing behave are armed through {!Fault_plan}. *)
 
 type fault =
   | Truncate_at of int  (** keep only the first [n] bytes *)
@@ -30,80 +31,3 @@ val buffer : source:string -> ?seed:int -> fault list -> string -> Raw_buffer.t
 (** [corrupt_file ~seed faults ~path] rewrites a file in place with the
     faults applied — for end-to-end tests over registered sources. *)
 val corrupt_file : ?seed:int -> fault list -> path:string -> unit
-
-(** {1 Injected IO faults}
-
-    Byte corruption above models {e what} is on disk; the IO plan models
-    {e how reading behaves}: transient failures (NFS hiccups, racing
-    writers) and latency (cold object stores, contended disks). Both are
-    deterministic, so timeout/retry/fallback paths are exactly testable:
-    the first [fail_loads] load attempts of each matching source raise a
-    transient [Io_failure], and every attempt first sleeps [latency_ms]. *)
-
-type io_plan = Io_fault.plan = {
-  fail_loads : int;
-  latency_ms : float;
-  only : string option;
-      (** restrict to the source with this path or basename (exact after
-          normalization, never substring) *)
-}
-
-val io_plan : ?fail_loads:int -> ?latency_ms:float -> ?only:string -> unit -> io_plan
-val install_io_plan : io_plan -> unit
-val clear_io_plan : unit -> unit
-
-(** [with_io_plan p f] runs [f] under [p], restoring the previous plan
-    afterwards (exception-safe). *)
-val with_io_plan : io_plan -> (unit -> 'a) -> 'a
-
-(** transient failures injected since the current plan was installed. *)
-val io_failures_injected : unit -> int
-
-(** {1 Sidecar crash injection}
-
-    Facade over {!Atomic_sidecar.Crash}: while armed, roughly half of all
-    sidecar publishes (seeded) are torn at a random byte offset,
-    simulating a crash before writeback — the loader must detect,
-    quarantine and rebuild, never serve wrong data. *)
-
-val arm_sidecar_crash : seed:int -> unit
-val disarm_sidecar_crash : unit -> unit
-
-(** sidecar writes torn since last armed. *)
-val sidecar_crashes : unit -> int
-
-(** {1 Injected OS write faults}
-
-    Facade over {!Sys_fault}: the corruption model above is about bytes,
-    the IO plan about reads — this one is about the {e OS failing the
-    write path}: disk full (ENOSPC), fd exhaustion (EMFILE), IO errors
-    (EIO). The first [n] matching opens / writes / renames on the
-    durable-state writers fail with the chosen errno, which must surface
-    as a typed [State_failure] and the no-persist degraded mode — never
-    an abort. *)
-
-type sys_errno = Sys_fault.errno
-
-type sys_plan = Sys_fault.plan = {
-  fail_opens : int;  (** first [n] matching file opens fail *)
-  fail_writes : int;  (** first [n] matching writes fail *)
-  fail_renames : int;  (** first [n] matching renames fail *)
-  errno : sys_errno;
-  only : string option;
-      (** restrict to the file with this path or basename (exact after
-          normalization, never substring) *)
-}
-
-val sys_plan :
-  ?fail_opens:int -> ?fail_writes:int -> ?fail_renames:int ->
-  ?errno:sys_errno -> ?only:string -> unit -> sys_plan
-
-val install_sys_plan : sys_plan -> unit
-val clear_sys_plan : unit -> unit
-
-(** [with_sys_plan p f] runs [f] under [p], restoring the previous plan
-    afterwards (exception-safe). *)
-val with_sys_plan : sys_plan -> (unit -> 'a) -> 'a
-
-(** OS faults injected since the current plan was installed. *)
-val sys_failures_injected : unit -> int

@@ -37,7 +37,7 @@ let validate_load : (source:string -> view -> unit) ref =
    [Io_failure] so the governed retry loop below can distinguish them from
    corruption. *)
 let with_file t read =
-  Io_fault.on_load ~source:t.path;
+  Fault_plan.on_load ~source:t.path;
   match open_in_bin t.path with
   | exception Sys_error reason -> Vida_error.io_failure ~source:t.path "%s" reason
   | ic -> (

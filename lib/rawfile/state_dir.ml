@@ -27,7 +27,7 @@
    Losing any file here costs time, never answers.
 
    Failure discipline: every OS failure on the write path (disk full, fd
-   exhaustion, IO errors — real or injected via {!Sys_fault}) surfaces as
+   exhaustion, IO errors — real or injected via {!Fault_plan}) surfaces as
    a typed [State_failure] (exit 80). The {!persist} wrapper converts
    that into the documented no-persist degraded mode: the flag flips, the
    failure is counted, queries keep answering, and persistence stays
@@ -36,99 +36,6 @@
 let manifest_magic = "VSDM"
 let artifact_magic = "VSDA"
 let format_version = "vida-state:1"
-
-(* --- crash injection: seeded SIGKILL at publish points --------------- *)
-
-module Crash = struct
-  type phase = Before | Torn | After
-
-  (* one armed point at a time: (point, nth matching publish, phase) *)
-  type armed = { point : string; at : int; phase : phase }
-
-  let state : armed option ref = ref None
-  let counts : (string, int) Hashtbl.t = Hashtbl.create 4
-
-  let arm ~point ~at ~phase =
-    state := Some { point; at; phase };
-    Hashtbl.reset counts
-
-  let disarm () =
-    state := None;
-    Hashtbl.reset counts
-
-  let phase_of_string = function
-    | "pre" -> Some Before
-    | "torn" -> Some Torn
-    | "post" -> Some After
-    | _ -> None
-
-  (* VIDA_STATE_CRASH="<point>:<n>[:<phase>]", e.g. "plans:2:torn" —
-     kill -9 self at the 2nd plans publish, after tearing the published
-     file. Lets the CLI's serve mode join the crash harness without any
-     code path of its own. *)
-  let arm_from_env () =
-    match Sys.getenv_opt "VIDA_STATE_CRASH" with
-    | None | Some "" -> ()
-    | Some spec -> (
-      match String.split_on_char ':' spec with
-      | [ point; n ] | [ point; n; "" ] -> (
-        match int_of_string_opt n with
-        | Some at when at >= 1 -> arm ~point ~at ~phase:After
-        | _ -> ())
-      | [ point; n; ph ] -> (
-        match (int_of_string_opt n, phase_of_string ph) with
-        | Some at, Some phase when at >= 1 -> arm ~point ~at ~phase
-        | _ -> ())
-      | _ -> ())
-
-  let die () = Unix.kill (Unix.getpid ()) Sys.sigkill
-
-  (* deterministic tear offset for this (point, at) *)
-  let tear_offset ~point ~at ~len =
-    if len = 0 then 0
-    else (
-      let h = Hashtbl.hash (point, at) land max_int in
-      h mod len)
-
-  (* [fire phase point ~path] — called by the publish sequence at each
-     sub-phase. On the armed occurrence: [Before] kills before any write;
-     [Torn] truncates the just-published file at a seeded offset (the
-     unflushed-writeback failure mode rename cannot protect against) and
-     kills; [After] kills between the artifact publish and the manifest
-     update. The count advances on the phase that observes the publish
-     ([Before]), so "at = 2" means the second publish of that point. *)
-  let fire phase point ~path =
-    match !state with
-    | None -> ()
-    | Some a when a.point <> point -> ()
-    | Some a -> (
-      let n =
-        if phase = Before then (
-          let k = 1 + Option.value ~default:0 (Hashtbl.find_opt counts point) in
-          Hashtbl.replace counts point k;
-          k)
-        else Option.value ~default:0 (Hashtbl.find_opt counts point)
-      in
-      if n = a.at && a.phase = phase then (
-        (match phase with
-        | Torn -> (
-          match
-            let ic = open_in_bin path in
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          with
-          | contents ->
-            let keep =
-              tear_offset ~point ~at:a.at ~len:(String.length contents)
-            in
-            let oc = open_out_bin path in
-            output_string oc (String.sub contents 0 keep);
-            close_out oc
-          | exception (Sys_error _ | End_of_file) -> ())
-        | Before | After -> ());
-        die ()))
-end
 
 (* --- lockfile: single instance, liveness-probed ---------------------- *)
 
@@ -258,38 +165,14 @@ let mkdir_p path =
   | exception Unix.Unix_error (e, _, _) ->
     Vida_error.state_failure ~source:path ~op:"mkdir" "%s" (Unix.error_message e)
 
-(* temp+rename, consulted by Sys_fault like every durable writer; the
-   lockfile carries no CRC — it is probed for liveness, not trusted *)
+(* published like every durable writer, but the lockfile carries no
+   CRC: it is probed for liveness, not trusted *)
 let write_lock_file dir =
-  let path = lock_path dir in
   let self = Unix.getpid () in
-  let stamp =
-    match proc_start_time self with
+  Atomic_sidecar.publish ~op:"lock" ~path:(lock_path dir)
+    (match proc_start_time self with
     | Some st -> Printf.sprintf "%d:%d\n" self st
-    | None -> Printf.sprintf "%d\n" self
-  in
-  let tmp = path ^ ".tmp" in
-  try
-    Sys_fault.on_open ~path;
-    let oc = open_out_bin tmp in
-    (try
-       Sys_fault.on_write ~path;
-       output_string oc stamp;
-       close_out oc
-     with e ->
-       close_out_noerr oc;
-       (try Sys.remove tmp with Sys_error _ -> ());
-       raise e);
-    Sys_fault.on_rename ~path;
-    Sys.rename tmp path
-  with (Sys_error _ | Unix.Unix_error _) as e ->
-    let reason =
-      match e with
-      | Unix.Unix_error (err, _, _) -> Unix.error_message err
-      | Sys_error msg -> msg
-      | _ -> ""
-    in
-    Vida_error.state_failure ~source:path ~op:"lock" "%s" reason
+    | None -> Printf.sprintf "%d\n" self)
 
 (* --- quarantine retention ---
 
@@ -343,7 +226,7 @@ let gc_quarantine ~max_age_s ~max_count dir =
 let write_manifest t =
   Vida_sync.Lock.assert_held t.lock;
   let path = manifest_path t.dir in
-  Crash.fire Crash.Before "manifest" ~path;
+  Fault_plan.on_publish Before ~name:"manifest" ~path;
   let frames =
     format_version
     :: (Hashtbl.fold
@@ -355,7 +238,7 @@ let write_manifest t =
            t.structs [])
   in
   ignore (Atomic_sidecar.write ~path ~magic:manifest_magic frames);
-  Crash.fire Crash.Torn "manifest" ~path
+  Fault_plan.on_publish Torn ~name:"manifest" ~path
 
 let read_manifest t =
   let path = manifest_path t.dir in
@@ -404,7 +287,7 @@ let open_dir ?(quarantine_max_age_s = default_quarantine_age_s)
   t.quarantine_removed <-
     gc_quarantine ~max_age_s:quarantine_max_age_s
       ~max_count:quarantine_max_count dir;
-  Crash.arm_from_env ();
+  Fault_plan.arm_from_env ();
   t
 
 let close t =
@@ -422,10 +305,10 @@ let close t =
 let save_artifact t ~name frames =
   locked t (fun () ->
       let path = artifact_path t name in
-      Crash.fire Crash.Before name ~path;
+      Fault_plan.on_publish Before ~name ~path;
       let gen = Atomic_sidecar.write ~path ~magic:artifact_magic frames in
-      Crash.fire Crash.Torn name ~path;
-      Crash.fire Crash.After name ~path;
+      Fault_plan.on_publish Torn ~name ~path;
+      Fault_plan.on_publish After ~name ~path;
       Hashtbl.replace t.artifacts name gen;
       write_manifest t;
       t.persists <- t.persists + 1)

@@ -15,7 +15,7 @@
     holds.
 
     Failure discipline: OS write failures (ENOSPC, EMFILE, EIO — real or
-    {!Sys_fault}-injected) raise typed [Vida_error.State_failure] (kind
+    {!Fault_plan}-injected) raise typed [Vida_error.State_failure] (kind
     ["state"], exit 80) from {!open_dir}/{!save_artifact}; the {!persist}
     wrapper instead flips the documented no-persist degraded mode:
     persistence suspends, the failure is counted, queries keep answering.
@@ -26,8 +26,8 @@ type t
 (** [open_dir dir] creates/opens the state directory: takes the
     single-instance lock (reclaiming a stale holder), loads the journaled
     manifest (a corrupt manifest is quarantined and rebuilt empty), GC's
-    aged/excess [*.corrupt] files, and arms crash injection from
-    [VIDA_STATE_CRASH] if set. Raises [State_failure] when a live process
+    aged/excess [*.corrupt] files, and arms a [State_publish] fault from
+    [VIDA_STATE_CRASH] if set ({!Fault_plan.arm_from_env}). Raises [State_failure] when a live process
     holds the lock or the directory cannot be prepared. *)
 val open_dir :
   ?quarantine_max_age_s:float -> ?quarantine_max_count:int -> string -> t
@@ -102,28 +102,3 @@ type report = {
 }
 
 val report : t -> report
-
-(** {1 Crash injection}
-
-    Seeded SIGKILL of the current process at state-publish points, for
-    the recovery harness. Points are artifact names (["plans"],
-    ["breakers"], ["ledger"]) plus ["manifest"]; the phase picks the
-    instant within the armed publish. *)
-module Crash : sig
-  type phase =
-    | Before  (** kill before any byte is written *)
-    | Torn  (** tear the just-published file at a seeded offset, then
-                kill — the unflushed-writeback failure mode *)
-    | After  (** kill between the artifact publish and the manifest
-                 update, leaving a generation skew *)
-
-  (** Arm a kill at the [at]-th (1-based) publish of [point]. *)
-  val arm : point:string -> at:int -> phase:phase -> unit
-
-  val disarm : unit -> unit
-
-  (** Arm from [VIDA_STATE_CRASH="<point>:<n>[:<phase>]"] with phase in
-      [pre|torn|post] (default [post]); called by {!open_dir} so a forked
-      [vida serve] joins the harness with no code path of its own. *)
-  val arm_from_env : unit -> unit
-end

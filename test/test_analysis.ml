@@ -218,6 +218,21 @@ let test_check_rewrite_names_rule () =
   | Error e -> Alcotest.failf "wrong error: %s" (Vida_error.to_string e)
   | Ok () -> Alcotest.fail "type-breaking rewrite accepted"
 
+(* a well-typed rewrite that reads a source its input did not is blamed
+   on the rule, and names the variable *)
+let test_check_rewrite_free_variable () =
+  let count child =
+    Plan.Reduce { monoid = Monoid.Prim Monoid.Count; head = Expr.int 1; child }
+  in
+  let before = count patients_src in
+  let after = count (Plan.Map { var = "rs"; expr = Expr.Var "Regions"; child = patients_src }) in
+  match Verifier.check_rewrite ~stage:"optimize" ~rule:"leaky" ~env ~before ~after () with
+  | Error (Vida_error.Plan_invalid { rule = Some r; reason; _ }) ->
+    check_string "rule named" "leaky" r;
+    check_string "diagnostic" "rewrite introduced free variable Regions" reason
+  | Error e -> Alcotest.failf "wrong error: %s" (Vida_error.to_string e)
+  | Ok () -> Alcotest.fail "free-variable-introducing rewrite accepted"
+
 (* every optimizer rule firing on a corpus of plans must verify *)
 
 let strict_checker ~rule ~before ~after =
@@ -704,6 +719,7 @@ let () =
         [ Alcotest.test_case "accepts well-typed" `Quick test_verifier_accepts;
           Alcotest.test_case "rejects ill-typed" `Quick test_verifier_rejects;
           Alcotest.test_case "rewrite names rule" `Quick test_check_rewrite_names_rule;
+          Alcotest.test_case "rewrite free variable" `Quick test_check_rewrite_free_variable;
           Alcotest.test_case "builtin rules verified" `Quick test_builtin_rules_verified;
           Alcotest.test_case "mutant rejected" `Quick test_mutant_rule_rejected;
           Alcotest.test_case "workload rules verified" `Quick test_workload_rules_verified;

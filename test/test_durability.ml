@@ -11,7 +11,7 @@
 
 open Vida_data
 module SD = Vida_raw.State_dir
-module Fault = Vida_raw.Fault_inject
+module FP = Vida_raw.Fault_plan
 module Structures = Vida_engine.Structures
 module Policy = Vida_cleaning.Policy
 module G = Vida_governor.Governor
@@ -313,15 +313,15 @@ let test_save_failure_typed () =
     (fun errno ->
       List.iter
         (fun plan ->
-          Fault.with_sys_plan plan (fun () ->
+          FP.with_plan [ plan ] (fun () ->
               match SD.save_artifact sd ~name:"x" [ "frame" ] with
               | () -> Alcotest.fail "injected OS failure must raise"
               | exception Vida_error.Error (Vida_error.State_failure _ as e) ->
                 check_string "typed kind" "state" (Vida_error.kind_name e);
                 check_int "exit code" 80 (Vida_error.exit_code e)))
-        [ Fault.sys_plan ~fail_opens:1 ~errno ();
-          Fault.sys_plan ~fail_writes:1 ~errno ();
-          Fault.sys_plan ~fail_renames:1 ~errno () ])
+        [ FP.Open { fail = 1; errno; only = None };
+          FP.Write { fail = 1; errno; only = None };
+          FP.Rename { fail = 1; errno; only = None } ])
     errnos;
   (* no residue: the next publish is clean and no temp files linger *)
   SD.save_artifact sd ~name:"x" [ "frame" ];
@@ -335,7 +335,7 @@ let test_save_failure_typed () =
   (* disk full while taking the lock: open_dir itself is typed *)
   let d2 = tmp_dir () in
   check_bool "open under ENOSPC is typed" true
-    (Fault.with_sys_plan (Fault.sys_plan ~fail_writes:1 ~errno:`Enospc ())
+    (FP.with_plan [ FP.Write { fail = 1; errno = `Enospc; only = None } ]
        (fun () ->
          match SD.open_dir d2 with
          | exception Vida_error.Error (Vida_error.State_failure _) -> true
@@ -349,7 +349,7 @@ let test_persist_degrades_and_resets () =
   let d = tmp_dir () in
   let sd = SD.open_dir d in
   check_bool "clean persist" true (SD.persist sd ~name:"p" [ "a" ]);
-  Fault.with_sys_plan (Fault.sys_plan ~fail_writes:1 ~errno:`Enospc ())
+  FP.with_plan [ FP.Write { fail = 1; errno = `Enospc; only = None } ]
     (fun () ->
       check_bool "failure returns false, never raises" true
         (not (SD.persist sd ~name:"p" [ "b" ])));
@@ -388,8 +388,8 @@ let test_instance_fault_sweep () =
       List.iter
         (fun errno ->
           incr legs;
-          Fault.with_sys_plan
-            (Fault.sys_plan ~fail_writes:1 ~errno ~only:target ())
+          FP.with_plan
+            [ FP.Write { fail = 1; errno; only = Some target } ]
             (fun () ->
               check_bool (target ^ " persist fails closed") true
                 (not (Vida.persist_state db)));

@@ -378,6 +378,46 @@ let test_e2e_result_cache_fingerprint () =
   | Error e -> Alcotest.failf "post-edit failed: %s" (Vida.error_to_string e));
   Sys.remove path
 
+(* The fault registry under concurrent loads: domains forcing distinct
+   sources under one [fail = 2] plan each see exactly two injected
+   failures per source (retried away), whatever the interleaving. A
+   second force of each source must load cleanly, so no source got fewer
+   than two; the total says none got more. *)
+let test_registry_concurrent_loads () =
+  let domains = 4 and per_domain = 3 in
+  let paths =
+    List.init domains (fun d ->
+        List.init per_domain (fun i ->
+            tmp_file (Printf.sprintf "id\n%d\n" ((d * per_domain) + i))))
+  in
+  let sources = domains * per_domain in
+  let force file =
+    let view = Vida_raw.Raw_buffer.(contents (of_path file)) in
+    String.sub view.Vida_raw.Raw_buffer.data 0 view.Vida_raw.Raw_buffer.len
+  in
+  Vida_raw.Fault_plan.(with_plan [ Load { fail = 2; latency_ms = 0.; only = None } ])
+    (fun () ->
+      let workers =
+        List.map
+          (fun mine ->
+            Domain.spawn (fun () ->
+                List.map (fun path -> (force path, force path)) mine))
+          paths
+      in
+      List.iteri
+        (fun d worker ->
+          List.iteri
+            (fun i (first, second) ->
+              let expected = Printf.sprintf "id\n%d\n" ((d * per_domain) + i) in
+              Alcotest.(check string) "first load retried to the bytes" expected first;
+              Alcotest.(check string) "second load clean" expected second)
+            (Domain.join worker))
+        workers;
+      check_int "two injected failures per source" (2 * sources)
+        (Vida_raw.Fault_plan.injected `Load));
+  check_int "nothing armed after the plan" 0 (Vida_raw.Fault_plan.injected `Load);
+  List.iter (List.iter Sys.remove) paths
+
 let () =
   Alcotest.run "faults"
     [
@@ -404,6 +444,8 @@ let () =
         [ Alcotest.test_case "truncated" `Quick test_binarray_truncated ] );
       ( "xml",
         [ Alcotest.test_case "tolerant recovery" `Quick test_xml_tolerant_recovery ] );
+      ( "registry",
+        [ Alcotest.test_case "concurrent loads" `Quick test_registry_concurrent_loads ] );
       ( "end-to-end",
         [
           Alcotest.test_case "csv quarantine" `Quick test_e2e_csv_quarantine;

@@ -5,7 +5,7 @@
 
 open Vida_data
 module G = Vida_governor.Governor
-module FI = Vida_raw.Fault_inject
+module FP = Vida_raw.Fault_plan
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -55,7 +55,7 @@ let test_deadline_under_injected_latency () =
   let path = tmp_csv ~rows:50 () in
   let limits = { G.unlimited with G.deadline_ms = Some 5. } in
   let db = mk_db ~limits path in
-  FI.with_io_plan (FI.io_plan ~latency_ms:30. ()) (fun () ->
+  FP.with_plan [ FP.Load { fail = 0; latency_ms = 30.; only = None } ] (fun () ->
       match Vida.query db "for { p <- P } yield count p" with
       | Error (Vida.Data_error (Vida_error.Deadline_exceeded _)) -> ()
       | Ok _ -> Alcotest.fail "latency-injected query beat a 5 ms deadline"
@@ -138,7 +138,7 @@ let test_budget_cache_eviction_never_stale () =
 let test_transient_io_retried () =
   let path = tmp_csv ~rows:100 () in
   let db = mk_db path in
-  FI.with_io_plan (FI.io_plan ~fail_loads:2 ()) (fun () ->
+  FP.with_plan [ FP.Load { fail = 2; latency_ms = 0.; only = None } ] (fun () ->
       match Vida.query ~reuse:false db "for { p <- P } yield count p" with
       | Ok r ->
         check_int "correct despite two transient failures" 100
@@ -152,7 +152,7 @@ let test_transient_io_exhausts () =
   let db = mk_db path in
   (* more consecutive failures than max_retries: the structured IO error
      must surface (bounded retrying, no infinite loop) *)
-  FI.with_io_plan (FI.io_plan ~fail_loads:10 ()) (fun () ->
+  FP.with_plan [ FP.Load { fail = 10; latency_ms = 0.; only = None } ] (fun () ->
       match Vida.query ~reuse:false db "for { p <- P } yield count p" with
       | Error (Vida.Data_error (Vida_error.Io_failure _)) -> ()
       | Ok _ -> Alcotest.fail "10 consecutive failures still succeeded"
@@ -181,8 +181,10 @@ let test_jit_fallback_differential () =
         | Ok r -> r.Vida.value
         | Error e -> Alcotest.failf "clean generic run failed: %s" (Vida.error_to_string e)
       in
-      G.Chaos.fail_jit_compiles 1;
-      match Vida.query ~reuse:false db q with
+      match
+        FP.with_plan [ FP.Jit_compile { fail = 1 } ] (fun () ->
+            Vida.query ~reuse:false db q)
+      with
       | Ok r ->
         check_bool "degraded run noted the fallback" true
           (List.exists (fun f -> f.G.stage = "jit->generic") r.Vida.governor.G.fallbacks);
@@ -192,8 +194,7 @@ let test_jit_fallback_differential () =
           (Value.equal expected r.Vida.value)
       | Error e ->
         Alcotest.failf "JIT failure was not degraded: %s" (Vida.error_to_string e))
-    queries;
-  G.Chaos.reset ()
+    queries
 
 (* --- report plumbing --- *)
 

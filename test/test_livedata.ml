@@ -11,7 +11,7 @@ module FP = Vida_raw.Fingerprint
 module Delta = Vida_raw.Delta
 module Epoch = Vida_raw.Epoch
 module AS = Vida_raw.Atomic_sidecar
-module FI = Vida_raw.Fault_inject
+module Faults = Vida_raw.Fault_plan
 module RB = Vida_raw.Raw_buffer
 module PM = Vida_raw.Positional_map
 module SI = Vida_raw.Semi_index
@@ -781,8 +781,7 @@ let test_sidecar_truncation_sweep () =
 let test_sidecar_crash_injection () =
   let path = Filename.temp_file "vida_live" ".sidecar" in
   rm path;
-  FI.arm_sidecar_crash ~seed:11;
-  Fun.protect ~finally:FI.disarm_sidecar_crash (fun () ->
+  Faults.with_plan [ Faults.Sidecar_tear { seed = 11; only = None } ] (fun () ->
       let torn = ref 0 in
       for i = 1 to 40 do
         let frames = [ Printf.sprintf "payload %d" i; String.make (i * 7) 'x' ] in
@@ -799,7 +798,7 @@ let test_sidecar_crash_injection () =
           | None -> ())
         | AS.No_sidecar -> ()
       done;
-      check_bool "the hook tore some writes" true (FI.sidecar_crashes () > 0);
+      check_bool "the hook tore some writes" true (Faults.injected `Sidecar_tear > 0);
       check_bool "torn writes were observed as Bad" true (!torn > 0));
   rm path
 
@@ -809,8 +808,7 @@ let test_checkpoint_crash_e2e () =
   let contents = "id,v\n1,10\n2,20\n3,30\n" in
   let path = tmp_file contents in
   let sidecar = path ^ ".vidx" in
-  FI.arm_sidecar_crash ~seed:3;
-  Fun.protect ~finally:FI.disarm_sidecar_crash (fun () ->
+  Faults.with_plan [ Faults.Sidecar_tear { seed = 3; only = None } ] (fun () ->
       for _ = 1 to 6 do
         let db = Vida.create ~domains:1 () in
         Vida.csv db ~name:"S" ~path ();
@@ -823,7 +821,7 @@ let test_checkpoint_crash_e2e () =
         check_value "cold restart query" (Value.Int 60)
           (Vida.query db2 "for { r <- S } yield sum r.v")
       done;
-      check_bool "some checkpoints were torn" true (FI.sidecar_crashes () > 0));
+      check_bool "some checkpoints were torn" true (Faults.injected `Sidecar_tear > 0));
   rm sidecar;
   rm (sidecar ^ ".corrupt");
   rm path
@@ -879,7 +877,7 @@ let test_chaos_soak () =
   done;
   rm path
 
-(* --- Io_fault.only matching (regression) ------------------------------- *)
+(* --- Fault_plan [only] matching (regression) --------------------------- *)
 
 let test_io_fault_only_exact () =
   let no_fault label f =
@@ -892,22 +890,22 @@ let test_io_fault_only_exact () =
     | () -> Alcotest.failf "%s: expected injected failure" label
     | exception Vida_error.Error (Vida_error.Io_failure _) -> ()
   in
-  FI.with_io_plan
-    (FI.io_plan ~fail_loads:1000 ~only:"a.csv" ())
+  Faults.with_plan
+    [ Faults.Load { fail = 1000; latency_ms = 0.; only = Some "a.csv" } ]
     (fun () ->
       (* "a.csv" is never a substring pattern: "data.csv" must not match *)
-      no_fault "substring path" (fun () -> Vida_raw.Io_fault.on_load ~source:"/tmp/x/data.csv");
-      no_fault "substring basename" (fun () -> Vida_raw.Io_fault.on_load ~source:"data.csv");
+      no_fault "substring path" (fun () -> Faults.on_load ~source:"/tmp/x/data.csv");
+      no_fault "substring basename" (fun () -> Faults.on_load ~source:"data.csv");
       (* basename and ./-normalized forms must match *)
-      faulted "basename" (fun () -> Vida_raw.Io_fault.on_load ~source:"/tmp/x/a.csv");
-      faulted "dot-slash" (fun () -> Vida_raw.Io_fault.on_load ~source:"./a.csv");
-      faulted "exact" (fun () -> Vida_raw.Io_fault.on_load ~source:"a.csv"));
-  FI.with_io_plan
-    (FI.io_plan ~fail_loads:1000 ~only:"./b/a.csv" ())
+      faulted "basename" (fun () -> Faults.on_load ~source:"/tmp/x/a.csv");
+      faulted "dot-slash" (fun () -> Faults.on_load ~source:"./a.csv");
+      faulted "exact" (fun () -> Faults.on_load ~source:"a.csv"));
+  Faults.with_plan
+    [ Faults.Load { fail = 1000; latency_ms = 0.; only = Some "./b/a.csv" } ]
     (fun () ->
-      faulted "normalized path" (fun () -> Vida_raw.Io_fault.on_load ~source:"b/a.csv");
+      faulted "normalized path" (fun () -> Faults.on_load ~source:"b/a.csv");
       no_fault "other dir same basename... path form matches basename too" (fun () ->
-          Vida_raw.Io_fault.on_load ~source:"c/other.csv"))
+          Faults.on_load ~source:"c/other.csv"))
 
 let () =
   Alcotest.run "vida_livedata"

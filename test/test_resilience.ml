@@ -11,6 +11,7 @@ module Server = Vida_server.Server
 module Frame = Vida_server.Frame
 module Chaos = Vida_server.Chaos
 module Fault = Vida_raw.Fault_inject
+module FP = Vida_raw.Fault_plan
 module G = Vida_governor.Governor
 
 let check_bool = Alcotest.(check bool)
@@ -162,9 +163,9 @@ let test_breaker_end_to_end () =
       let q = "for { n <- Nums } yield sum n.n" in
       let run () = Vida.query db q in
       (* every load of this source fails until the plan is cleared *)
-      Fault.install_io_plan
-        (Fault.io_plan ~fail_loads:1_000_000 ~only:(Filename.basename path) ());
-      Fun.protect ~finally:(fun () -> Fault.clear_io_plan ()) (fun () ->
+      FP.with_plan
+        [ FP.Load { fail = 1_000_000; latency_ms = 0.; only = Some (Filename.basename path) } ]
+        (fun () ->
           (* one query can observe the failing source more than once
              (refresh + scan both force the buffer), so drive queries
              until the consecutive-failure count trips the breaker *)
@@ -185,7 +186,7 @@ let test_breaker_end_to_end () =
           (* while open, queries shed instantly: the typed refusal arrives
              without touching the failing source (the injected-failure
              count stays put) *)
-          let before = Fault.io_failures_injected () in
+          let before = FP.injected `Load in
           (match run () with
           | Error (Vida.Data_error (Vida_error.Source_unavailable _)) -> ()
           | r ->
@@ -194,7 +195,7 @@ let test_breaker_end_to_end () =
               | Ok _ -> "ok"
               | Error e -> Vida.error_to_string e));
           check_int "shed without touching the failing source" before
-            (Fault.io_failures_injected ()));
+            (FP.injected `Load));
       (* source healed: after the cooldown, the half-open probe closes the
          breaker and queries flow again *)
       G.sleep_ms 170.;

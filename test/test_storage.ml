@@ -293,15 +293,16 @@ let test_infer_prefix_io_faults () =
   in
   List.iter
     (fun kind ->
-      Raw.Fault_inject.with_io_plan (Raw.Fault_inject.io_plan ~fail_loads:2 ()) (fun () ->
+      let loads fail = [ Raw.Fault_plan.Load { fail; latency_ms = 0.; only = None } ] in
+      Raw.Fault_plan.with_plan (loads 2) (fun () ->
           register (Registry.create ()) kind;
-          check_int "two transient failures retried" 2 (Raw.Fault_inject.io_failures_injected ()));
-      Raw.Fault_inject.with_io_plan (Raw.Fault_inject.io_plan ~fail_loads:5 ()) (fun () ->
+          check_int "two transient failures retried" 2 (Raw.Fault_plan.injected `Load));
+      Raw.Fault_plan.with_plan (loads 5) (fun () ->
           (match register (Registry.create ()) kind with
           | () -> Alcotest.fail "registration succeeded through exhausted retries"
           | exception Vida_error.Error (Vida_error.Io_failure _) -> ());
           check_int "three attempts, then a typed failure" 3
-            (Raw.Fault_inject.io_failures_injected ())))
+            (Raw.Fault_plan.injected `Load)))
     [ `Csv; `Json ]
 
 (* --- registry --- *)

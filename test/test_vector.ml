@@ -584,8 +584,10 @@ let test_fallback_ladder () =
   check_bool "no batches on the closure rung" true (r.Vida.governor.G.batches = 0);
   (* rung 3 — generic: an injected JIT failure drops the whole compiled
      tier, vectorized included *)
-  G.Chaos.fail_jit_compiles 1;
-  let r = run "for { p <- L } yield sum p.v" in
+  let r =
+    Vida_raw.Fault_plan.(with_plan [ Jit_compile { fail = 1 } ]) (fun () ->
+        run "for { p <- L } yield sum p.v")
+  in
   check_value "generic sum" (Value.Int 1275) r.Vida.value;
   check_bool "jit->generic recorded" true (has_stage r "jit->generic")
 
