@@ -906,9 +906,40 @@ let vectorized_bench () =
            (float_of_int (i mod 97) /. 9.7))
     done;
     close_out oc);
+  (* string columns and arrays of records: a small CSV of people, and a
+     JSON-lines file of scans whose objects hold one to four regions *)
+  let m = max 2_000 (n / 20) in
+  let people = Filename.concat data_dir (Printf.sprintf "vector_people_%d.csv" m) in
+  if not (Sys.file_exists people) then (
+    let oc = open_out_bin people in
+    output_string oc "id,city,age\n";
+    let cities = [| "geneva"; "zurich"; "lausanne"; "basel"; "bern" |] in
+    for i = 1 to m do
+      output_string oc
+        (Printf.sprintf "%d,%s,%d\n" i cities.(i mod 5) (18 + (i * 7 mod 70)))
+    done;
+    close_out oc);
+  let scans = Filename.concat data_dir (Printf.sprintf "vector_scans_%d.jsonl" m) in
+  if not (Sys.file_exists scans) then (
+    let oc = open_out_bin scans in
+    let names = [| "cortex"; "hippocampus"; "thalamus"; "amygdala" |] in
+    for i = 1 to m do
+      let regions =
+        List.init (1 + (i mod 4)) (fun j ->
+            Printf.sprintf {|{"name": "%s", "volume": %.2f}|}
+              names.((i + j) mod 4)
+              (float_of_int ((i * 13 + j * 7) mod 200) /. 10.))
+      in
+      output_string oc
+        (Printf.sprintf {|{"id": %d, "regions": [%s]}|} i (String.concat ", " regions));
+      output_char oc '\n'
+    done;
+    close_out oc);
   let db = Vida.create () in
   Vida.set_domains db 1;
   Vida.csv db ~name:"Wide" ~path ();
+  Vida.csv db ~name:"People" ~path:people ();
+  Vida.json db ~name:"Scans" ~path:scans ();
   let run ?engine q =
     match Vida.query ?engine ~reuse:false db q with
     | Ok r -> (r.Vida.value, r.Vida.governor)
@@ -942,11 +973,21 @@ let vectorized_bench () =
   in
   let scan_q = "for { p <- Wide, p.age > 30 } yield sum p.x" in
   let agg_q = "for { p <- Wide } yield avg p.x * p.y + p.z" in
-  let workloads = [ ("scan_heavy", scan_q); ("aggregate_heavy", agg_q) ] in
+  let string_q = "for { p <- People, p.city = \"geneva\", p.age > 30 } yield sum p.age" in
+  let unnest_q =
+    "for { p <- People, s <- Scans, r <- s.regions, p.id = s.id, r.name = \"cortex\", \
+     p.age > 30 } yield avg r.volume"
+  in
+  let workloads =
+    [ ("scan_heavy", scan_q); ("aggregate_heavy", agg_q); ("string_filter", string_q);
+      ("unnest_join", unnest_q) ]
+  in
   let sweep_sizes = [ 1024; 4096; 16384 ] in
   let repeat = 10 in
-  Printf.printf "(%d rows, 1 domain, %d reps warm; batch sweep %s rows)\n\n" n
-    repeat
+  Printf.printf
+    "(%d rows; strings and unnest over %d people and scans; 1 domain, %d reps warm; \
+     batch sweep %s rows)\n\n"
+    n m repeat
     (String.concat "/" (List.map string_of_int sweep_sizes));
   let all_ok = ref true in
   let rows =
@@ -1008,8 +1049,8 @@ let vectorized_bench () =
   let oc = open_out out in
   Printf.fprintf oc
     "{\n  \"experiment\": \"vectorized\",\n%s  \"scale\": %.3f,\n  \"rows\": %d,\n\
-    \  \"batch_rows_default\": 4096,\n  \"workloads\": [\n"
-    domains_meta_fields sf n;
+    \  \"people_rows\": %d,\n  \"batch_rows_default\": 4096,\n  \"workloads\": [\n"
+    domains_meta_fields sf n m;
   let last = List.length rows - 1 in
   List.iteri
     (fun k (name, q, iw, cw, vw, ok, batches, p50, sweep) ->

@@ -14,7 +14,11 @@ module Effects = Vida_analysis.Effects
    when they decline, a Reduce over a Select*/Map* chain on one columnar
    source folds tuple at a time in morsels, for every monoid. Morsel
    partials are merged in morsel (= source) order, so non-commutative
-   collection monoids concatenate correctly.
+   collection monoids concatenate correctly. Since string filters and
+   unnest joins run as kernels, no HBP query reaches that row fold
+   ([reduce_rows]); it answers the shapes the kernels decline (monoids
+   without a fused kernel, mixed or untypeable columns, string heads),
+   and result repair continues cached folds through it.
 
    Anything else returns [None] and the caller runs the closure engine —
    that fallback is the correctness anchor: with [domains = 1] or an
@@ -111,7 +115,7 @@ type chain = {
 }
 
 let resolve_chain ?quiet ctx plan (p : Plan.t) =
-  match Vector.decompose p [] with
+  match Vector.decompose p with
   | None -> None
   | Some (var, name, steps) -> (
     match Registry.find ctx.Plugins.registry name with
@@ -132,18 +136,24 @@ let resolve_chain ?quiet ctx plan (p : Plan.t) =
 
 (* Per-task compiled pipeline for one chain: applies steps to the row
    loaded in slot [base] and calls [sink] on rows that survive. Compiled
-   closures are task-local; the column arrays they read are immutable. *)
+   closures are task-local; the column arrays they read are immutable.
+   Each filter counts into its tap, shared by every task. *)
 let compile_steps ctx ~slots steps =
   List.map
     (function
-      | Vector.VFilter pred -> `Filter (Compile.scalar ctx ~slots pred)
-      | Vector.VBind (v, e) -> `Bind (List.assoc v slots, Compile.scalar ctx ~slots e))
+      | `Filter (pred, tap) -> `Filter (Compile.scalar ctx ~slots pred, tap)
+      | `Bind (v, e) -> `Bind (List.assoc v slots, Compile.scalar ctx ~slots e))
     steps
 
 let run_steps compiled env k =
   let rec apply = function
     | [] -> k ()
-    | `Filter cp :: rest -> if Eval.truthy (cp env) then apply rest
+    | `Filter (cp, tap) :: rest ->
+      ignore (Atomic.fetch_and_add tap.Vector.seen 1);
+      if Eval.truthy (cp env) then begin
+        ignore (Atomic.fetch_and_add tap.Vector.passed 1);
+        apply rest
+      end
     | `Bind (slot, ce) :: rest ->
       env.(slot) <- ce env;
       apply rest
@@ -163,13 +173,20 @@ let record_of_columns columns i =
 (* Rows [from, c.n) of the chain folded into a pre-finalize carrier. With
    a stored [carrier] the fold continues it: at one domain row by row
    from the carrier itself, on more domains as morsel partials merged
-   after it. *)
+   after it. Returns the filters' taps with it. *)
 let fold_chain_rows ctx ~domains ~monoid ~head ?(from = 0) ?carrier (c : chain) =
   let vars = chain_vars c.var c.steps in
   let slots = List.mapi (fun i v -> (v, i)) vars in
   let nslots = List.length vars in
+  let steps =
+    List.map
+      (function
+        | Vector.VFilter p -> `Filter (p, Vector.new_tap p)
+        | Vector.VBind (v, e) -> `Bind (v, e))
+      c.steps
+  in
   let fold acc ~lo ~hi =
-    let compiled = compile_steps ctx ~slots c.steps in
+    let compiled = compile_steps ctx ~slots steps in
     let chead = Compile.scalar ctx ~slots head in
     let env = Array.make nslots Value.Null in
     for i = lo to hi - 1 do
@@ -179,24 +196,28 @@ let fold_chain_rows ctx ~domains ~monoid ~head ?(from = 0) ?carrier (c : chain) 
     done;
     Monoid.contents acc
   in
-  if domains <= 1 then
-    let acc =
+  let folded =
+    if domains <= 1 then
+      let acc =
+        match carrier with
+        | Some carrier -> Monoid.resume monoid carrier
+        | None -> Monoid.accumulator monoid
+      in
+      fold acc ~lo:from ~hi:c.n
+    else
+      let partial =
+        Vector.fold_morsels ~domains ~monoid ~subject:"rows" (c.n - from) (fun ~lo ~hi ->
+            fold (Monoid.accumulator monoid) ~lo:(from + lo) ~hi:(from + hi))
+      in
       match carrier with
-      | Some carrier -> Monoid.resume monoid carrier
-      | None -> Monoid.accumulator monoid
-    in
-    fold acc ~lo:from ~hi:c.n
-  else
-    let partial =
-      Vector.fold_morsels ~domains ~monoid ~subject:"rows" (c.n - from) (fun ~lo ~hi ->
-          fold (Monoid.accumulator monoid) ~lo:(from + lo) ~hi:(from + hi))
-    in
-    match carrier with
-    | Some carrier -> Monoid.merge monoid carrier partial
-    | None -> partial
+      | Some carrier -> Monoid.merge monoid carrier partial
+      | None -> partial
+  in
+  (folded, List.filter_map (function `Filter (_, tap) -> Some tap | `Bind _ -> None) steps)
 
 (* The row path behind a kernel decline: a Reduce over one chain folds in
-   morsels. *)
+   morsels, and records its filters' selectivities as the kernels and the
+   closure engine do (a morsel-split scan records no cardinality). *)
 let reduce_rows ctx ~budget (plan : Plan.t) =
   match plan with
   | Plan.Reduce { monoid; head; child } -> (
@@ -208,7 +229,11 @@ let reduce_rows ctx ~budget (plan : Plan.t) =
       else
         let domains = Morsel.domains_for_rows ~domains:budget c.n in
         if domains <= 1 then None
-        else Some (Plugins.finalize_root ctx monoid (fold_chain_rows ctx ~domains ~monoid ~head c)))
+        else begin
+          let folded, taps = fold_chain_rows ctx ~domains ~monoid ~head c in
+          Vector.flush_taps ctx taps;
+          Some (Plugins.finalize_root ctx monoid folded)
+        end)
   | _ -> None
 
 (* --- result repair ---
@@ -222,7 +247,7 @@ let reduce_rows ctx ~budget (plan : Plan.t) =
 let resumable_chain ctx (plan : Plan.t) =
   match plan with
   | Plan.Reduce { monoid; head; child } when Monoid.resumable monoid -> (
-    match Vector.decompose child [] with
+    match Vector.decompose child with
     | Some (var, name, steps) ->
       let bound = chain_vars var steps in
       if steps_scoped ~quiet:true ctx ~bound ~where:"chain" steps
@@ -242,7 +267,8 @@ let resume ctx plan ~carrier ~from =
     match resolve_chain ~quiet:true ctx plan child with
     | Some c when c.n >= from ->
       let domains = Morsel.domains_for_rows ~domains:ctx.Plugins.domains (c.n - from) in
-      Some (fold_chain_rows ctx ~domains ~monoid ~head ~from ~carrier c, c.n)
+      (* a repair observes the appended rows only: it records no feedback *)
+      Some (fst (fold_chain_rows ctx ~domains ~monoid ~head ~from ~carrier c), c.n)
     | Some _ | None -> None)
 
 let try_query ctx ?domains (plan : Plan.t) : Value.t option =

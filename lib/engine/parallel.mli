@@ -6,7 +6,7 @@
     {!try_query} tries the vectorized kernels first, through
     {!Vector.compile} at the domain budget: a single-chain scan or a
     join's top probe splits into morsels there. When the kernels decline
-    (string filters, untypeable columns, monoids without a fused kernel),
+    (untypeable or mixed columns, monoids without a fused kernel),
     one shape remains: a [Reduce] with {e any} monoid over a
     Select*/Map* chain on one columnar source (CSV, binary array, JSON
     lines, XML, inline records) folds tuple at a time in morsels.

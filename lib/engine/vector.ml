@@ -14,13 +14,14 @@ module BA1 = Bigarray.Array1
    poll, a record allocation, a closure call per operator and a monoid
    merge allocation. This module replaces that hot loop for the commonest
    plan shape — Reduce over a Select*/Map* chain on one columnar source —
-   and for Reduce over a tree of equi-joins of such chains (the join
-   fragment below) with batch-at-a-time kernels:
+   and for Reduce over a tree of equi-joins and unnests of such chains
+   (the join fragment below) with batch-at-a-time kernels:
 
    - source columns live in unboxed buffers ([Bigarray] float64/int) plus
      a byte validity mask (1 = non-NULL), promoted once per physical
      column (memoized) or batch-decoded straight out of a binary-array
-     file ({!Binarray.fill_floats});
+     file ({!Binarray.fill_floats}); a string column is the cached
+     [Value.t array] itself, compared in place;
    - a selection vector (row indices surviving the filters so far) is
      threaded through the operators instead of materializing intermediate
      rows; filters compact it in place, binds evaluate into dense buffers
@@ -41,7 +42,8 @@ module BA1 = Bigarray.Array1
    in row order so float folds associate exactly as the closure engine's.
 
    Anything outside the fragment — other monoids, non-scalar expressions,
-   mixed-type or non-scalar columns, sources without a columnar view
+   string arithmetic, concatenation or bindings, mixed-type or non-scalar
+   columns, sources without a columnar view
    (cleaning policies skipping rows, external producers) — declines with a
    reason; the caller ({!Compile.query}, {!Parallel.try_query}) records it
    as the ["vectorized->closure"] rung of the degradation ladder and runs
@@ -151,25 +153,29 @@ type icol = (int, Bigarray.int_elt, Bigarray.c_layout) BA1.t
 (* A source column. Validity [None] means every row is non-NULL (the
    gather loops skip the mask copy). [ColRaw*] columns are batch-decoded
    straight from the binary-array file into per-instance staging buffers —
-   no whole-column materialization at all. *)
+   no whole-column materialization at all. [ColS] is a cached column of
+   strings and NULLs, read in place: its NULLs are its validity. *)
 type col =
   | ColF of fcol * Bytes.t option
   | ColI of icol * Bytes.t option
   | ColB of Bytes.t * Bytes.t option
+  | ColS of Value.t array
   | ColRawF of Binarray.t * int
   | ColRawI of Binarray.t * int
 
-type vty = TF | TI | TB
+type vty = TF | TI | TB | TS
 
 let col_ty = function
   | ColF _ | ColRawF _ -> TF
   | ColI _ | ColRawI _ -> TI
   | ColB _ -> TB
+  | ColS _ -> TS
 
 (* Promote a boxed (policy-cleaned, cache-resident) column to its unboxed
    form. The type is exact, never widened: a column mixing Int and Float
    declines, because Int-vs-Float result typing in {!Eval} is per-row and
-   a widened column would change result types. *)
+   a widened column would change result types; so does one mixing
+   strings with other values. *)
 let promote ~field (arr : Value.t array) : col =
   let n = Array.length arr in
   let kind = ref `Unknown and nulls = ref false in
@@ -183,9 +189,11 @@ let promote ~field (arr : Value.t array) : col =
          match !kind with `Unknown -> kind := `I | `I -> () | _ -> raise Exit)
        | Value.Bool _ -> (
          match !kind with `Unknown -> kind := `B | `B -> () | _ -> raise Exit)
+       | Value.String _ -> (
+         match !kind with `Unknown -> kind := `S | `S -> () | _ -> raise Exit)
        | _ -> raise Exit
      done
-   with Exit -> decline "column %s is not a uniform numeric/bool column" field);
+   with Exit -> decline "column %s is not a uniform numeric, bool or string column" field);
   let validity () =
     if not !nulls then None
     else begin
@@ -198,6 +206,7 @@ let promote ~field (arr : Value.t array) : col =
   in
   match !kind with
   | `Unknown -> decline "column %s has no typed values" field
+  | `S -> ColS arr
   | `F ->
     let a = BA1.create Bigarray.float64 Bigarray.c_layout n in
     for i = 0 to n - 1 do
@@ -223,32 +232,106 @@ let promote ~field (arr : Value.t array) : col =
     done;
     ColB (a, validity ())
 
+(* A cached column of arrays, shredded into child rows: every element of
+   every array, in parent order and then array order (the closure
+   engine's unnest order). A NULL array has no child rows, as in
+   {!Compile}. Child field columns are built on first use and kept
+   beside it. *)
+type shred = {
+  sh_off : int array;  (* parent row i owns child rows [sh_off.(i), sh_off.(i+1)) *)
+  sh_children : Value.t array;  (* the child records *)
+  mutable sh_fields : (string * Value.t array) list;  (* under [memo_lock] *)
+}
+
+let shred ~field (arr : Value.t array) : shred =
+  let n = Array.length arr in
+  let size = function
+    | Value.Null -> 0
+    | Value.List xs | Value.Bag xs | Value.Set xs -> List.length xs
+    | Value.Array { data; _ } -> Array.length data
+    | _ -> decline "field %s is not an array" field
+  in
+  let off = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    off.(i + 1) <- off.(i) + size (Array.unsafe_get arr i)
+  done;
+  let children = Array.make off.(n) Value.Null in
+  let next = ref 0 in
+  let add v =
+    (match v with
+    | Value.Record _ -> ()
+    | v -> decline "array %s has a non-record element %s" field (Value.to_string v));
+    children.(!next) <- v;
+    incr next
+  in
+  for i = 0 to n - 1 do
+    match Array.unsafe_get arr i with
+    | Value.List xs | Value.Bag xs | Value.Set xs -> List.iter add xs
+    | Value.Array { data; _ } -> Array.iter add data
+    | _ -> ()
+  done;
+  { sh_off = off; sh_children = children; sh_fields = [] }
+
 (* Promotion memo, keyed by physical identity of the boxed column: the
    plugins cache hands out the same immutable array until invalidation,
    and live-data extension replaces arrays wholesale, so [==] is exact.
    Bounded FIFO. The key is weak: a column the cache replaced (an append
    extends it into a new array) is not kept alive by its memo entry, and
-   neither is its promotion. *)
-let memo : (Value.t array, col) Ephemeron.K1.t list ref = ref []
+   neither is its promotion. A column of arrays memoizes its shredding;
+   its child field columns are keyed by their own arrays, which the
+   shredding keeps alive. *)
+type promoted = Promoted of col | Shredded of shred
+
+let memo : (Value.t array, promoted) Ephemeron.K1.t list ref = ref []
 let memo_lock = Vida_sync.Lock.create ~rank:65 ~name:"vector.memo" ()
 let memo_cap = 64
 
-let promote_memo ~field arr =
+let memoized arr make =
   match
     Vida_sync.Lock.protect memo_lock (fun () ->
         List.find_map (fun e -> Ephemeron.K1.query e arr) !memo)
   with
-  | Some c -> c
+  | Some p -> p
   | None ->
-    let c = promote ~field arr in
+    let p = make () in
     Vida_sync.Lock.protect memo_lock (fun () ->
         let kept =
           if List.length !memo >= memo_cap then
             List.filteri (fun i _ -> i < memo_cap - 1) !memo
           else !memo
         in
-        memo := Ephemeron.K1.make arr c :: kept);
-    c
+        memo := Ephemeron.K1.make arr p :: kept);
+    p
+
+let promote_memo ~field arr =
+  match memoized arr (fun () -> Promoted (promote ~field arr)) with
+  | Promoted c -> c
+  | Shredded _ -> decline "column %s holds arrays" field
+
+let shred_memo ~field arr =
+  match memoized arr (fun () -> Shredded (shred ~field arr)) with
+  | Shredded sh -> sh
+  | Promoted _ -> decline "field %s is not an array" field
+
+(* Child field [f] of every child row: NULL where a child lacks it. The
+   first array built is the one kept, so promotions keyed by it stay
+   valid. *)
+let child_column sh f =
+  let kept () = List.assoc_opt f sh.sh_fields in
+  match Vida_sync.Lock.protect memo_lock kept with
+  | Some a -> a
+  | None ->
+    let a =
+      Array.map
+        (fun c -> match Value.field_opt c f with Some v -> v | None -> Value.Null)
+        sh.sh_children
+    in
+    Vida_sync.Lock.protect memo_lock (fun () ->
+        match kept () with
+        | Some a -> a
+        | None ->
+          sh.sh_fields <- (f, a) :: sh.sh_fields;
+          a)
 
 (* --- typed kernel IR -------------------------------------------------- *)
 
@@ -256,14 +339,18 @@ let promote_memo ~field arr =
    explicit ([XItoF]), inserted where {!Eval.eval_binop}'s mixed-operand
    rules would convert. [XDivF]'s flag marks a statically-Int divisor:
    eval raises on [_ / Int 0] even when the dividend is Float, and the
-   Int->Float conversion is exact at 0, so the check survives coercion. *)
+   Int->Float conversion is exact at 0, so the check survives coercion.
+   String operands ([XConstS], [XColS]) occur only under [XCmpS], whose
+   constant, if any, is on the right. *)
 type vx =
   | XConstF of float
   | XConstI of int
   | XConstB of bool
+  | XConstS of string
   | XColF of int
   | XColI of int
   | XColB of int
+  | XColS of int
   | XBind of int * vty
   | XItoF of vx
   | XArithF of Expr.binop * vx * vx
@@ -273,6 +360,7 @@ type vx =
   | XModI of vx * vx
   | XCmpF of Expr.binop * vx * vx
   | XCmpI of Expr.binop * vx * vx
+  | XCmpS of Expr.binop * vx * vx
   | XAnd of vx * vx
   | XOr of vx * vx
   | XNot of vx
@@ -282,7 +370,8 @@ type vx =
 let vx_ty = function
   | XConstF _ | XColF _ | XItoF _ | XArithF _ | XDivF _ | XNegF _ -> TF
   | XConstI _ | XColI _ | XArithI _ | XDivI _ | XModI _ | XNegI _ -> TI
-  | XConstB _ | XColB _ | XCmpF _ | XCmpI _ | XAnd _ | XOr _ | XNot _ -> TB
+  | XConstB _ | XColB _ | XCmpF _ | XCmpI _ | XCmpS _ | XAnd _ | XOr _ | XNot _ -> TB
+  | XConstS _ | XColS _ -> TS
   | XBind (_, ty) -> ty
 
 (* Compile one scalar expression to the typed IR. [cols] maps source
@@ -306,12 +395,22 @@ let col_x env slot =
   | TF -> XColF slot
   | TI -> XColI slot
   | TB -> XColB slot
+  | TS -> XColS slot
+
+(* the comparison with its operands swapped: [a op b] is [b (flip op) a] *)
+let flip = function
+  | Expr.Lt -> Expr.Gt
+  | Expr.Le -> Expr.Ge
+  | Expr.Gt -> Expr.Lt
+  | Expr.Ge -> Expr.Le
+  | op -> op
 
 let rec cx env (e : Expr.t) : vx =
   match e with
   | Expr.Const (Value.Int i) -> XConstI i
   | Expr.Const (Value.Float f) -> XConstF f
   | Expr.Const (Value.Bool b) -> XConstB b
+  | Expr.Const (Value.String s) -> XConstS s
   | Expr.Const v -> decline "non-scalar constant %s" (Value.to_string v)
   | Expr.Proj (Expr.Var v, f) when List.mem v env.src_vars -> (
     match List.assoc_opt (v, f) env.cols with
@@ -330,6 +429,7 @@ let rec cx env (e : Expr.t) : vx =
         | Some (Value.Int i) -> XConstI i
         | Some (Value.Float f) -> XConstF f
         | Some (Value.Bool b) -> XConstB b
+        | Some (Value.String s) -> XConstS s
         | Some v -> decline "non-scalar parameter %s = %s" x (Value.to_string v)
         | None -> decline "free variable %s" x))
   | Expr.UnOp (Expr.Not, a) -> (
@@ -342,7 +442,7 @@ let rec cx env (e : Expr.t) : vx =
     match vx_ty xa with
     | TF -> XNegF xa
     | TI -> XNegI xa
-    | TB -> decline "negation of boolean kernel operand")
+    | TB | TS -> decline "negation of non-numeric kernel operand")
   | Expr.BinOp (op, a, b) -> (
     let xa = cx env a and xb = cx env b in
     let ta = vx_ty xa and tb = vx_ty xb in
@@ -352,12 +452,12 @@ let rec cx env (e : Expr.t) : vx =
       match ta, tb with
       | TI, TI -> XArithI (op, xa, xb)
       | (TI | TF), (TI | TF) -> XArithF (op, as_f xa, as_f xb)
-      | _ -> decline "arithmetic on boolean kernel operand")
+      | _ -> decline "arithmetic on non-numeric kernel operand")
     | Expr.Div -> (
       match ta, tb with
       | TI, TI -> XDivI (xa, xb)
       | (TI | TF), (TI | TF) -> XDivF (as_f xa, as_f xb, tb = TI)
-      | _ -> decline "division on boolean kernel operand")
+      | _ -> decline "division on non-numeric kernel operand")
     | Expr.Mod -> (
       match ta, tb with
       | TI, TI -> XModI (xa, xb)
@@ -366,7 +466,9 @@ let rec cx env (e : Expr.t) : vx =
       match ta, tb with
       | TI, TI -> XCmpI (op, xa, xb)
       | (TI | TF), (TI | TF) -> XCmpF (op, as_f xa, as_f xb)
-      | _ -> decline "comparison on boolean kernel operands")
+      | TS, TS -> (
+        match xa with XConstS _ -> XCmpS (flip op, xb, xa) | _ -> XCmpS (op, xa, xb))
+      | _ -> decline "comparison on boolean or mixed kernel operands")
     | Expr.And -> (
       match ta, tb with
       | TB, TB -> XAnd (xa, xb)
@@ -393,7 +495,7 @@ let rec structurally_supported ~src_vars (e : Expr.t) : (unit, string) result =
     | Ok () -> structurally_supported ~src_vars b
   in
   match e with
-  | Expr.Const (Value.Int _ | Value.Float _ | Value.Bool _) -> Ok ()
+  | Expr.Const (Value.Int _ | Value.Float _ | Value.Bool _ | Value.String _) -> Ok ()
   | Expr.Const v -> Error ("non-scalar constant " ^ Value.to_string v)
   | Expr.Proj (Expr.Var v, _) when List.mem v src_vars -> Ok ()
   | Expr.Var x when List.mem x src_vars -> Error ("whole-row reference " ^ x)
@@ -454,11 +556,33 @@ let monoid_supported = function
     Ok ()
   | m -> Error ("monoid " ^ Monoid.name m ^ " has no fused kernel")
 
-let rec decompose (p : Plan.t) steps =
+(* Select/Map operators above a core, in the closure engine's evaluation
+   order: inner operators first, and within a run of Selects the
+   outermost predicate first (Compile chains a gathered run that way).
+   Also returns the run of Selects sitting directly on the core. *)
+let rec peel (p : Plan.t) : vstep list * Plan.t * Expr.t list =
   match p with
-  | Plan.Select { pred; child } -> decompose child (VFilter pred :: steps)
-  | Plan.Map { var; expr; child } -> decompose child (VBind (var, expr) :: steps)
-  | Plan.Source { var; expr = Expr.Var name } -> Some (var, name, steps)
+  | Plan.Select _ ->
+    let rec gather preds (p : Plan.t) =
+      match p with
+      | Plan.Select { pred; child } -> gather (pred :: preds) child
+      | p -> (List.rev preds, p)
+    in
+    let preds, child = gather [] p in
+    let steps, core, direct = peel child in
+    let direct = match child with Plan.Map _ -> direct | _ -> preds in
+    (steps @ List.map (fun p -> VFilter p) preds, core, direct)
+  | Plan.Map { var; expr; child } ->
+    let steps, core, direct = peel child in
+    (steps @ [ VBind (var, expr) ], core, direct)
+  | core -> ([], core, [])
+
+(* A Select*/Map* chain on a named source: its variable, the source and
+   the steps in the closure engine's order, so filters see the rows, and
+   record the selectivities, that they see there. *)
+let decompose (p : Plan.t) =
+  match peel p with
+  | steps, Plan.Source { var; expr = Expr.Var name }, _ -> Some (var, name, steps)
   | _ -> None
 
 (* [`Silent] = the plan shape was never a vectorization candidate (joins,
@@ -471,7 +595,7 @@ let classify ctx (p : Plan.t) :
   else
     match p with
     | Plan.Reduce { monoid; head; child } -> (
-      match decompose child [] with
+      match decompose child with
       | None -> `Silent
       | Some (var, name, steps) -> (
         match Registry.find ctx.Plugins.registry name with
@@ -548,6 +672,7 @@ let type_steps env steps =
           (env, KFilter (type_filter env p, tap) :: acc, tap :: taps)
         | VBind (v, e) ->
           let x = cx env e in
+          if vx_ty x = TS then decline "string binding %s" v;
           let slot = List.assoc v bind_slots in
           bind_tys.(slot) <- vx_ty x;
           ({ env with binds = (v, slot) :: env.binds }, KBind (slot, x) :: acc, taps))
@@ -557,6 +682,7 @@ let type_steps env steps =
 
 let check_head_type monoid head_ty =
   match monoid, head_ty with
+  | _, TS -> decline "monoid %s over a string head" (Monoid.name monoid)
   | Monoid.Prim (Monoid.Sum | Monoid.Prod | Monoid.Avg | Monoid.Max | Monoid.Min), TB
     ->
     decline "numeric monoid over a boolean head"
@@ -567,12 +693,12 @@ let check_head_type monoid head_ty =
 (* Build a kernel for an already-resolved chain: typed columns, typed
    steps, typed head, reduce kind validated against the head type. *)
 let build_kernel ?prune ~name ~var ~(cols : (string * col) array) ~nrows ~steps
-    ~monoid ~head () : kernel =
+    ~monoid ~head ~params () : kernel =
   let col_tys = Array.map (fun (_, c) -> col_ty c) cols in
   let col_slots = Array.to_list (Array.mapi (fun i (f, _) -> ((var, f), i)) cols) in
   let env =
     { src_vars = [ var ]; cols = col_slots; var_cols = []; col_tys; binds = [];
-      bind_tys = [||]; params = [] }
+      bind_tys = [||]; params }
   in
   let env, ksteps, taps, nbinds = type_steps env steps in
   let head_x = cx env head in
@@ -675,6 +801,25 @@ let as_i = function VI (a, v) -> (a, v) | _ -> assert false
 let as_b = function VB (a, v) -> (a, v) | _ -> assert false
 
 let valid c = c = '\001'
+
+(* whether a three-way comparison result satisfies [op] *)
+let cmp_test : Expr.binop -> int -> bool = function
+  | Expr.Eq -> fun c -> c = 0
+  | Expr.Neq -> fun c -> c <> 0
+  | Expr.Lt -> fun c -> c < 0
+  | Expr.Le -> fun c -> c <= 0
+  | Expr.Gt -> fun c -> c > 0
+  | Expr.Ge -> fun c -> c >= 0
+  | _ -> assert false
+
+(* [op] on two strings, as {!Value.compare} decides it: [String.compare];
+   equality needs no order, so it skips to [String.equal] *)
+let string_test : Expr.binop -> string -> string -> bool = function
+  | Expr.Eq -> String.equal
+  | Expr.Neq -> fun a b -> not (String.equal a b)
+  | op ->
+    let test = cmp_test op in
+    fun a b -> test (String.compare a b)
 
 (* Build the evaluator closure tree for one instance. Every operator node
    owns its output buffers and writes nothing else; leaves return borrowed
@@ -875,16 +1020,7 @@ let rec build st (x : vx) : unit -> vval =
   | XCmpF (op, a, b) ->
     let ea = build st a and eb = build st b in
     let out = bbuf () and vd = bbuf () in
-    let test =
-      match op with
-      | Expr.Eq -> fun c -> c = 0
-      | Expr.Neq -> fun c -> c <> 0
-      | Expr.Lt -> fun c -> c < 0
-      | Expr.Le -> fun c -> c <= 0
-      | Expr.Gt -> fun c -> c > 0
-      | Expr.Ge -> fun c -> c >= 0
-      | _ -> assert false
-    in
+    let test = cmp_test op in
     fun () ->
       let xa, va = as_f (ea ()) in
       let xb, vb = as_f (eb ()) in
@@ -901,16 +1037,7 @@ let rec build st (x : vx) : unit -> vval =
   | XCmpI (op, a, b) ->
     let ea = build st a and eb = build st b in
     let out = bbuf () and vd = bbuf () in
-    let test =
-      match op with
-      | Expr.Eq -> fun c -> c = 0
-      | Expr.Neq -> fun c -> c <> 0
-      | Expr.Lt -> fun c -> c < 0
-      | Expr.Le -> fun c -> c <= 0
-      | Expr.Gt -> fun c -> c > 0
-      | Expr.Ge -> fun c -> c >= 0
-      | _ -> assert false
-    in
+    let test = cmp_test op in
     fun () ->
       let xa, va = as_i (ea ()) in
       let xb, vb = as_i (eb ()) in
@@ -923,6 +1050,47 @@ let rec build st (x : vx) : unit -> vval =
            then '\001' else '\000')
       done;
       VB (out, vd)
+  | XCmpS (op, a, b) -> (
+    let out = bbuf () and vd = bbuf () in
+    let holds = string_test op in
+    (* string operands are read in place: a column through its row ids *)
+    let operand = function
+      | XColS ci -> (
+        match st.cols.(ci) with
+        | ColS arr -> `Col (arr, st.col_sel.(ci))
+        | _ -> assert false)
+      | XConstS c -> `Const c
+      | _ -> assert false
+    in
+    let at = function
+      | `Col (arr, sel) -> fun k -> Array.unsafe_get arr (Array.unsafe_get sel k)
+      | `Const c ->
+        let v = Value.String c in
+        fun _ -> v
+    in
+    match operand a, operand b with
+    | `Col (arr, sel), `Const c ->
+      fun () ->
+        for k = 0 to st.n - 1 do
+          match Array.unsafe_get arr (Array.unsafe_get sel k) with
+          | Value.String s ->
+            Bytes.unsafe_set out k (if holds s c then '\001' else '\000');
+            Bytes.unsafe_set vd k '\001'
+          | _ -> Bytes.unsafe_set vd k '\000'
+        done;
+        VB (out, vd)
+    | oa, ob ->
+      let va = at oa and vb = at ob in
+      fun () ->
+        for k = 0 to st.n - 1 do
+          match va k, vb k with
+          | Value.String x, Value.String y ->
+            Bytes.unsafe_set out k (if holds x y then '\001' else '\000');
+            Bytes.unsafe_set vd k '\001'
+          | _ -> Bytes.unsafe_set vd k '\000'
+        done;
+        VB (out, vd))
+  | XColS _ | XConstS _ -> invalid_arg "Vector.build: string operand outside a comparison"
   | XAnd (a, b) ->
     let ea = build st a and eb = build st b in
     let out = bbuf () and vd = bbuf () in
@@ -1269,6 +1437,13 @@ let flush_taps ctx taps =
 
 let flush_feedback ctx (k : kernel) = flush_taps ctx k.k_taps
 
+(* Domains for a kernel over [rows] rows. A kernel runs a row in about a
+   fifteenth of the row fold's time (BENCH_vectorized.json), so it splits
+   only past sixteen times the row fold's floor: below that, starting the
+   worker domains, whose scratch pools start empty, costs more than the
+   rows. *)
+let kernel_domains ~domains rows = Vida_raw.Morsel.domains_for_rows ~domains (rows / 16)
+
 (* Fold rows [0, n) in morsels on up to [domains] domains: [fold ~lo ~hi]
    returns one range's pre-finalize partial, and the partials merge in
    morsel (= source) order, which keeps non-commutative monoids (list and
@@ -1298,6 +1473,12 @@ let fold_morsels ~domains ~monoid ~subject n fold =
    - each leaf's filters and binds run as the batch kernels above and
      leave one selection vector (leaf binds are scattered into columns
      indexed by row id);
+   - an unnest of a generator's array field ([Unnest r <- b.f], not
+     outer), over a leaf or a join, expands each tuple into the child
+     rows of [b]'s shredded column ({!shred}), in tuple order and then
+     array order: [r] gets child row ids, and every other generator keeps
+     its row ids, so steps above it, join keys and the head read [b]'s
+     columns through [b]'s own ids;
    - each join builds a hash table from its int key columns to build-side
      tuples, chained in build order, then probes it with the other side's
      row-id tuples;
@@ -1313,7 +1494,7 @@ let fold_morsels ~domains ~monoid ~subject n fold =
    replaced would read. *)
 
 type leaf = {
-  l_id : int;  (* position among the plan's generators, left to right *)
+  l_id : int;  (* slot of its row ids among the plan's generators *)
   l_var : string;
   l_name : string;
   l_source : Source.t;
@@ -1332,7 +1513,14 @@ type jtree =
       left : jtree;
       right : jtree;
     }
-  | JSteps of vstep list * jtree  (* Select/Map above a join *)
+  | JUnnest of {
+      var : string;  (* bound to each array element *)
+      parent : string;  (* the generator whose array field is unnested *)
+      field : string;
+      id : int;  (* slot of the child row ids *)
+      child : jtree;
+    }
+  | JSteps of vstep list * jtree  (* Select/Map above a join or an unnest *)
 
 (* a fused fold over a typed head, or values gathered for bag/list *)
 type jhead = HTyped of Expr.t | HBoxed of Expr.t
@@ -1340,38 +1528,19 @@ type jhead = HTyped of Expr.t | HBoxed of Expr.t
 type join_candidate = {
   j_plan : Plan.t;  (* as given: the field needs of the path it replaces *)
   j_tree : jtree;
-  j_leaves : leaf list;
   j_monoid : Monoid.t;
   j_head : jhead;
 }
 
 exception Outside_fragment
 
-(* Select/Map operators above a core, in the closure engine's evaluation
-   order: inner operators first, and within a run of Selects the
-   outermost predicate first (Compile chains a gathered run that way).
-   Also returns the run of Selects sitting directly on the core. *)
-let rec peel (p : Plan.t) : vstep list * Plan.t * Expr.t list =
-  match p with
-  | Plan.Select _ ->
-    let rec gather preds (p : Plan.t) =
-      match p with
-      | Plan.Select { pred; child } -> gather (pred :: preds) child
-      | p -> (List.rev preds, p)
-    in
-    let preds, child = gather [] p in
-    let steps, core, direct = peel child in
-    let direct = match child with Plan.Map _ -> direct | _ -> preds in
-    (steps @ List.map (fun p -> VFilter p) preds, core, direct)
-  | Plan.Map { var; expr; child } ->
-    let steps, core, direct = peel child in
-    (steps @ [ VBind (var, expr) ], core, direct)
-  | core -> ([], core, [])
-
-let rec tree_leaves = function
-  | JLeaf lf -> [ lf ]
-  | JJoin { left; right; _ } -> tree_leaves left @ tree_leaves right
-  | JSteps (_, t) -> tree_leaves t
+(* the generator variables of a subtree with their row-id slots, left to
+   right *)
+let rec tree_gens = function
+  | JLeaf lf -> [ (lf.l_var, lf.l_id) ]
+  | JJoin { left; right; _ } -> tree_gens left @ tree_gens right
+  | JUnnest { var; id; child; _ } -> tree_gens child @ [ (var, id) ]
+  | JSteps (_, t) -> tree_gens t
 
 let rec tree_exprs = function
   | JLeaf lf -> List.map step_expr lf.l_steps
@@ -1382,6 +1551,7 @@ let rec tree_exprs = function
           Expr.Proj (Expr.Var b.key_var, b.key_field) ])
       keys
     @ Option.to_list residual @ tree_exprs left @ tree_exprs right
+  | JUnnest { child; _ } -> tree_exprs child
   | JSteps (steps, t) -> List.map step_expr steps @ tree_exprs t
 
 let rec has_subquery (e : Expr.t) =
@@ -1407,10 +1577,10 @@ let gathered ~src_vars (e : Expr.t) =
   | Expr.Const _ -> true
   | _ -> false
 
-(* Shape of the plan: [`Silent] outside the fragment (Unnest, Nest,
-   Product, correlated sources, subqueries, joins without an
-   equi-conjunct), [`Decline] when the shape matches but a detail rules
-   the kernels out. *)
+(* Shape of the plan: [`Silent] outside the fragment (an outer unnest, an
+   unnest variable used whole, Nest, Product, correlated sources,
+   subqueries, joins without an equi-conjunct), [`Decline] when the
+   shape matches but a detail rules the kernels out. *)
 let classify_join ctx (plan : Plan.t) :
     [ `Join of join_candidate | `Decline of string | `Silent ] =
   let first_decline = ref None in
@@ -1419,28 +1589,40 @@ let classify_join ctx (plan : Plan.t) :
       (fun r -> if !first_decline = None then first_decline := Some r)
       fmt
   in
-  let leaves = ref [] in
+  let unnested = ref [] and slots = ref 0 in
+  let fresh () =
+    incr slots;
+    !slots - 1
+  in
+  let leaf ~steps ~direct var name =
+    match Registry.find ctx.Plugins.registry name with
+    | None | Some { Source.format = Source.External _; _ } -> raise Outside_fragment
+    | Some source ->
+      (* a filtered binary-array scan runs the zone-map producer, which
+         records no cardinality *)
+      let ranged =
+        source.Source.format = Source.Binary_array
+        && List.exists
+             (fun c -> Analysis.range_of ~var c <> None)
+             (List.concat_map Analysis.conjuncts direct)
+      in
+      JLeaf
+        { l_id = fresh (); l_var = var; l_name = name; l_source = source; l_steps = steps;
+          l_card = not ranged }
+  in
+  let binds steps = List.exists (function VBind _ -> true | VFilter _ -> false) steps in
   let rec tree ~top (p : Plan.t) =
     let steps, core, direct = peel p in
     match core with
-    | Plan.Source { var; expr = Expr.Var name } -> (
-      match Registry.find ctx.Plugins.registry name with
-      | None | Some { Source.format = Source.External _; _ } -> raise Outside_fragment
-      | Some source ->
-        (* a filtered binary-array scan runs the zone-map producer, which
-           records no cardinality *)
-        let ranged =
-          source.Source.format = Source.Binary_array
-          && List.exists
-               (fun c -> Analysis.range_of ~var c <> None)
-               (List.concat_map Analysis.conjuncts direct)
-        in
-        let lf =
-          { l_id = List.length !leaves; l_var = var; l_name = name; l_source = source;
-            l_steps = steps; l_card = not ranged }
-        in
-        leaves := lf :: !leaves;
-        JLeaf lf)
+    | Plan.Source { var; expr = Expr.Var name } -> leaf ~steps ~direct var name
+    | Plan.Unnest { var; path = Expr.Proj (Expr.Var parent, field); outer = false; child }
+      ->
+      let c = tree ~top:false child in
+      if not (List.mem_assoc parent (tree_gens c)) then raise Outside_fragment;
+      if (not top) && binds steps then refuse "binding between joins";
+      unnested := var :: !unnested;
+      let u = JUnnest { var; parent; field; id = fresh (); child = c } in
+      if steps = [] then u else JSteps (steps, u)
     | Plan.Join { pred; left; right } ->
       let l = tree ~top:false left in
       let r = tree ~top:false right in
@@ -1450,16 +1632,14 @@ let classify_join ctx (plan : Plan.t) :
       if keys = [] then raise Outside_fragment;
       let column side (e : Expr.t) =
         match e with
-        | Expr.Proj (Expr.Var v, f)
-          when List.exists (fun lf -> String.equal lf.l_var v) (tree_leaves side) ->
+        | Expr.Proj (Expr.Var v, f) when List.mem_assoc v (tree_gens side) ->
           { key_var = v; key_field = f }
         | e ->
           refuse "join key %s is not a generator column" (Expr.to_string e);
           { key_var = ""; key_field = "" }
       in
       let keys = List.map (fun (a, b) -> (column l a, column r b)) keys in
-      if (not top) && List.exists (function VBind _ -> true | VFilter _ -> false) steps
-      then refuse "binding between joins";
+      if (not top) && binds steps then refuse "binding between joins";
       let j = JJoin { pred; keys; residual; left = l; right = r } in
       if steps = [] then j else JSteps (steps, j)
     | _ -> raise Outside_fragment
@@ -1472,9 +1652,12 @@ let classify_join ctx (plan : Plan.t) :
       | exception Outside_fragment -> `Silent
       | JLeaf _ -> `Silent
       | t ->
-        let leaves = List.rev !leaves in
-        let src_vars = List.map (fun lf -> lf.l_var) leaves in
-        if List.exists has_subquery (head :: tree_exprs t) then `Silent
+        let src_vars = List.map fst (tree_gens t) in
+        (* an element used whole (an array of scalars, say) is the
+           closure engine's: the kernels read child rows by field *)
+        let whole v = Analysis.plan_var_needs plan ~var:v = Analysis.Whole in
+        if List.exists has_subquery (head :: tree_exprs t) || List.exists whole !unnested
+        then `Silent
         else begin
           let head =
             match monoid with
@@ -1495,9 +1678,7 @@ let classify_join ctx (plan : Plan.t) :
           match !first_decline with
           | Some reason -> `Decline reason
           | None ->
-            `Join
-              { j_plan = plan; j_tree = t; j_leaves = leaves; j_monoid = monoid;
-                j_head = head }
+            `Join { j_plan = plan; j_tree = t; j_monoid = monoid; j_head = head }
         end)
     | _ -> `Silent
 
@@ -1518,17 +1699,26 @@ let ibuf_append b (src : int array) n =
 let ibuf_contents b = Array.sub b.data 0 b.len
 
 (* A materialized relation: the row ids of its tuples, one vector per
-   generator of the subtree ([||] for generators outside it). *)
+   generator slot of the subtree ([||] for slots outside it). *)
 type rel = { ids : int array array; n : int }
 
 type jrun = {
   jr_ctx : Plugins.ctx;
   jr_cand : join_candidate;
-  jr_boxed : (string * string, Value.t array) Hashtbl.t;  (* cached columns *)
-  mutable jr_vcols : (string * (int * col)) list;  (* leaf binds, by row id *)
+  jr_slots : (string * int) list;  (* generator variable -> row-id slot *)
+  jr_boxed : (string * string, Value.t array) Hashtbl.t;  (* cached and child columns *)
+  mutable jr_vcols : (string * (int * col)) list;  (* leaf binds, by row id of a slot *)
 }
 
-let leaf_of jr v = List.find (fun lf -> String.equal lf.l_var v) jr.jr_cand.j_leaves
+let slot_of jr v = List.assoc v jr.jr_slots
+
+(* position of slot [s] among generators [gens] *)
+let gen_pos gens s =
+  let rec go i = function
+    | (_, s') :: rest -> if s' = s then i else go (i + 1) rest
+    | [] -> invalid_arg "Vector.gen_pos"
+  in
+  go 0 gens
 
 let boxed jr v f = Hashtbl.find jr.jr_boxed (v, f)
 
@@ -1537,26 +1727,57 @@ let typed_col jr v f = promote_memo ~field:f (boxed jr v f)
 let fields_of ~var exprs =
   List.rev (List.fold_left (proj_fields ~src_var:var) [] exprs)
 
+(* the fields the candidate's plan needs of generator [var] *)
+let needs jr var =
+  match Analysis.plan_var_needs jr.jr_cand.j_plan ~var with
+  | Analysis.Fields fs -> fs
+  | Analysis.Whole -> decline "whole-record need on %s" var
+
 (* Fetch a leaf's columns through the cache: the fields the candidate's
    plan needs of it, in the order the row fold reads them. *)
 let fetch_leaf jr lf =
-  let fields =
-    match Analysis.plan_var_needs jr.jr_cand.j_plan ~var:lf.l_var with
-    | Analysis.Fields fs -> fs
-    | Analysis.Whole -> decline "whole-record need on %s" lf.l_name
-  in
-  match Plugins.column_arrays jr.jr_ctx lf.l_source ~fields with
+  match Plugins.column_arrays jr.jr_ctx lf.l_source ~fields:(needs jr lf.l_var) with
   | None ->
     decline "source %s has no columnar view (cleaning policy or format)" lf.l_name
   | Some (nrows, cols) ->
     List.iter (fun (f, arr) -> Hashtbl.replace jr.jr_boxed (lf.l_var, f) arr) cols;
     nrows
 
+(* The columns [exprs] read of generators [gens] (variable, slot): cached
+   fields, promoted, then the binds of those generators. Returns them with
+   the slot each is gathered at, and the typing environment over them. *)
+let gen_columns jr gens exprs =
+  let typed =
+    List.concat_map
+      (fun (v, slot) -> List.map (fun f -> (v, f, slot)) (fields_of ~var:v exprs))
+      gens
+  in
+  let vcols =
+    List.filter (fun (_, (slot, _)) -> List.exists (fun (_, s) -> s = slot) gens) jr.jr_vcols
+  in
+  let ntyped = List.length typed in
+  let cols =
+    Array.of_list
+      (List.map (fun (v, f, _) -> typed_col jr v f) typed @ List.map (fun (_, (_, c)) -> c) vcols)
+  in
+  let col_slots =
+    Array.of_list (List.map (fun (_, _, s) -> s) typed @ List.map (fun (_, (s, _)) -> s) vcols)
+  in
+  let env =
+    { src_vars = List.map fst gens;
+      cols = List.mapi (fun i (v, f, _) -> ((v, f), i)) typed;
+      var_cols = List.mapi (fun i (v, _) -> (v, ntyped + i)) vcols;
+      col_tys = Array.map col_ty cols; binds = []; bind_tys = [||];
+      params = jr.jr_ctx.Plugins.params }
+  in
+  (cols, col_slots, env)
+
 let scatter_col ty n =
   match ty with
   | TF -> ColF (BA1.create Bigarray.float64 Bigarray.c_layout n, Some (Bytes.make n '\000'))
   | TI -> ColI (BA1.create Bigarray.int Bigarray.c_layout n, Some (Bytes.make n '\000'))
   | TB -> ColB (Bytes.make n '\000', Some (Bytes.make n '\000'))
+  | TS -> invalid_arg "Vector.scatter_col: string binding"
 
 let scatter (v : vval) (c : col) (sel : int array) n =
   match v, c with
@@ -1585,14 +1806,7 @@ let scatter (v : vval) (c : col) (sel : int array) n =
 let scan_leaf jr lf =
   let ctx = jr.jr_ctx in
   let nrows = fetch_leaf jr lf in
-  let var = lf.l_var in
-  let fields = fields_of ~var (List.map step_expr lf.l_steps) in
-  let cols = Array.of_list (List.map (typed_col jr var) fields) in
-  let env =
-    { src_vars = [ var ]; cols = List.mapi (fun i f -> ((var, f), i)) fields;
-      var_cols = []; col_tys = Array.map col_ty cols; binds = []; bind_tys = [||];
-      params = ctx.Plugins.params }
-  in
+  let cols, _, env = gen_columns jr [ (lf.l_var, lf.l_id) ] (List.map step_expr lf.l_steps) in
   let env, ksteps, taps, nbinds = type_steps env lf.l_steps in
   let bcap = batch_rows () in
   let st =
@@ -1665,7 +1879,7 @@ let key_values jr (r : rel) (ks : key list) =
         (match key_column jr k with
         | None -> Bytes.fill valid 0 r.n '\000'
         | Some (a, validity) ->
-          let ids = r.ids.((leaf_of jr k.key_var).l_id) in
+          let ids = r.ids.(slot_of jr k.key_var) in
           for i = 0 to r.n - 1 do
             let row = Array.unsafe_get ids i in
             Array.unsafe_set out i (BA1.unsafe_get a row);
@@ -1720,103 +1934,102 @@ let build_table (bkeys, bvalid) n ~width =
   done;
   { heads; next; bkeys; mask = cap - 1 }
 
-(* A join ready to probe: both sides evaluated, the table built, and its
-   output pipeline (residual, then post-join steps) typed. *)
+(* Where an output pipeline's tuples come from: a hash probe, or an unnest
+   expanding each tuple of its child relation into child rows. *)
+type input =
+  | Probe of {
+      left : (int * int array) array;  (* probe-side generators: slot, row ids *)
+      right : (int * int array) array;
+      table : table;
+      pkeys : int array array;
+      pvalid : Bytes.t;
+    }
+  | Expand of {
+      tuples : (int * int array) array;  (* the child relation's generators *)
+      parents : int array;  (* per tuple, the unnested generator's row id *)
+      off : int array;  (* its shredded column's child offsets *)
+    }
+
+(* A join or an unnest ready to run: its inputs evaluated, and its output
+   pipeline (a join's residual, then the steps above) typed. *)
 type prepared = {
-  pr_leaves : leaf list;  (* generators of the output, left to right *)
-  pr_left : (int * int array) array;  (* probe-side generators: id, row ids *)
-  pr_right : (int * int array) array;
-  pr_table : table;
-  pr_pkeys : int array array;
-  pr_pvalid : Bytes.t;
-  pr_nprobe : int;
+  pr_gens : (string * int) list;  (* generators of the output, left to right *)
+  pr_input : input;
+  pr_n : int;  (* input positions: probe tuples, or tuples to expand *)
   pr_env : cenv;
   pr_cols : col array;
-  pr_col_leaf : int array;  (* column -> generator id *)
+  pr_col_slot : int array;  (* column -> generator slot *)
   pr_steps : kstep list;
   pr_nbinds : int;
   pr_emitted : int Atomic.t;
-  pr_finish : unit -> unit;  (* feedback, once every probe range ran *)
+  pr_finish : unit -> unit;  (* feedback, once every input range ran *)
 }
 
-(* position of generator [id] among the output's row-id vectors *)
-let leaf_pos pr id =
-  let rec go i = function
-    | lf :: rest -> if lf.l_id = id then i else go (i + 1) rest
-    | [] -> invalid_arg "Vector.leaf_pos"
-  in
-  go 0 pr.pr_leaves
-
 let rec materialize jr (t : jtree) : rel =
-  let nleaves = List.length jr.jr_cand.j_leaves in
+  let nslots = List.length jr.jr_slots in
   match t with
   | JLeaf lf ->
     let ids = scan_leaf jr lf in
-    let all = Array.make nleaves [||] in
+    let all = Array.make nslots [||] in
     all.(lf.l_id) <- ids;
     { ids = all; n = Array.length ids }
-  | JJoin _ | JSteps _ ->
+  | JJoin _ | JUnnest _ | JSteps _ ->
     let pr = prepare jr t ~head:[] in
-    let bufs = List.map (fun lf -> (lf.l_id, ibuf ())) pr.pr_leaves in
+    let bufs = List.map (fun (_, slot) -> (slot, ibuf ())) pr.pr_gens in
     let st, runners = pipeline pr in
-    probe pr st runners ~lo:0 ~hi:pr.pr_nprobe ~sink:(fun () ->
+    feed pr st runners ~lo:0 ~hi:pr.pr_n ~sink:(fun () ->
         List.iteri (fun pos (_, b) -> ibuf_append b st.sels.(pos) st.n) bufs);
     release st;
     pr.pr_finish ();
-    let all = Array.make nleaves [||] in
-    List.iter (fun (id, b) -> all.(id) <- ibuf_contents b) bufs;
+    let all = Array.make nslots [||] in
+    List.iter (fun (slot, b) -> all.(slot) <- ibuf_contents b) bufs;
     { ids = all; n = (match bufs with (_, b) :: _ -> b.len | [] -> 0) }
 
-(* Evaluate [t]'s build side, build, checkpoint, then its probe side — the
-   closure engine's order, which is also the order columns are fetched
-   through the cache. [head] lists the typed expressions evaluated over
-   the output besides the join's own steps. *)
+(* A join evaluates its build side, builds, checkpoints, then its probe
+   side — the closure engine's order, which is also the order columns are
+   fetched through the cache. An unnest evaluates its child, then shreds
+   the array column its parent's leaf fetched. [head] lists the typed
+   expressions evaluated over the output besides its own steps. *)
 and prepare jr (t : jtree) ~head : prepared =
   let ctx = jr.jr_ctx in
-  let steps, pred, keys, residual, left, right =
-    match t with
-    | JJoin { pred; keys; residual; left; right } -> ([], pred, keys, residual, left, right)
-    | JSteps (steps, JJoin { pred; keys; residual; left; right }) ->
-      (steps, pred, keys, residual, left, right)
-    | _ -> invalid_arg "Vector.prepare"
+  let steps, core = match t with JSteps (steps, core) -> (steps, core) | core -> ([], core) in
+  let side gens (rel : rel) =
+    Array.of_list (List.map (fun (_, slot) -> (slot, rel.ids.(slot))) gens)
   in
-  let rleaves = tree_leaves right and lleaves = tree_leaves left in
-  let r = materialize jr right in
-  let table =
-    build_table (key_values jr r (List.map snd keys)) r.n ~width:(List.length rleaves)
+  let gens, input, n, residual, record =
+    match core with
+    | JJoin { pred; keys; residual; left; right } ->
+      let rgens = tree_gens right and lgens = tree_gens left in
+      let r = materialize jr right in
+      let table =
+        build_table (key_values jr r (List.map snd keys)) r.n ~width:(List.length rgens)
+      in
+      Governor.checkpoint ~source:"vector" ();
+      let l = materialize jr left in
+      let pkeys, pvalid = key_values jr l (List.map fst keys) in
+      let record out =
+        if l.n > 0 && r.n > 0 then
+          Feedback.record ctx.Plugins.feedback ~key:(Feedback.join_key pred)
+            ~observed:(float_of_int out /. (float_of_int l.n *. float_of_int r.n))
+      in
+      ( lgens @ rgens,
+        Probe { left = side lgens l; right = side rgens r; table; pkeys; pvalid },
+        l.n, residual, record )
+    | JUnnest { var; parent; field; id; child } ->
+      let c = materialize jr child in
+      let sh = shred_memo ~field (boxed jr parent field) in
+      List.iter
+        (fun f -> Hashtbl.replace jr.jr_boxed (var, f) (child_column sh f))
+        (needs jr var);
+      let cgens = tree_gens child in
+      ( cgens @ [ (var, id) ],
+        Expand { tuples = side cgens c; parents = c.ids.(slot_of jr parent); off = sh.sh_off },
+        c.n, None, ignore )
+    | JLeaf _ | JSteps _ -> invalid_arg "Vector.prepare"
   in
-  Governor.checkpoint ~source:"vector" ();
-  let l = materialize jr left in
-  let pkeys, pvalid = key_values jr l (List.map fst keys) in
   (* the output pipeline reads columns of every generator below it *)
-  let leaves = lleaves @ rleaves in
-  let exprs = Option.to_list residual @ List.map step_expr steps @ head in
-  let typed =
-    List.concat_map
-      (fun lf -> List.map (fun f -> (lf, f)) (fields_of ~var:lf.l_var exprs))
-      leaves
-  in
-  let vcols =
-    List.filter
-      (fun (_, (id, _)) -> List.exists (fun lf -> lf.l_id = id) leaves)
-      jr.jr_vcols
-  in
-  let ntyped = List.length typed in
-  let cols =
-    Array.of_list
-      (List.map (fun (lf, f) -> typed_col jr lf.l_var f) typed
-      @ List.map (fun (_, (_, c)) -> c) vcols)
-  in
-  let col_leaf =
-    Array.of_list
-      (List.map (fun (lf, _) -> lf.l_id) typed @ List.map (fun (_, (id, _)) -> id) vcols)
-  in
-  let env =
-    { src_vars = List.map (fun lf -> lf.l_var) leaves;
-      cols = List.mapi (fun i (lf, f) -> ((lf.l_var, f), i)) typed;
-      var_cols = List.mapi (fun i (v, _) -> (v, ntyped + i)) vcols;
-      col_tys = Array.map col_ty cols; binds = []; bind_tys = [||];
-      params = ctx.Plugins.params }
+  let cols, col_slots, env =
+    gen_columns jr gens (Option.to_list residual @ List.map step_expr steps @ head)
   in
   let res_tap = Option.map new_tap residual in
   let env, ksteps, taps, nbinds = type_steps env steps in
@@ -1828,38 +2041,27 @@ and prepare jr (t : jtree) ~head : prepared =
   let emitted = Atomic.make 0 in
   let finish () =
     flush_taps ctx taps;
-    let out =
-      match res_tap with
-      | Some tap -> Atomic.get tap.passed
-      | None -> Atomic.get emitted
-    in
-    if l.n > 0 && r.n > 0 then
-      Feedback.record ctx.Plugins.feedback ~key:(Feedback.join_key pred)
-        ~observed:(float_of_int out /. (float_of_int l.n *. float_of_int r.n))
+    record
+      (match res_tap with Some tap -> Atomic.get tap.passed | None -> Atomic.get emitted)
   in
-  let side lvs (rel : rel) = Array.of_list (List.map (fun lf -> (lf.l_id, rel.ids.(lf.l_id))) lvs) in
-  { pr_leaves = leaves; pr_left = side lleaves l; pr_right = side rleaves r;
-    pr_table = table; pr_pkeys = pkeys; pr_pvalid = pvalid; pr_nprobe = l.n;
-    pr_env = env; pr_cols = cols; pr_col_leaf = col_leaf; pr_steps = ksteps;
-    pr_nbinds = nbinds; pr_emitted = emitted; pr_finish = finish }
+  { pr_gens = gens; pr_input = input; pr_n = n; pr_env = env; pr_cols = cols;
+    pr_col_slot = col_slots; pr_steps = ksteps; pr_nbinds = nbinds;
+    pr_emitted = emitted; pr_finish = finish }
 
-(* Fresh buffers for one probe range: one row-id vector per generator. *)
+(* Fresh buffers for one input range: one row-id vector per generator. *)
 and pipeline pr =
   let st =
-    make_state ~bcap:(batch_rows ()) ~cols:pr.pr_cols ~nsels:(List.length pr.pr_leaves)
-      ~col_sel:(Array.map (leaf_pos pr) pr.pr_col_leaf)
+    make_state ~bcap:(batch_rows ()) ~cols:pr.pr_cols ~nsels:(List.length pr.pr_gens)
+      ~col_sel:(Array.map (gen_pos pr.pr_gens) pr.pr_col_slot)
       ~nbinds:pr.pr_nbinds
   in
   (st, List.map (step_runner st) pr.pr_steps)
 
-(* Probe tuples [lo, hi): matches fill the pipeline's row-id vectors; each
-   full batch runs the steps and then [sink]. *)
-and probe pr st runners ~lo ~hi ~sink =
-  let t = pr.pr_table in
-  let nleft = Array.length pr.pr_left in
-  let outs_l = Array.sub st.sels 0 nleft
-  and outs_r = Array.sub st.sels nleft (Array.length pr.pr_right) in
-  let ids_l = Array.map snd pr.pr_left and ids_r = Array.map snd pr.pr_right in
+(* Feed input positions [lo, hi): output tuples fill the pipeline's row-id
+   vectors, a probe tuple's matches in build order, an expanded tuple's
+   child rows in array order; each full batch runs the steps and then
+   [sink]. *)
+and feed pr st runners ~lo ~hi ~sink =
   let flush k =
     st.n <- k;
     ignore (Atomic.fetch_and_add pr.pr_emitted k);
@@ -1868,34 +2070,60 @@ and probe pr st runners ~lo ~hi ~sink =
     if st.n > 0 then sink ()
   in
   let k = ref 0 in
-  for i = lo to hi - 1 do
-    if Bytes.unsafe_get pr.pr_pvalid i = '\001' then begin
-      let j = ref (Array.unsafe_get t.heads (hash_keys pr.pr_pkeys i land t.mask)) in
-      while !j >= 0 do
-        let jj = !j in
-        if keys_equal pr.pr_pkeys i t.bkeys jj then begin
-          let kk = !k in
-          for s = 0 to Array.length outs_l - 1 do
-            Array.unsafe_set (Array.unsafe_get outs_l s) kk
-              (Array.unsafe_get (Array.unsafe_get ids_l s) i)
-          done;
-          for s = 0 to Array.length outs_r - 1 do
-            Array.unsafe_set (Array.unsafe_get outs_r s) kk
-              (Array.unsafe_get (Array.unsafe_get ids_r s) jj)
-          done;
-          if kk + 1 = st.bcap then begin
-            flush (kk + 1);
-            k := 0
-          end
-          else k := kk + 1
-        end;
-        j := Array.unsafe_get t.next jj
-      done
+  (* the tuple just written at [!k] is complete *)
+  let next () =
+    if !k + 1 = st.bcap then begin
+      flush st.bcap;
+      k := 0
     end
-  done;
+    else incr k
+  in
+  (match pr.pr_input with
+  | Probe { left; right; table = t; pkeys; pvalid } ->
+    let nleft = Array.length left in
+    let outs_l = Array.sub st.sels 0 nleft
+    and outs_r = Array.sub st.sels nleft (Array.length right) in
+    let ids_l = Array.map snd left and ids_r = Array.map snd right in
+    for i = lo to hi - 1 do
+      if Bytes.unsafe_get pvalid i = '\001' then begin
+        let j = ref (Array.unsafe_get t.heads (hash_keys pkeys i land t.mask)) in
+        while !j >= 0 do
+          let jj = !j in
+          if keys_equal pkeys i t.bkeys jj then begin
+            let kk = !k in
+            for s = 0 to nleft - 1 do
+              Array.unsafe_set (Array.unsafe_get outs_l s) kk
+                (Array.unsafe_get (Array.unsafe_get ids_l s) i)
+            done;
+            for s = 0 to Array.length outs_r - 1 do
+              Array.unsafe_set (Array.unsafe_get outs_r s) kk
+                (Array.unsafe_get (Array.unsafe_get ids_r s) jj)
+            done;
+            next ()
+          end;
+          j := Array.unsafe_get t.next jj
+        done
+      end
+    done
+  | Expand { tuples; parents; off } ->
+    let nt = Array.length tuples in
+    let outs = Array.sub st.sels 0 nt and ids = Array.map snd tuples in
+    let children = st.sels.(nt) in
+    for i = lo to hi - 1 do
+      let p = Array.unsafe_get parents i in
+      for c = Array.unsafe_get off p to Array.unsafe_get off (p + 1) - 1 do
+        let kk = !k in
+        for s = 0 to nt - 1 do
+          Array.unsafe_set (Array.unsafe_get outs s) kk
+            (Array.unsafe_get (Array.unsafe_get ids s) i)
+        done;
+        Array.unsafe_set children kk c;
+        next ()
+      done
+    done);
   if !k > 0 then flush !k
 
-(* --- the head over the top join's output --- *)
+(* --- the head over the top node's output --- *)
 
 let box (v : vval) k =
   match v with
@@ -1905,7 +2133,7 @@ let box (v : vval) k =
     if valid (Bytes.unsafe_get vd k) then Value.Bool (valid (Bytes.unsafe_get a k))
     else Value.Null
 
-(* The head over the top join's output, typed once: a fused fold, or the
+(* The head over the top node's output, typed once: a fused fold, or the
    parts of a bag/list element — cached values gathered at the tuple's
    row id, constants, or typed expressions boxed per tuple. *)
 type part = PGather of Value.t array * int | PConst of Value.t | PTyped of vx
@@ -1916,9 +2144,12 @@ let type_head jr pr =
   let part (e : Expr.t) =
     match e with
     | Expr.Proj (Expr.Var v, f) when List.mem v pr.pr_env.src_vars ->
-      PGather (boxed jr v f, (leaf_of jr v).l_id)
+      PGather (boxed jr v f, slot_of jr v)
     | Expr.Const c -> PConst c
-    | e -> PTyped (cx pr.pr_env e)
+    | e ->
+      let x = cx pr.pr_env e in
+      if vx_ty x = TS then decline "string expression %s in the head" (Expr.to_string e);
+      PTyped x
   in
   match jr.jr_cand.j_head with
   | HTyped h ->
@@ -1928,12 +2159,12 @@ let type_head jr pr =
   | HBoxed (Expr.Record fs) -> TRecord (List.map (fun (name, e) -> (name, part e)) fs)
   | HBoxed e -> TScalar (part e)
 
-(* One probe range folded into a pre-finalize partial, on fresh buffers. *)
+(* One input range folded into a pre-finalize partial, on fresh buffers. *)
 let fold_range jr pr (head : thead) ~lo ~hi =
   let st, runners = pipeline pr in
   let part = function
     | PGather (arr, id) ->
-      let sel = st.sels.(leaf_pos pr id) in
+      let sel = st.sels.(gen_pos pr.pr_gens id) in
       fun () k -> Array.unsafe_get arr (Array.unsafe_get sel k)
     | PConst c -> fun () _ -> c
     | PTyped x ->
@@ -1942,7 +2173,7 @@ let fold_range jr pr (head : thead) ~lo ~hi =
   in
   let collect (value : unit -> int -> Value.t) =
     let items = ref [] in
-    probe pr st runners ~lo ~hi ~sink:(fun () ->
+    feed pr st runners ~lo ~hi ~sink:(fun () ->
         let get = value () in
         for k = 0 to st.n - 1 do
           items := get k :: !items
@@ -1956,7 +2187,7 @@ let fold_range jr pr (head : thead) ~lo ~hi =
   | TFold x ->
     let ev = build st x in
     let accum = make_accum jr.jr_cand.j_monoid (vx_ty x) in
-    probe pr st runners ~lo ~hi ~sink:(fun () -> accum.push (ev ()) st.n);
+    feed pr st runners ~lo ~hi ~sink:(fun () -> accum.push (ev ()) st.n);
     release st;
     accum.result ()
   | TScalar p -> collect (part p)
@@ -1966,28 +2197,32 @@ let fold_range jr pr (head : thead) ~lo ~hi =
         let getters = List.map (fun (name, p) -> (name, p ())) parts in
         fun k -> Value.Record (List.map (fun (name, g) -> (name, g k)) getters))
 
-(* Run a join candidate. With [domains > 1] the top probe splits into
-   morsels whose partials merge in probe order. *)
+(* Run a join candidate. With [domains > 1] the top input (a join's probe
+   tuples, an unnest's tuples to expand) splits into morsels whose
+   partials merge in input order. *)
 let run_join ctx ~domains (c : join_candidate) () : Value.t =
-  let jr = { jr_ctx = ctx; jr_cand = c; jr_boxed = Hashtbl.create 16; jr_vcols = [] } in
+  let jr =
+    { jr_ctx = ctx; jr_cand = c; jr_slots = tree_gens c.j_tree;
+      jr_boxed = Hashtbl.create 16; jr_vcols = [] }
+  in
   ignore (Atomic.fetch_and_add s_kernels 1);
   let head =
     match c.j_head with
     | HTyped h -> [ h ]
     | HBoxed h ->
-      List.filter (fun e -> not (gathered ~src_vars:(List.map (fun lf -> lf.l_var) c.j_leaves) e))
-        (boxed_parts h)
+      let src_vars = List.map fst jr.jr_slots in
+      List.filter (fun e -> not (gathered ~src_vars e)) (boxed_parts h)
   in
   let pr = prepare jr c.j_tree ~head in
   let head = type_head jr pr in
   let domains =
     if domains <= 1 then 1
-    else Vida_raw.Morsel.domains_for_rows ~domains pr.pr_nprobe
+    else kernel_domains ~domains pr.pr_n
   in
   let acc =
-    if domains <= 1 then fold_range jr pr head ~lo:0 ~hi:pr.pr_nprobe
+    if domains <= 1 then fold_range jr pr head ~lo:0 ~hi:pr.pr_n
     else
-      fold_morsels ~domains ~monoid:c.j_monoid ~subject:"join" pr.pr_nprobe
+      fold_morsels ~domains ~monoid:c.j_monoid ~subject:"join" pr.pr_n
         (fold_range jr pr head)
   in
   pr.pr_finish ();
@@ -2053,9 +2288,10 @@ let run_candidate ctx ~domains (c : candidate) () : Value.t =
   | Some (nrows, cols, prune) ->
     let k =
       build_kernel ?prune ~name:c.name ~var:c.var ~cols ~nrows ~steps:c.steps
+        ~params:ctx.Plugins.params
         ~monoid:c.monoid ~head:c.head ()
     in
-    let domains = Vida_raw.Morsel.domains_for_rows ~domains nrows in
+    let domains = kernel_domains ~domains nrows in
     let acc =
       if domains <= 1 then run_instance k ~lo:0 ~hi:nrows
       else fold_morsels ~domains ~monoid:c.monoid ~subject:c.name nrows (run_instance k)

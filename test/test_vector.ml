@@ -200,10 +200,115 @@ let prop_engines_agree =
             formats;
           true))
 
+(* --- string columns, compared in place -------------------------------- *)
+
+(* [s] has NULLs (an empty CSV field, a JSON null) and five values, [t]
+   three that overlap them; [m] mixes strings and ints. *)
+let string_row i =
+  let s = if i mod 9 = 4 then None else Some (Printf.sprintf "s%d" (i mod 5)) in
+  (i mod 7, s, Printf.sprintf "s%d" (i mod 3))
+
+let string_csv () =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "a,s,t\n";
+  for i = 0 to 59 do
+    let a, s, t = string_row i in
+    Printf.bprintf buf "%d,%s,%s\n" a (Option.value s ~default:"") t
+  done;
+  tmp_file ".csv" (Buffer.contents buf)
+
+let string_json () =
+  let buf = Buffer.create 2048 in
+  for i = 0 to 59 do
+    let a, s, t = string_row i in
+    Printf.bprintf buf {|{"a": %d, "s": %s, "t": "%s", "m": %s}|} a
+      (match s with Some s -> Printf.sprintf "%S" s | None -> "null")
+      t
+      (if i mod 2 = 0 then {|"x"|} else "3");
+    Buffer.add_char buf '\n'
+  done;
+  tmp_file ".jsonl" (Buffer.contents buf)
+
+let string_paths = lazy (string_csv (), string_json ())
+
+(* SC (csv) and SJ (jsonl), with two string parameters *)
+let sctx =
+  let csv, json = Lazy.force string_paths in
+  let registry = Registry.create () in
+  let _ = Registry.register_csv registry ~name:"SC" ~path:csv () in
+  let _ = Registry.register_json registry ~name:"SJ" ~path:json () in
+  { (Plugins.create_ctx registry) with
+    Plugins.params = [ ("city", Value.String "s2"); ("nowhere", Value.String "zz") ] }
+
+(* the kernel, the closure engine and the interpreter agree exactly, and
+   the kernel ran: batches, no fallback *)
+let strings_agree q =
+  let plan = plan_of q in
+  let before = Vector.stats () in
+  let vec = outcome (fun () -> Compile.query sctx plan ()) in
+  let after = Vector.stats () in
+  let clo = outcome (fun () -> with_vector_off (fun () -> Compile.query sctx plan ())) in
+  let gen = outcome (fun () -> Interp.query sctx plan ()) in
+  Alcotest.(check string) (q ^ ": vectorized = closure") (show clo) (show vec);
+  Alcotest.(check string) (q ^ ": closure = generic") (show gen) (show clo);
+  check_bool (q ^ ": ran batches") true (after.Vector.batches > before.Vector.batches);
+  Alcotest.(check int) (q ^ ": no fallback") before.Vector.fallbacks after.Vector.fallbacks
+
+let test_string_filters () =
+  List.iter
+    (fun batch ->
+      with_batch batch (fun () ->
+          List.iter
+            (fun src ->
+              List.iter
+                (fun q -> strings_agree (Printf.sprintf q src))
+                [ "for { p <- %s, p.s = \"s1\" } yield count p";
+                  "for { p <- %s, p.s != \"s1\" } yield sum p.a";
+                  "for { p <- %s, p.s < \"s2\" } yield count p";
+                  "for { p <- %s, p.s >= \"s3\" } yield max p.a";
+                  "for { p <- %s, \"s2\" > p.s } yield count p";
+                  "for { p <- %s, p.s = city } yield count p";
+                  "for { p <- %s, p.s >= city, p.a > 1 } yield sum p.a";
+                  (* a constant the column never holds *)
+                  "for { p <- %s, p.s = \"absent\" } yield count p";
+                  "for { p <- %s, p.s < nowhere } yield avg p.a";
+                  (* column against column, NULLs on one side *)
+                  "for { p <- %s, p.s = p.t } yield count p";
+                  "for { p <- %s, p.t < p.s } yield sum p.a";
+                  (* NULL under three-valued not/or *)
+                  "for { p <- %s, not (p.s = \"s1\") } yield count p";
+                  "for { p <- %s, p.s = \"s1\" or p.a > 4 } yield count p"
+                ])
+            [ "SC"; "SJ" ]))
+    [ 1; 7; default_batch ]
+
+(* a column mixing strings and ints declines with a reason, and a string
+   head or binding is outside the kernels *)
+let test_string_declines () =
+  let _, json = Lazy.force string_paths in
+  let db = Vida.create () in
+  Vida.json db ~name:"SJ" ~path:json ();
+  List.iter
+    (fun (q, reason) ->
+      match Vida.query ~reuse:false db q with
+      | Error e -> Alcotest.failf "%s failed: %s" q (Vida.error_to_string e)
+      | Ok r -> (
+        let closure = with_vector_off (fun () -> Vida.query_value db q) in
+        check_value (q ^ " answers as the closure engine") closure r.Vida.value;
+        match List.filter (fun f -> f.G.stage = "vectorized->closure") r.Vida.governor.G.fallbacks with
+        | [ f ] ->
+          check_bool (Printf.sprintf "%s names %S (%s)" q reason f.G.reason) true
+            (Astring.String.is_infix ~affix:reason f.G.reason)
+        | fs -> Alcotest.failf "%s: %d fallbacks, expected 1" q (List.length fs)))
+    [ ("for { p <- SJ, p.m = \"x\" } yield count p", "not a uniform");
+      ("for { p <- SJ, p.s = \"s1\" } yield max p.s", "string head")
+    ]
+
 (* --- the join fragment: fixtures over every columnar format ------------ *)
 
 (* Small tables keyed by [k], with duplicate keys on both sides of every
-   join and NULL keys in the CSV and JSON tables. *)
+   join and NULL keys in the CSV and JSON tables; JJ's string [n] has
+   NULLs. *)
 let join_csv () =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "k,a,x,s\n";
@@ -227,8 +332,9 @@ let join_json () =
   let buf = Buffer.create 2048 in
   for i = 0 to 44 do
     let k = if i mod 10 = 3 then "null" else string_of_int (i mod 9) in
-    Printf.bprintf buf {|{"k": %s, "y": %.2f, "b": %d}|} k (float_of_int (i mod 7) *. 1.5)
-      (i mod 5);
+    Printf.bprintf buf {|{"k": %s, "y": %.2f, "b": %d, "n": %s}|} k
+      (float_of_int (i mod 7) *. 1.5) (i mod 5)
+      (if i mod 4 = 1 then "null" else Printf.sprintf {|"n%d"|} (i mod 3));
     Buffer.add_char buf '\n'
   done;
   tmp_file ".jsonl" (Buffer.contents buf)
@@ -243,10 +349,36 @@ let join_binarray () =
     (fun i -> [| Value.Int (i mod 11); Value.Float (float_of_int (i mod 6) /. 2.) |]);
   path
 
+(* Objects with an array of records [items]: empty, NULL and missing
+   arrays, one to three elements, and a second element without [w]. *)
 let join_nested () =
-  let buf = Buffer.create 1024 in
-  for i = 0 to 19 do
-    Printf.bprintf buf {|{"k": %d, "items": [{"v": %d}, {"v": %d}]}|} (i mod 13) i (i * 2);
+  let buf = Buffer.create 2048 in
+  for i = 0 to 29 do
+    let item j =
+      let n = Printf.sprintf "n%d" ((i + j) mod 3) in
+      if j = 1 then Printf.sprintf {|{"v": %d, "n": "%s"}|} (i * 2) n
+      else Printf.sprintf {|{"v": %d, "w": %.2f, "n": "%s"}|} (i + j)
+          (float_of_int (i mod 5) /. 2.) n
+    in
+    let items =
+      match i mod 6 with
+      | 0 -> {|, "items": []|}
+      | 1 -> {|, "items": null|}
+      | 2 -> ""
+      | _ ->
+        Printf.sprintf {|, "items": [%s]|}
+          (String.concat ", " (List.init (1 + (i mod 3)) item))
+    in
+    Printf.bprintf buf {|{"k": %d, "q": %.1f%s}|} (i mod 13) (float_of_int (i mod 4)) items;
+    Buffer.add_char buf '\n'
+  done;
+  tmp_file ".jsonl" (Buffer.contents buf)
+
+(* an array holding a NULL beside its records *)
+let join_nonrecord () =
+  let buf = Buffer.create 512 in
+  for i = 0 to 9 do
+    Printf.bprintf buf {|{"k": %d, "items": [{"v": %d}, null]}|} (i mod 7) i;
     Buffer.add_char buf '\n'
   done;
   tmp_file ".jsonl" (Buffer.contents buf)
@@ -264,18 +396,23 @@ let join_registry () =
               Value.Record [ ("k", Value.Int (i mod 7)); ("v", Value.Int (i * 3 mod 10)) ])))
   in
   let _ = Registry.register_csv registry ~name:"JE" ~path:(tmp_file ".csv" "k,a\n") () in
+  let _ = Registry.register_json registry ~name:"JN" ~path:(join_nested ()) () in
   registry
 
 let jctx = Plugins.create_ctx (join_registry ())
 
 (* numeric fields of each join table: (field, is_float) *)
 let join_tables =
-  [ ("JC", [ ("a", false); ("x", true) ]);
-    ("JD", [ ("z", true) ]);
-    ("JJ", [ ("y", true); ("b", false) ]);
-    ("JB", [ ("w", true) ]);
-    ("JI", [ ("v", false) ])
+  [ ("JC", [ ("a", false); ("x", true) ], [ "s" ]);
+    ("JD", [ ("z", true) ], [ "s" ]);
+    ("JJ", [ ("y", true); ("b", false) ], [ "n" ]);
+    ("JB", [ ("w", true) ], []);
+    ("JI", [ ("v", false) ], [])
   ]
+
+(* JN, joined on [k], and its elements unnested as [u <- n.items] *)
+let nested_generators =
+  [ ("n", [ ("q", true) ], []); ("u", [ ("v", false); ("w", true) ], [ "n" ]) ]
 
 let rec has_join (p : Plan.t) =
   match p with
@@ -347,28 +484,45 @@ let gen_join_case : join_case QCheck.Gen.t =
   let open QCheck.Gen in
   let* nsrc = int_range 2 3 in
   let* tables = shuffle_l join_tables in
+  let* nested = bool in
   let picked = List.filteri (fun i _ -> i < nsrc) tables in
   let vars = List.filteri (fun i _ -> i < nsrc) [ "p"; "q"; "r" ] in
-  let gens = List.map2 (fun v (t, _) -> Printf.sprintf "%s <- %s" v t) vars picked in
+  let gens = List.map2 (fun v (t, _, _) -> Printf.sprintf "%s <- %s" v t) vars picked in
   let keys =
     List.filteri (fun i _ -> i > 0) vars
     |> List.mapi (fun i v -> Printf.sprintf "%s.k = %s.k" (List.nth vars i) v)
   in
+  let fields = List.map2 (fun v (_, nums, strs) -> (v, nums, strs)) vars picked in
+  let gens, keys, fields =
+    if nested then
+      (gens @ [ "n <- JN"; "u <- n.items" ], keys @ [ "p.k = n.k" ], fields @ nested_generators)
+    else (gens, keys, fields)
+  in
   let field_of =
-    let* i = int_range 0 (nsrc - 1) in
-    let v = List.nth vars i and _, fs = List.nth picked i in
+    let* v, fs, _ = oneofl fields in
     let* f, is_float = oneofl fs in
     return (v, f, is_float)
   in
-  let filter =
+  let strings = List.concat_map (fun (v, _, ss) -> List.map (fun f -> (v, f)) ss) fields in
+  let numeric_filter =
     let* v, f, is_float = field_of in
     if is_float then map (Printf.sprintf "%s.%s > %.2f" v f) (map (fun n -> float_of_int n /. 4.) (int_range (-4) 8))
     else map (Printf.sprintf "%s.%s < %d" v f) (int_range (-8) 8)
+  in
+  let string_filter =
+    let* v, f = oneofl strings in
+    let* op = oneofl [ "="; "!="; "<"; ">=" ] in
+    let* c = oneofl [ "s1"; "s3"; "n0"; "n2"; "zz" ] in
+    return (Printf.sprintf "%s.%s %s \"%s\"" v f op c)
+  in
+  let filter =
+    if strings = [] then numeric_filter else frequency [ (2, numeric_filter); (1, string_filter) ]
   in
   let* nfilter = int_range 0 2 in
   let* filters = flatten_l (List.init nfilter (fun _ -> filter)) in
   let* v1, f1, _ = field_of in
   let* v2, f2, _ = field_of in
+  let* sv, sf = if strings = [] then return (v1, f1) else oneofl strings in
   let* head =
     oneofl
       [ "count p";
@@ -378,7 +532,8 @@ let gen_join_case : join_case QCheck.Gen.t =
         Printf.sprintf "min %s.%s + 1" v1 f1;
         Printf.sprintf "bag %s.%s" v1 f1;
         Printf.sprintf "bag (k := p.k, f := %s.%s, g := %s.%s)" v1 f1 v2 f2;
-        Printf.sprintf "list (k := %s.k, f := %s.%s * 2)" v2 v1 f1
+        Printf.sprintf "list (k := %s.k, f := %s.%s * 2)" v2 v1 f1;
+        Printf.sprintf "bag (s := %s.%s, f := %s.%s)" sv sf v1 f1
       ]
   in
   let* jbatch = oneofl [ 1; 7; default_batch ] in
@@ -412,39 +567,153 @@ let test_join_edges () =
               "for { p <- JC, q <- JJ, p.k = q.k, p.a = q.b } yield count p";
               "for { p <- JC, q <- JJ, p.k = q.k, p.a < q.b } yield sum p.a";
               "for { p <- JC, q <- JB, p.k = q.k, t := p.x + q.w } yield max t";
+              (* string filters, a cross-side string residual, and string
+                 columns (with NULLs) in a bag head *)
+              "for { p <- JC, q <- JJ, p.k = q.k, q.n = \"n1\" } yield bag (k := p.k, n := q.n, s := p.s)";
+              "for { p <- JC, q <- JJ, p.k = q.k, p.s >= \"s2\" } yield list (n := q.n)";
+              "for { p <- JC, q <- JD, p.k = q.k, p.s < q.s } yield count p";
               (* three-way, both nestings *)
               "for { p <- JC, q <- JJ, r <- JI, p.k = q.k, q.k = r.k } yield bag (a := p.a, y := q.y, v := r.v)";
               "for { p <- JC, q <- JD, r <- JB, p.k = q.k, p.k = r.k, r.w > 0.5 } yield avg q.z"
             ]))
     [ 1; 7; default_batch ]
 
+(* [sum u.v] over JN's items whose [n] < "n2", joined with JC on [k]: the
+   unnest (outer or not) directly over JN, or over the join *)
+let unnest_plan ~outer ~over_join =
+  let proj v f = Expr.Proj (Expr.Var v, f) in
+  let source var name = Plan.Source { var; expr = Expr.Var name } in
+  let unnest child = Plan.Unnest { var = "u"; path = proj "n" "items"; outer; child } in
+  let join left =
+    Plan.Join
+      { pred = Expr.BinOp (Expr.Eq, proj "n" "k", proj "p" "k"); left; right = source "p" "JC" }
+  in
+  let filter child =
+    Plan.Select
+      { pred = Expr.BinOp (Expr.Lt, proj "u" "n", Expr.Const (Value.String "n2")); child }
+  in
+  let nested = source "n" "JN" in
+  Plan.Reduce
+    { monoid = Monoid.Prim Monoid.Sum;
+      head = proj "u" "v";
+      child =
+        (if over_join then filter (unnest (join nested)) else join (filter (unnest nested))) }
+
+(* Unnests in the join fragment: NULL, missing and empty arrays, a child
+   without a field, and child, parent and cross filters together, over a
+   leaf (before feedback) and over a join (the plan a warm instance picks
+   for HBP's unnest joins) *)
+let test_nested_edges () =
+  List.iter
+    (fun batch ->
+      with_batch batch (fun () ->
+          List.iter (join_agree ~kernel:true ~fail:Alcotest.fail)
+            [ "for { p <- JC, n <- JN, u <- n.items, p.k = n.k } yield sum u.v";
+              "for { p <- JC, n <- JN, u <- n.items, p.k = n.k } yield bag (k := p.k, v := u.v, w := u.w, n := u.n)";
+              "for { p <- JC, n <- JN, u <- n.items, p.k = n.k, u.n = \"n1\", n.q > 0.5, u.v > p.a } yield avg u.w";
+              "for { p <- JC, n <- JN, u <- n.items, p.k = n.k, u.w > n.q } yield list (s := p.s, v := u.v)";
+              (* a join key on the child rows *)
+              "for { p <- JC, n <- JN, u <- n.items, p.k = u.v } yield count p";
+              "for { q <- JJ, n <- JN, u <- n.items, p <- JC, q.k = n.k, n.k = p.k, u.n != q.n } yield sum u.v"
+            ];
+          (* the same unnest directly over a leaf and over a join *)
+          List.iter
+            (fun plan ->
+              check_bool "unnest plan runs as a kernel" true (kernel_accepts plan);
+              let vec = outcome (fun () -> Compile.query jctx plan ()) in
+              let clo = outcome (fun () -> with_vector_off (fun () -> Compile.query jctx plan ())) in
+              let gen = outcome (fun () -> Interp.query jctx plan ()) in
+              Alcotest.(check string) "unnest: vectorized = closure" (show clo) (show vec);
+              Alcotest.(check string) "unnest: closure = generic" (show gen) (show clo))
+            [ unnest_plan ~outer:false ~over_join:false; unnest_plan ~outer:false ~over_join:true ];
+          (* an outer unnest keeps a row for an empty array: the closure
+             engine's, with no fallback *)
+          check_bool "an outer unnest is outside the kernels" true
+            (match Vector.compile jctx ~domains:1 (unnest_plan ~outer:true ~over_join:false) with
+             | `Silent -> true
+             | _ -> false)))
+    [ 1; 7; default_batch ]
+
 (* a string or float key is a detail the kernel declines: one recorded
-   fallback naming the key, and the closure engine's answer *)
+   fallback naming the key, and the closure engine's answer; so is an
+   array holding something other than records *)
 let test_join_declines () =
   let db = Vida.create () in
   Vida.csv db ~name:"JC" ~path:(join_csv ()) ();
   Vida.csv db ~name:"JD" ~path:(join_csv2 ()) ();
   Vida.json db ~name:"JN" ~path:(join_nested ()) ();
-  let fallbacks q =
+  Vida.json db ~name:"JX" ~path:(join_nonrecord ()) ();
+  let run q =
     match Vida.query ~reuse:false db q with
     | Error e -> Alcotest.failf "%s failed: %s" q (Vida.error_to_string e)
     | Ok r ->
       let closure = with_vector_off (fun () -> Vida.query_value db q) in
       check_value (q ^ " answers as the closure engine") closure r.Vida.value;
-      List.filter (fun f -> f.G.stage = "vectorized->closure") r.Vida.governor.G.fallbacks
+      (r, List.filter (fun f -> f.G.stage = "vectorized->closure") r.Vida.governor.G.fallbacks)
   in
   List.iter
     (fun (q, key) ->
-      match fallbacks q with
+      match snd (run q) with
       | [ f ] ->
-        check_bool (q ^ " names the key") true
+        check_bool (q ^ " names " ^ key) true
           (Astring.String.is_infix ~affix:key f.G.reason)
       | fs -> Alcotest.failf "%s: %d fallbacks, expected 1" q (List.length fs))
     [ ("for { p <- JC, q <- JD, p.s = q.s } yield count p", "join key");
-      ("for { p <- JC, q <- JD, p.x = q.z } yield count p", "join key")
+      ("for { p <- JC, q <- JD, p.x = q.z } yield count p", "join key");
+      ("for { p <- JC, b <- JX, i <- b.items, p.k = b.k } yield sum i.v", "non-record")
     ];
-  check_bool "an unnest join records no fallback" true
-    (fallbacks "for { p <- JC, b <- JN, i <- b.items, p.k = b.k } yield sum i.v" = [])
+  let r, fallbacks = run "for { p <- JC, b <- JN, i <- b.items, p.k = b.k } yield sum i.v" in
+  check_bool "an unnest join runs as a kernel" true (r.Vida.governor.G.batches > 0);
+  check_bool "an unnest join records no fallback" true (fallbacks = [])
+
+(* The HBP sequence at a small scale, on a fresh instance per engine: the
+   kernels answer every query exactly as the closure engine does, and
+   record the feedback it records, so every later plan is the same. No
+   scan splits into morsels (the default floor is above these sizes), as
+   a split reassociates float folds. *)
+let test_hbp_sequence () =
+  Vida_raw.Morsel.set_min_parallel_rows 2048;
+  Fun.protect ~finally:(fun () -> Vida_raw.Morsel.set_min_parallel_rows 1) @@ fun () ->
+  let module D = Vida_workload.Hbp_data in
+  let config =
+    { D.patients_rows = 300; patients_attrs = 24; genetics_rows = 300; genetics_attrs = 30;
+      regions_objects = 200; regions_per_object = 6; seed = 42 }
+  in
+  let paths =
+    D.generate config ~dir:(Filename.concat (Filename.get_temp_dir_name ()) "vida_vec_hbp")
+  in
+  let queries = Vida_workload.Hbp_queries.workload ~n:150 config in
+  let ok q = function
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s: %s" q.Vida_workload.Hbp_queries.text (Vida.error_to_string e)
+  in
+  let pass () =
+    let db = Vida.create ~domains:1 () in
+    Vida.csv db ~name:"Patients" ~path:paths.D.patients ();
+    Vida.csv db ~name:"Genetics" ~path:paths.D.genetics ();
+    Vida.json db ~name:"BrainRegions" ~path:paths.D.regions ();
+    let answers =
+      List.map
+        (fun q ->
+          (ok q (Vida.query ~reuse:false db q.Vida_workload.Hbp_queries.text)).Vida.value)
+        queries
+    in
+    (answers, List.map (fun q -> ok q (Vida.explain db q.Vida_workload.Hbp_queries.text)) queries)
+  in
+  let before = Vector.stats () in
+  let answers, plans = pass () in
+  let after = Vector.stats () in
+  Alcotest.(check int) "no query falls back" before.Vector.fallbacks after.Vector.fallbacks;
+  check_bool "the kernels ran" true (after.Vector.batches > before.Vector.batches);
+  let closure_answers, closure_plans = with_vector_off pass in
+  List.iteri
+    (fun i q ->
+      let text = q.Vida_workload.Hbp_queries.text in
+      check_bool (text ^ ": same answer") true
+        (Value.equal (List.nth closure_answers i) (List.nth answers i));
+      Alcotest.(check string) (text ^ ": same plan afterwards") (List.nth closure_plans i)
+        (List.nth plans i))
+    queries
 
 (* --- directed edge cases ----------------------------------------------- *)
 
@@ -591,6 +860,36 @@ let test_fallback_ladder () =
   check_value "generic sum" (Value.Int 1275) r.Vida.value;
   check_bool "jit->generic recorded" true (has_stage r "jit->generic")
 
+(* The closure engine, the kernel on one domain and in morsels, and the
+   row fold a decline falls back to record the same filter selectivities
+   (each filter seeing the rows the closure engine shows it), so the plans
+   that follow do not depend on which of them ran. *)
+let test_feedback_parity () =
+  let q = "for { p <- VC, p.x < 1.0, p.a > 0, p.b != 2 } yield sum p.a" in
+  let plan = plan_of q in
+  let rec preds (p : Plan.t) =
+    (match p with Plan.Select { pred; _ } -> [ pred ] | _ -> [])
+    @ List.concat_map preds (Plan.children p)
+  in
+  let observed run =
+    let c = Plugins.create_ctx ctx.Plugins.registry in
+    ignore (run c);
+    List.map
+      (fun pred ->
+        match Feedback.lookup c.Plugins.feedback ~key:(Feedback.selectivity_key pred) with
+        | Some s -> Printf.sprintf "%s: %.6f" (Expr.to_string pred) s
+        | None -> Expr.to_string pred ^ ": none")
+      (preds plan)
+  in
+  let closure = observed (fun c -> with_vector_off (fun () -> Compile.query c plan ())) in
+  List.iter
+    (fun (name, run) -> Alcotest.(check (list string)) name closure (observed run))
+    [ ("kernel", fun c -> Compile.query c plan ());
+      ("kernel in morsels", fun c -> Option.get (Parallel.try_query c ~domains:4 plan));
+      ( "row fold in morsels",
+        fun c -> with_vector_off (fun () -> Option.get (Parallel.try_query c ~domains:4 plan)) )
+    ]
+
 let test_disabled_switch () =
   (* the kill switch routes everything through the closure engine without
      noise: same answers, no kernels *)
@@ -617,11 +916,17 @@ let () =
             test_quarantined_record_mid_batch;
           Alcotest.test_case "cancellation at batch boundary" `Quick
             test_cancellation_at_batch_boundary;
-          Alcotest.test_case "disabled switch" `Quick test_disabled_switch
+          Alcotest.test_case "disabled switch" `Quick test_disabled_switch;
+          Alcotest.test_case "feedback parity" `Quick test_feedback_parity
         ] );
       ("join", [ QCheck_alcotest.to_alcotest prop_join_engines_agree;
                  Alcotest.test_case "join edges" `Quick test_join_edges;
-                 Alcotest.test_case "join declines" `Quick test_join_declines ]);
+                 Alcotest.test_case "nested edges" `Quick test_nested_edges;
+                 Alcotest.test_case "join declines" `Quick test_join_declines;
+                 Alcotest.test_case "hbp sequence" `Quick test_hbp_sequence ]);
+      ( "strings",
+        [ Alcotest.test_case "string filters" `Quick test_string_filters;
+          Alcotest.test_case "string declines" `Quick test_string_declines ] );
       ( "ladder",
         [ Alcotest.test_case "vectorized -> closure -> generic" `Quick
           test_fallback_ladder ] )
