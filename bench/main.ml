@@ -886,55 +886,76 @@ let governor () =
   Printf.printf "wrote %s\n" out
 
 (* ------------------------------------------------------------------ *)
+(* fixtures shared by the vectorized and kernel-split experiments      *)
+(* ------------------------------------------------------------------ *)
+
+(* [write_once path body] writes [path] with [body] unless it exists *)
+let write_once path body =
+  if not (Sys.file_exists data_dir) then Sys.mkdir data_dir 0o755;
+  if not (Sys.file_exists path) then (
+    let oc = open_out_bin path in
+    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> body oc))
+
+(* the wide CSV the parallel experiment scans, [n] rows *)
+let wide_csv n =
+  let path = Filename.concat data_dir (Printf.sprintf "parallel_%d.csv" n) in
+  write_once path (fun oc ->
+      output_string oc "id,age,x,y,z\n";
+      for i = 1 to n do
+        output_string oc
+          (Printf.sprintf "%d,%d,%.3f,%.3f,%.3f\n" i (18 + (i mod 80))
+             (sin (float_of_int i))
+             (cos (float_of_int i))
+             (float_of_int (i mod 97) /. 9.7))
+      done);
+  path
+
+(* string columns and arrays of records: a CSV of [m] people, and a
+   JSON-lines file of [m] scans whose objects hold one to four regions *)
+let people_csv m =
+  let path = Filename.concat data_dir (Printf.sprintf "vector_people_%d.csv" m) in
+  write_once path (fun oc ->
+      output_string oc "id,city,age\n";
+      let cities = [| "geneva"; "zurich"; "lausanne"; "basel"; "bern" |] in
+      for i = 1 to m do
+        output_string oc
+          (Printf.sprintf "%d,%s,%d\n" i cities.(i mod 5) (18 + (i * 7 mod 70)))
+      done);
+  path
+
+let scans_jsonl m =
+  let path = Filename.concat data_dir (Printf.sprintf "vector_scans_%d.jsonl" m) in
+  write_once path (fun oc ->
+      let names = [| "cortex"; "hippocampus"; "thalamus"; "amygdala" |] in
+      for i = 1 to m do
+        let regions =
+          List.init (1 + (i mod 4)) (fun j ->
+              Printf.sprintf {|{"name": "%s", "volume": %.2f}|}
+                names.((i + j) mod 4)
+                (float_of_int ((i * 13 + j * 7) mod 200) /. 10.))
+        in
+        output_string oc
+          (Printf.sprintf {|{"id": %d, "regions": [%s]}|} i (String.concat ", " regions));
+        output_char oc '\n'
+      done);
+  path
+
+let vector_scan_q = "for { p <- Wide, p.age > 30 } yield sum p.x"
+let vector_unnest_q =
+  "for { p <- People, s <- Scans, r <- s.regions, p.id = s.id, r.name = \"cortex\", \
+   p.age > 30 } yield avg r.volume"
+
+(* ------------------------------------------------------------------ *)
 (* vectorized: batch kernels vs closure engine vs interpreter          *)
 (* ------------------------------------------------------------------ *)
 
 let vectorized_bench () =
   section "vectorized: fused batch kernels vs closure vs interpreter (1 domain)";
   let n = max 10_000 (int_of_float (4_000_000. *. sf)) in
-  (* same wide CSV the parallel experiment scans *)
-  if not (Sys.file_exists data_dir) then Sys.mkdir data_dir 0o755;
-  let path = Filename.concat data_dir (Printf.sprintf "parallel_%d.csv" n) in
-  if not (Sys.file_exists path) then (
-    let oc = open_out_bin path in
-    output_string oc "id,age,x,y,z\n";
-    for i = 1 to n do
-      output_string oc
-        (Printf.sprintf "%d,%d,%.3f,%.3f,%.3f\n" i (18 + (i mod 80))
-           (sin (float_of_int i))
-           (cos (float_of_int i))
-           (float_of_int (i mod 97) /. 9.7))
-    done;
-    close_out oc);
-  (* string columns and arrays of records: a small CSV of people, and a
-     JSON-lines file of scans whose objects hold one to four regions *)
+  let path = wide_csv n in
   let m = max 2_000 (n / 20) in
-  let people = Filename.concat data_dir (Printf.sprintf "vector_people_%d.csv" m) in
-  if not (Sys.file_exists people) then (
-    let oc = open_out_bin people in
-    output_string oc "id,city,age\n";
-    let cities = [| "geneva"; "zurich"; "lausanne"; "basel"; "bern" |] in
-    for i = 1 to m do
-      output_string oc
-        (Printf.sprintf "%d,%s,%d\n" i cities.(i mod 5) (18 + (i * 7 mod 70)))
-    done;
-    close_out oc);
-  let scans = Filename.concat data_dir (Printf.sprintf "vector_scans_%d.jsonl" m) in
-  if not (Sys.file_exists scans) then (
-    let oc = open_out_bin scans in
-    let names = [| "cortex"; "hippocampus"; "thalamus"; "amygdala" |] in
-    for i = 1 to m do
-      let regions =
-        List.init (1 + (i mod 4)) (fun j ->
-            Printf.sprintf {|{"name": "%s", "volume": %.2f}|}
-              names.((i + j) mod 4)
-              (float_of_int ((i * 13 + j * 7) mod 200) /. 10.))
-      in
-      output_string oc
-        (Printf.sprintf {|{"id": %d, "regions": [%s]}|} i (String.concat ", " regions));
-      output_char oc '\n'
-    done;
-    close_out oc);
+  let people = people_csv m in
+  let scans = scans_jsonl m in
   let db = Vida.create () in
   Vida.set_domains db 1;
   Vida.csv db ~name:"Wide" ~path ();
@@ -971,13 +992,10 @@ let vectorized_bench () =
     let b3 = block () in
     Float.min b1 (Float.min b2 b3)
   in
-  let scan_q = "for { p <- Wide, p.age > 30 } yield sum p.x" in
+  let scan_q = vector_scan_q in
   let agg_q = "for { p <- Wide } yield avg p.x * p.y + p.z" in
   let string_q = "for { p <- People, p.city = \"geneva\", p.age > 30 } yield sum p.age" in
-  let unnest_q =
-    "for { p <- People, s <- Scans, r <- s.regions, p.id = s.id, r.name = \"cortex\", \
-     p.age > 30 } yield avg r.volume"
-  in
+  let unnest_q = vector_unnest_q in
   let workloads =
     [ ("scan_heavy", scan_q); ("aggregate_heavy", agg_q); ("string_filter", string_q);
       ("unnest_join", unnest_q) ]
@@ -1097,18 +1115,7 @@ let parallel_bench () =
   let cores = Domain.recommended_domain_count () in
   (* one wide CSV whose scan dominates; size scales with VIDA_SF *)
   let n = max 10_000 (int_of_float (4_000_000. *. sf)) in
-  let path = Filename.concat data_dir (Printf.sprintf "parallel_%d.csv" n) in
-  if not (Sys.file_exists path) then (
-    let oc = open_out_bin path in
-    output_string oc "id,age,x,y,z\n";
-    for i = 1 to n do
-      output_string oc
-        (Printf.sprintf "%d,%d,%.3f,%.3f,%.3f\n" i (18 + (i mod 80))
-           (sin (float_of_int i))
-           (cos (float_of_int i))
-           (float_of_int (i mod 97) /. 9.7))
-    done;
-    close_out oc);
+  let path = wide_csv n in
   let fresh_db d =
     let db = Vida.create () in
     Vida.set_domains db d;
@@ -1151,7 +1158,7 @@ let parallel_bench () =
     let v, wall = time (fun () -> value_of db q) in
     (v, wall, cpu_s () -. c0)
   in
-  let scan_q = "for { p <- Wide, p.age > 30 } yield sum p.x" in
+  let scan_q = vector_scan_q in
   let agg_q = "for { p <- Wide } yield avg p.x * p.y + p.z" in
   let workloads = [ ("scan_heavy", scan_q); ("aggregate_heavy", agg_q) ] in
   let rows = ref [] in
@@ -1799,6 +1806,92 @@ let durability () =
   Printf.printf "wrote %s\n" out
 
 (* ------------------------------------------------------------------ *)
+(* kernel-split: where a kernel's morsel split starts to pay           *)
+(* ------------------------------------------------------------------ *)
+
+(* Outside [vida serve] a morsel split spawns its worker domains afresh,
+   so a split kernel pays domain start-up and empty scratch pools. This
+   sweep times two kernels at one domain and at two over growing inputs,
+   with the row floor lowered so the two-domain runs split at every size:
+   the smallest size where two domains win is where the kernels' split
+   floor belongs. Blocks alternate between the budgets, best of five. *)
+let kernel_split_bench () =
+  section "kernel-split: a kernel at one domain vs two, across input sizes";
+  let sizes = [ 2048; 4096; 8192; 16384; 32768; 65536; 131072; 262144 ] in
+  let rounds = 5 in
+  Vida_raw.Morsel.set_min_parallel_rows 1;
+  Printf.printf
+    "(scan_heavy over n wide rows; unnest_join over n people and n scans; \
+     two-domain runs split at every size; best of %d alternating blocks)\n\n"
+    rounds;
+  Printf.printf "%-12s %8s %12s %12s %8s %9s %9s\n" "workload" "rows" "1 dom ms"
+    "2 dom ms" "speedup" "batches1" "batches2";
+  let close a b =
+    match (a, b) with
+    | Value.Float a, Value.Float b ->
+      Float.abs (a -. b) <= 1e-9 *. Float.max 1. (Float.abs a)
+    | a, b -> Value.equal a b
+  in
+  let all_ok = ref true in
+  let rows =
+    List.concat_map
+      (fun n ->
+        let db = Vida.create () in
+        Vida.csv db ~name:"Wide" ~path:(wide_csv n) ();
+        Vida.csv db ~name:"People" ~path:(people_csv n) ();
+        Vida.json db ~name:"Scans" ~path:(scans_jsonl n) ();
+        let run d q =
+          Vida.set_domains db d;
+          match Vida.query ~reuse:false db q with
+          | Ok r -> (r.Vida.value, r.Vida.governor.Vida_governor.Governor.batches)
+          | Error e -> failwith (Vida.error_to_string e)
+        in
+        let repeat = max 4 (1_000_000 / n) in
+        let block d q =
+          ignore (run d q);
+          Gc.major ();
+          let (), wall = time (fun () -> for _ = 1 to repeat do ignore (run d q) done) in
+          wall /. float_of_int repeat
+        in
+        List.map
+          (fun (name, q) ->
+            let v1, b1 = run 1 q in
+            let v2, b2 = run 2 q in
+            let ok = close v1 v2 in
+            if not ok then all_ok := false;
+            let w1 = ref infinity and w2 = ref infinity in
+            for _ = 1 to rounds do
+              w1 := Float.min !w1 (block 1 q);
+              w2 := Float.min !w2 (block 2 q)
+            done;
+            Printf.printf "%-12s %8d %12.3f %12.3f %7.2fx %9d %9d%s\n%!" name n
+              (!w1 *. 1000.) (!w2 *. 1000.) (!w1 /. !w2) b1 b2
+              (if ok then "" else "  DIVERGED");
+            (name, n, !w1, !w2, b1, b2, ok))
+          [ ("scan_heavy", vector_scan_q); ("unnest_join", vector_unnest_q) ])
+      sizes
+  in
+  Vida_raw.Morsel.set_min_parallel_rows 2048;
+  let out = "BENCH_kernel_split.json" in
+  let oc = open_out out in
+  Printf.fprintf oc "{\n  \"experiment\": \"kernel-split\",\n%s  \"rounds\": %d,\n  \"runs\": [\n"
+    domains_meta_fields rounds;
+  let last = List.length rows - 1 in
+  List.iteri
+    (fun k (name, n, w1, w2, b1, b2, ok) ->
+      Printf.fprintf oc
+        "    {\"name\": %S, \"rows\": %d, \"wall_1_domain_s\": %.6f, \
+         \"wall_2_domains_s\": %.6f, \"speedup\": %.3f, \"batches_1\": %d, \
+         \"batches_2\": %d, \"differential_ok\": %b}%s\n"
+        name n w1 w2 (w1 /. w2) b1 b2 ok
+        (if k = last then "" else ","))
+    rows;
+  Printf.fprintf oc "  ],\n  \"ok\": %b\n}\n" !all_ok;
+  close_out oc;
+  if not !all_ok then exit 1;
+  Printf.printf "wrote %s\n" out
+
+(* ------------------------------------------------------------------ *)
 
 let experiments =
   [ ("table2", table2);
@@ -1813,6 +1906,7 @@ let experiments =
     ("ablation-parallel", ablation_parallel);
     ("parallel", parallel_bench);
     ("vectorized", vectorized_bench);
+    ("kernel-split", kernel_split_bench);
     ("governor", governor);
     ("recovery", recovery);
     ("serving", serving);

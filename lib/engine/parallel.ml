@@ -137,21 +137,24 @@ let resolve_chain ?quiet ctx plan (p : Plan.t) =
 (* Per-task compiled pipeline for one chain: applies steps to the row
    loaded in slot [base] and calls [sink] on rows that survive. Compiled
    closures are task-local; the column arrays they read are immutable.
-   Each filter counts into its tap, shared by every task. *)
+   A filter with a tap counts into task-local ints; [flush_counts] adds
+   them to the tap, shared by every task, once per range. *)
 let compile_steps ctx ~slots steps =
   List.map
     (function
-      | `Filter (pred, tap) -> `Filter (Compile.scalar ctx ~slots pred, tap)
+      | `Filter (pred, None) -> `Filter (Compile.scalar ctx ~slots pred)
+      | `Filter (pred, Some tap) -> `Count (Compile.scalar ctx ~slots pred, tap, ref 0, ref 0)
       | `Bind (v, e) -> `Bind (List.assoc v slots, Compile.scalar ctx ~slots e))
     steps
 
 let run_steps compiled env k =
   let rec apply = function
     | [] -> k ()
-    | `Filter (cp, tap) :: rest ->
-      ignore (Atomic.fetch_and_add tap.Vector.seen 1);
+    | `Filter cp :: rest -> if Eval.truthy (cp env) then apply rest
+    | `Count (cp, _, seen, passed) :: rest ->
+      incr seen;
       if Eval.truthy (cp env) then begin
-        ignore (Atomic.fetch_and_add tap.Vector.passed 1);
+        incr passed;
         apply rest
       end
     | `Bind (slot, ce) :: rest ->
@@ -159,6 +162,15 @@ let run_steps compiled env k =
       apply rest
   in
   apply compiled
+
+let flush_counts compiled =
+  List.iter
+    (function
+      | `Count (_, tap, seen, passed) ->
+        ignore (Atomic.fetch_and_add tap.Vector.seen !seen);
+        ignore (Atomic.fetch_and_add tap.Vector.passed !passed)
+      | `Filter _ | `Bind _ -> ())
+    compiled
 
 (* Row record built from hoisted column arrays without a per-row closure. *)
 let record_of_columns columns i =
@@ -173,15 +185,16 @@ let record_of_columns columns i =
 (* Rows [from, c.n) of the chain folded into a pre-finalize carrier. With
    a stored [carrier] the fold continues it: at one domain row by row
    from the carrier itself, on more domains as morsel partials merged
-   after it. Returns the filters' taps with it. *)
-let fold_chain_rows ctx ~domains ~monoid ~head ?(from = 0) ?carrier (c : chain) =
+   after it. With [record] it returns the filters' taps with it. *)
+let fold_chain_rows ?(record = false) ctx ~domains ~monoid ~head ?(from = 0) ?carrier
+    (c : chain) =
   let vars = chain_vars c.var c.steps in
   let slots = List.mapi (fun i v -> (v, i)) vars in
   let nslots = List.length vars in
   let steps =
     List.map
       (function
-        | Vector.VFilter p -> `Filter (p, Vector.new_tap p)
+        | Vector.VFilter p -> `Filter (p, if record then Some (Vector.new_tap p) else None)
         | Vector.VBind (v, e) -> `Bind (v, e))
       c.steps
   in
@@ -194,6 +207,7 @@ let fold_chain_rows ctx ~domains ~monoid ~head ?(from = 0) ?carrier (c : chain) 
       env.(0) <- record_of_columns c.columns i;
       run_steps compiled env (fun () -> Monoid.add acc (chead env))
     done;
+    flush_counts compiled;
     Monoid.contents acc
   in
   let folded =
@@ -213,7 +227,7 @@ let fold_chain_rows ctx ~domains ~monoid ~head ?(from = 0) ?carrier (c : chain) 
       | Some carrier -> Monoid.merge monoid carrier partial
       | None -> partial
   in
-  (folded, List.filter_map (function `Filter (_, tap) -> Some tap | `Bind _ -> None) steps)
+  (folded, List.filter_map (function `Filter (_, tap) -> tap | `Bind _ -> None) steps)
 
 (* The row path behind a kernel decline: a Reduce over one chain folds in
    morsels, and records its filters' selectivities as the kernels and the
@@ -230,7 +244,7 @@ let reduce_rows ctx ~budget (plan : Plan.t) =
         let domains = Morsel.domains_for_rows ~domains:budget c.n in
         if domains <= 1 then None
         else begin
-          let folded, taps = fold_chain_rows ctx ~domains ~monoid ~head c in
+          let folded, taps = fold_chain_rows ~record:true ctx ~domains ~monoid ~head c in
           Vector.flush_taps ctx taps;
           Some (Plugins.finalize_root ctx monoid folded)
         end)

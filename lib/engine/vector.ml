@@ -1437,12 +1437,16 @@ let flush_taps ctx taps =
 
 let flush_feedback ctx (k : kernel) = flush_taps ctx k.k_taps
 
-(* Domains for a kernel over [rows] rows. A kernel runs a row in about a
-   fifteenth of the row fold's time (BENCH_vectorized.json), so it splits
-   only past sixteen times the row fold's floor: below that, starting the
-   worker domains, whose scratch pools start empty, costs more than the
-   rows. *)
-let kernel_domains ~domains rows = Vida_raw.Morsel.domains_for_rows ~domains (rows / 16)
+(* Domains for a kernel over [rows] rows. Outside [vida serve] a split
+   spawns fresh worker domains with empty scratch pools, and a kernel runs
+   a row far faster than the row fold, so it splits only from sixteen
+   times the row fold's floor; above that the count is the row fold's.
+   At the default floor that is 32 768 rows: there a split scan kernel
+   breaks even at two domains, below it loses up to 2x, and it wins from
+   65 536 rows (bench/main.exe kernel-split, BENCH_kernel_split.json). *)
+let kernel_domains ~domains rows =
+  if rows < 16 * Vida_raw.Morsel.parallel_row_floor () then 1
+  else Vida_raw.Morsel.domains_for_rows ~domains rows
 
 (* Fold rows [0, n) in morsels on up to [domains] domains: [fold ~lo ~hi]
    returns one range's pre-finalize partial, and the partials merge in

@@ -67,6 +67,7 @@ let min_parallel_bytes = Atomic.make (256 * 1024)
 
 let set_min_parallel_rows n = Atomic.set min_parallel_rows (max 1 n)
 let set_min_parallel_bytes n = Atomic.set min_parallel_bytes (max 0 n)
+let parallel_row_floor () = Atomic.get min_parallel_rows
 
 let domains_for_rows ~domains rows =
   if domains <= 1 || rows < Atomic.get min_parallel_rows then 1

@@ -40,6 +40,9 @@ val set_min_parallel_rows : int -> unit
 
 val set_min_parallel_bytes : int -> unit
 
+(** The row floor {!set_min_parallel_rows} set (2048 by default). *)
+val parallel_row_floor : unit -> int
+
 (** [domains_for_rows ~domains rows] clamps [domains] for a region of
     [rows] work items: 1 if below the row floor, never more than [rows]. *)
 val domains_for_rows : domains:int -> int -> int
