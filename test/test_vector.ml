@@ -890,6 +890,21 @@ let test_feedback_parity () =
         fun c -> with_vector_off (fun () -> Option.get (Parallel.try_query c ~domains:4 plan)) )
     ]
 
+(* A kernel stays on one domain below sixteen times the row floor; from
+   there it takes the row fold's domain count, not a fraction of it, so
+   the tests' floor of 1 splits every input of sixteen rows or more. *)
+let test_kernel_split_floor () =
+  Fun.protect ~finally:(fun () -> Vida_raw.Morsel.set_min_parallel_rows 1) @@ fun () ->
+  List.iter
+    (fun (floor, domains, rows, want) ->
+      Vida_raw.Morsel.set_min_parallel_rows floor;
+      Alcotest.(check int)
+        (Printf.sprintf "floor %d, %d domains, %d rows" floor domains rows)
+        want
+        (Vector.kernel_domains ~domains rows))
+    [ (1, 4, 15, 1); (1, 4, 16, 4); (1, 4, 30, 4); (1, 1, 1000, 1);
+      (2048, 2, 32767, 1); (2048, 2, 32768, 2); (2048, 4, 40000, 4) ]
+
 let test_disabled_switch () =
   (* the kill switch routes everything through the closure engine without
      noise: same answers, no kernels *)
@@ -917,7 +932,8 @@ let () =
           Alcotest.test_case "cancellation at batch boundary" `Quick
             test_cancellation_at_batch_boundary;
           Alcotest.test_case "disabled switch" `Quick test_disabled_switch;
-          Alcotest.test_case "feedback parity" `Quick test_feedback_parity
+          Alcotest.test_case "feedback parity" `Quick test_feedback_parity;
+          Alcotest.test_case "kernel split floor" `Quick test_kernel_split_floor
         ] );
       ("join", [ QCheck_alcotest.to_alcotest prop_join_engines_agree;
                  Alcotest.test_case "join edges" `Quick test_join_edges;
