@@ -545,7 +545,7 @@ let explain_arg = Arg.(value & flag & info [ "explain" ] ~doc:"Show plans and co
 
 let lint_arg =
   Arg.(value & flag & info [ "lint" ]
-       ~doc:"Statically analyze the query instead of executing it: run the plan verifier and linter and report worker-safety declines. Exit code 3 when the verifier rejects the plan or a lint of severity error fires.")
+       ~doc:"Statically analyze the query instead of executing it: run the plan verifier and linter and print the optimized plan with their findings. Exit code 3 when the verifier rejects the plan or a lint of severity error fires.")
 
 let lint_workload_arg =
   Arg.(value & opt (some string) None & info [ "lint-workload" ] ~docv:"hbp|bank"

@@ -411,10 +411,10 @@ let note_executed t ~io_before =
 
    A cached fold over one source, with a resumable monoid, survives an
    append to that source. Its next lookup folds only the rows the append
-   added, from the stored carrier, on the chain row fold. It recomputes
-   instead when the element type changed, under a cleaning policy or bad
-   rows, when the old generation ended mid-row, or when the current
-   generation does not extend the stored one. *)
+   added, from the stored carrier, on one domain ({!Compile.resume}). It
+   recomputes instead when the element type changed, under a cleaning
+   policy or bad rows, when the old generation ended mid-row, or when the
+   current generation does not extend the stored one. *)
 
 (* The repair record of a fold computed in the current epoch, [None]
    when its source's structure does not hold the pinned generation. *)
@@ -436,7 +436,7 @@ let repair_result t ctx plan c =
       match Plugins.items_before ctx source ~old_fp:r.r_fp with
       | Some (from, n) when from = r.r_rows -> (
         match
-          Parallel.resume ctx (Analysis.neutralize_count plan) ~carrier:r.r_carrier ~from
+          Compile.resume ctx (Analysis.neutralize_count plan) ~carrier:r.r_carrier ~from
         with
         | Some (r_carrier, n') when n' = n ->
           Option.map
@@ -768,7 +768,7 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs
       let repair_source =
         if not reuse then None
         else
-          Option.bind (Parallel.resumable ctx plan) (fun name ->
+          Option.bind (Compile.resumable ctx plan) (fun name ->
               Option.map
                 (fun source -> (name, Source.element_type source))
                 (Registry.find t.registry name))
@@ -803,34 +803,15 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs
             if jit_plan != plan then
               firing_check t ~memo ~env:venv "jit" ~rule:"neutralize-count-head"
                 ~before:plan ~after:jit_plan;
-            let guarded run =
-              match run () with
-              | value -> value
-              | exception Plugins.Engine_error msg -> degrade msg
-              | exception Eval.Error msg -> degrade msg
-              | exception Value.Type_error msg -> degrade msg
-              | exception Invalid_argument msg -> degrade msg
-            in
-            (* degradation ladder, rung 0: with a domain budget > 1 the
-               kernels and the row fold run in morsels; when both decline
-               the closure engine answers (the plan was classified once).
-               An engine failure in a worker falls back to the closure
-               engine; governor violations and structured data errors
-               propagate from workers exactly as from the sequential
-               path. *)
-            if ctx.Plugins.domains > 1 then
-              match Parallel.try_query ctx jit_plan with
-              | Some value -> value
-              | None -> guarded (fun () -> Compile.closure ctx jit_plan ())
-              | exception
-                  ( Plugins.Engine_error msg
-                  | Eval.Error msg
-                  | Value.Type_error msg
-                  | Invalid_argument msg ) ->
-                Governor.note_fallback ~session ~stage:"parallel->sequential"
-                  ~reason:msg ();
-                guarded (fun () -> Compile.closure ctx jit_plan ())
-            else guarded (fun () -> Compile.query ctx jit_plan ())))
+            (* one entry at every domain count: the kernels split their
+               own rows into morsels, and what they decline runs on the
+               closure engine on one domain *)
+            match Compile.query ctx jit_plan () with
+            | value -> value
+            | exception Plugins.Engine_error msg -> degrade msg
+            | exception Eval.Error msg -> degrade msg
+            | exception Value.Type_error msg -> degrade msg
+            | exception Invalid_argument msg -> degrade msg))
       in
       let t1 = now_ms () in
       match run () with
@@ -1007,52 +988,13 @@ let explain_sql t text =
   | Error msg -> Error (Parse_error msg)
   | Ok expr -> explain_expr t expr
 
-(* --- static analysis: verify + lint + parallelizability, no execution --- *)
+(* --- static analysis: verify + lint, no execution --- *)
 
 type analysis = {
   analyzed_plan : Vida_algebra.Plan.t;
   verify_error : Vida_error.t option;
   findings : Vida_analysis.Lint.finding list;
-  declines : (string * string) list;
 }
-
-(* Worker-safety verdicts for every operator expression: the reasons the
-   morsel engine would decline (part of) this plan. Source expressions are
-   resolved on the calling domain and are not gated. *)
-let worker_declines t (plan : Vida_algebra.Plan.t) =
-  let module Plan = Vida_algebra.Plan in
-  let params = List.map fst t.params in
-  let out = ref [] in
-  (* an operator's expressions see the binders its child produces, not the
-     (possibly narrower) environment the operator itself outputs *)
-  let check ~bound where e =
-    match Vida_analysis.Effects.worker_verdict ~bound ~params e with
-    | Ok () -> ()
-    | Error r ->
-      out := (where, Vida_analysis.Effects.reason_to_string r) :: !out
-  in
-  let rec walk (p : Plan.t) =
-    (match p with
-    | Plan.Unit | Plan.Source _ | Plan.Product _ -> ()
-    | Plan.Select { pred; child } ->
-      check ~bound:(Plan.bound_vars child) "filter" pred
-    | Plan.Map { var; expr; child } ->
-      check ~bound:(Plan.bound_vars child) ("binding of " ^ var) expr
-    | Plan.Unnest { path; child; _ } ->
-      check ~bound:(Plan.bound_vars child) "unnest path" path
-    | Plan.Join { pred; left; right } ->
-      check ~bound:(Plan.bound_vars left @ Plan.bound_vars right)
-        "join predicate" pred
-    | Plan.Reduce { head; child; _ } ->
-      check ~bound:(Plan.bound_vars child) "fold head" head
-    | Plan.Nest { head; keys; child; _ } ->
-      let bound = Plan.bound_vars child in
-      List.iter (fun (k, e) -> check ~bound ("group key " ^ k) e) keys;
-      check ~bound "group head" head);
-    List.iter walk (Plan.children p)
-  in
-  walk plan;
-  List.rev !out
 
 let analyze_expr t (expr : Expr.t) =
   match Typecheck.check (type_env t) expr with
@@ -1076,9 +1018,7 @@ let analyze_expr t (expr : Expr.t) =
         (Vida_algebra.Plan.free_vars plan)
     in
     let findings = Vida_analysis.Lint.plan ~env ~stale plan in
-    Ok
-      { analyzed_plan = plan; verify_error; findings;
-        declines = worker_declines t plan }
+    Ok { analyzed_plan = plan; verify_error; findings }
 
 let analyze t text =
   match Parser.parse text with
@@ -1104,12 +1044,6 @@ let analysis_report (a : analysis) =
     List.iter
       (fun f -> pf "  %s\n" (Format.asprintf "%a" Vida_analysis.Lint.pp_finding f))
       fs);
-  (match a.declines with
-  | [] -> pf "parallel:  all operator expressions worker-safe\n"
-  | ds ->
-    pf "parallel:  %d expression(s) pin the query to the sequential engines\n"
-      (List.length ds);
-    List.iter (fun (where, reason) -> pf "  %s: %s\n" where reason) ds);
   (* concurrency-sanitizer state rides along: process-wide, not per-plan,
      but .analyze is where operators look when a health snapshot shows a
      non-zero sync counter *)

@@ -34,8 +34,9 @@ type engine = Jit | Generic
     [domains] is the worker-domain budget for parallel query regions,
     resolved as {!Vida_raw.Morsel.resolve}: the [VIDA_DOMAINS] environment
     override wins, else the request clamped to the hardware count, else
-    the hardware count. With a budget of 1 every query runs on the
-    sequential engines.
+    the hardware count. The budget caps the morsel split of a kernel
+    over many rows, of positional-map and semi-index builds; with a
+    budget of 1 everything runs on the calling domain.
 
     [state_dir] opens a durable state directory ({!Vida_raw.State_dir})
     and boots warm from it: positional-map sidecars are routed there,
@@ -236,10 +237,6 @@ type analysis = {
   analyzed_plan : Vida_algebra.Plan.t;  (** the optimized plan *)
   verify_error : Vida_error.t option;  (** [None] when the plan verifies *)
   findings : Vida_analysis.Lint.finding list;  (** most severe first *)
-  declines : (string * string) list;
-      (** [(position, reason)] for every operator expression the
-          effect analysis declines for worker-domain execution — why the
-          morsel engine would run (part of) this plan sequentially *)
 }
 
 (** [analyze t text] parses, typechecks, translates and optimizes [text],

@@ -447,20 +447,21 @@ and compile_ops ctx slots needs flushes env (p : Plan.t) (consume : unit -> unit
           consume ())
         (List.rev !order)
 
-(* Degradation ladder, vectorized rung (ISSUE 8): plans matching the
-   vectorized fragment run as fused batch kernels; a static decline or a
-   runtime [Not_vectorizable] (columns turn out untypeable, no columnar
-   view under the active cleaning policy) is recorded as the
-   ["vectorized->closure"] fallback and the closure engine takes over.
-   Plans outside the fragment ([`Silent]) go straight to the closure
-   engine — that is their designed path, not a degradation. *)
-let closure ctx plan =
-  let run = compile_query ctx ~outer_slots:[] plan in
-  fun () -> run (fun _ -> ())
-
+(* Degradation ladder, vectorized rung: plans matching the vectorized
+   fragment run as fused batch kernels, on up to [ctx.domains] domains (a
+   kernel decides itself whether its rows are worth a morsel split); a
+   static decline or a runtime [Not_vectorizable] (columns turn out
+   untypeable, no columnar view under the active cleaning policy) is
+   recorded as the ["vectorized->closure"] fallback and the closure engine
+   takes over, on one domain. Plans outside the fragment ([`Silent]) go
+   straight to the closure engine — that is their designed path, not a
+   degradation. *)
 let query ctx plan =
-  let closure () = closure ctx plan in
-  match Vector.compile ctx ~domains:1 plan with
+  let closure () =
+    let run = compile_query ctx ~outer_slots:[] plan in
+    fun () -> run (fun _ -> ())
+  in
+  match Vector.compile ctx ~domains:ctx.Plugins.domains plan with
   | `Silent -> closure ()
   | `Decline reason ->
     let run = closure () in
@@ -477,3 +478,118 @@ let query ctx plan =
         (Lazy.force fallback) ())
 
 let scalar ctx ~slots e = compile_scalar ctx slots e
+
+(* --- result repair ---
+
+   A cached fold over one source's Select*/Map* chain, computed when the
+   source held [from] rows, is continued over the rows an append added:
+   the monoid guarantees fold (old ++ new) = fold old ⊕ fold new, and a
+   resumable monoid computes the right side from the stored carrier at the
+   cost of the new rows alone. The rows are added to the carrier one by
+   one, in order, on the calling domain, so the repaired carrier is the one
+   a fold over every row produces, bit for bit. *)
+
+let chain_vars var steps =
+  var
+  :: List.filter_map
+       (function Vector.VBind (v, _) -> Some v | Vector.VFilter _ -> None)
+       steps
+
+(* The chain of a resumable fold. The effect analysis's worker verdict is
+   the single-source closedness check: an expression reaching a
+   subquery, a lambda or another source could see rows the appended ones
+   alone do not account for. *)
+let resumable_chain ctx (plan : Plan.t) =
+  match plan with
+  | Plan.Reduce { monoid; head; child } when Monoid.resumable monoid -> (
+    match Vector.decompose child with
+    | Some (var, name, steps) ->
+      let bound = chain_vars var steps in
+      let closed e =
+        Result.is_ok
+          (Vida_analysis.Effects.worker_verdict ~bound
+             ~params:(List.map fst ctx.Plugins.params)
+             e)
+      in
+      if
+        closed head
+        && List.for_all
+             (function Vector.VFilter e | Vector.VBind (_, e) -> closed e)
+             steps
+      then Some (monoid, head, var, name, steps)
+      else None
+    | None -> None)
+  | _ -> None
+
+let resumable ctx plan =
+  Option.map (fun (_, _, _, name, _) -> name) (resumable_chain ctx plan)
+
+(* Fields of [source] the plan needs for [var]. [Whole] is only honored
+   for formats whose declared field list reconstructs the row exactly as
+   the scan does (CSV schema, binary-array header); JSON/XML objects may
+   carry fields beyond the declared element type. *)
+let fields_for ctx plan ~var (source : Vida_catalog.Source.t) =
+  match Analysis.plan_var_needs plan ~var with
+  | Analysis.Fields fs -> Some fs
+  | Analysis.Whole -> (
+    match source.Vida_catalog.Source.format with
+    | Vida_catalog.Source.Csv { schema; _ } -> Some (Schema.names schema)
+    | Vida_catalog.Source.Binary_array ->
+      Some
+        (List.map
+           (fun f -> f.Vida_raw.Binarray.name)
+           (Vida_raw.Binarray.header (Structures.binarray ctx.Plugins.structures source))
+             .fields)
+    | _ -> None)
+
+(* Row record built from the column arrays without a per-row closure. *)
+let record_of_columns columns i =
+  let rec go j acc =
+    if j < 0 then acc
+    else
+      let f, arr = Array.unsafe_get columns j in
+      go (j - 1) ((f, arr.(i)) :: acc)
+  in
+  Value.Record (go (Array.length columns - 1) [])
+
+let resume ctx plan ~carrier ~from =
+  match resumable_chain ctx plan with
+  | None -> None
+  | Some (monoid, head, var, name, steps) -> (
+    let columns =
+      Option.bind (Vida_catalog.Registry.find ctx.Plugins.registry name) (fun source ->
+          Option.bind (fields_for ctx plan ~var source) (fun fields ->
+              (* [] is fine: only the row count matters (a neutralized
+                 count head), and column_arrays reports it for every
+                 format *)
+              Plugins.column_arrays ctx source ~fields))
+    in
+    match columns with
+    | Some (n, columns) when n >= from ->
+      let columns = Array.of_list columns in
+      let slots = List.mapi (fun i v -> (v, i)) (chain_vars var steps) in
+      let env = Array.make (List.length slots) Value.Null in
+      let acc = Monoid.resume monoid carrier in
+      let chead = compile_scalar ctx slots head in
+      let row =
+        List.fold_right
+          (fun step k ->
+            match step with
+            | Vector.VFilter p ->
+              let cp = compile_scalar ctx slots p in
+              fun () -> if Eval.truthy (cp env) then k ()
+            | Vector.VBind (v, e) ->
+              let slot = List.assoc v slots and ce = compile_scalar ctx slots e in
+              fun () ->
+                env.(slot) <- ce env;
+                k ())
+          steps
+          (fun () -> Monoid.add acc (chead env))
+      in
+      for i = from to n - 1 do
+        Governor.poll ~source:"repair" ();
+        env.(0) <- record_of_columns columns i;
+        row ()
+      done;
+      Some (Monoid.contents acc, n)
+    | Some _ | None -> None)

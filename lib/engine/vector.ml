@@ -45,9 +45,9 @@ module BA1 = Bigarray.Array1
    string arithmetic, concatenation or bindings, mixed-type or non-scalar
    columns, sources without a columnar view
    (cleaning policies skipping rows, external producers) — declines with a
-   reason; the caller ({!Compile.query}, {!Parallel.try_query}) records it
-   as the ["vectorized->closure"] rung of the degradation ladder and runs
-   a row engine instead. *)
+   reason; the caller ({!Compile.query}) records it as the
+   ["vectorized->closure"] rung of the degradation ladder and runs the
+   closure engine instead. *)
 
 exception Not_vectorizable of string
 
@@ -615,7 +615,7 @@ let classify ctx (p : Plan.t) :
               with
               | Some reason -> `Decline reason
               | None -> (
-                (* the fields the row fold would read, in its order *)
+                (* the fields the plan needs, in [plan_var_needs] order *)
                 match Analysis.plan_var_needs p ~var with
                 | Analysis.Whole -> `Decline ("whole-row reference " ^ var)
                 | Analysis.Fields fields ->
@@ -1438,9 +1438,9 @@ let flush_taps ctx taps =
 let flush_feedback ctx (k : kernel) = flush_taps ctx k.k_taps
 
 (* Domains for a kernel over [rows] rows. Outside [vida serve] a split
-   spawns fresh worker domains with empty scratch pools, and a kernel runs
-   a row far faster than the row fold, so it splits only from sixteen
-   times the row fold's floor; above that the count is the row fold's.
+   spawns fresh worker domains with empty scratch pools, which a kernel
+   earns back only over many rows, so it splits only from sixteen times
+   the morsel row floor; above that the count is [Morsel.domains_for_rows]'.
    At the default floor that is 32 768 rows: there a split scan kernel
    breaks even at two domains, below it loses up to 2x, and it wins from
    65 536 rows (bench/main.exe kernel-split, BENCH_kernel_split.json). *)
@@ -1738,7 +1738,7 @@ let needs jr var =
   | Analysis.Whole -> decline "whole-record need on %s" var
 
 (* Fetch a leaf's columns through the cache: the fields the candidate's
-   plan needs of it, in the order the row fold reads them. *)
+   plan needs of it, in [plan_var_needs] order. *)
 let fetch_leaf jr lf =
   match Plugins.column_arrays jr.jr_ctx lf.l_source ~fields:(needs jr lf.l_var) with
   | None ->
@@ -2243,12 +2243,15 @@ let run_candidate ctx ~domains (c : candidate) () : Value.t =
   let cols =
     match c.source.Source.format with
     | Source.Binary_array
-      when domains <= 1 && Plugins.bad_row_count ctx c.name = 0 && c.fields <> [] ->
+      when Plugins.bad_row_count ctx c.name = 0 && c.fields <> []
+           && kernel_domains ~domains
+                (Binarray.cell_count (Structures.binarray ctx.Plugins.structures c.source))
+              <= 1 ->
       (* direct batch decode: no whole-column materialization at all, and
          the filters' numeric bounds prune whole batches via zone maps
          (the batch-granular analogue of the closure engine's pushdown).
-         Zone maps fill lazily and unsynchronized, so morsel scans read
-         the cached columns instead. *)
+         Zone maps fill lazily and unsynchronized, so a scan the kernel
+         splits into morsels reads the cached columns instead. *)
       let ba = Structures.binarray ctx.Plugins.structures c.source in
       let hdr = Binarray.header ba in
       let ranges =
@@ -2301,15 +2304,15 @@ let run_candidate ctx ~domains (c : candidate) () : Value.t =
       else fold_morsels ~domains ~monoid:c.monoid ~subject:c.name nrows (run_instance k)
     in
     flush_feedback ctx k;
-    (* a morsel-split scan records no cardinality, as the row fold does not *)
+    (* a morsel-split scan records no cardinality *)
     if domains <= 1 && nrows > 0 then
       Feedback.record ctx.Plugins.feedback
         ~key:(Feedback.cardinality_key c.name)
         ~observed:(float_of_int nrows);
     Plugins.finalize_root ctx c.monoid acc
 
-(* The one way into the kernels, for {!Compile.query} (one domain) and
-   {!Parallel.try_query}: [`Run] executes the whole plan vectorized, the
+(* The one way into the kernels, for {!Compile.query} at the instance's
+   domain budget: [`Run] executes the whole plan vectorized, the
    single-chain scan or the top join probe split into morsels on up to
    [domains] domains, and raises {!Not_vectorizable} at run time when
    columns turn out untypeable; [`Decline] is a static refusal with its

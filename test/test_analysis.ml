@@ -687,25 +687,13 @@ let test_lint_severity_order () =
 
 let test_analyze_facade () =
   let db = Lazy.force hbp_db in
-  (match Vida.analyze db "for { p <- Patients, g <- Genetics } yield count p" with
+  match Vida.analyze db "for { p <- Patients, g <- Genetics } yield count p" with
   | Ok a ->
     check_bool "verifies" true (a.Vida.verify_error = None);
     check_bool "flags cartesian product" true
       (List.exists (fun f -> f.Lint.id = "P01") a.Vida.findings);
-    check_bool "worker-safe" true (a.Vida.declines = []);
     check_bool "report renders" true
       (String.length (Vida.analysis_report a) > 0)
-  | Error e -> Alcotest.failf "analyze failed: %s" (Vida.error_to_string e));
-  match
-    Vida.analyze db
-      "for { p <- Patients } yield sum (for { g <- Genetics } yield count g)"
-  with
-  | Ok a ->
-    check_bool "subquery head declined for workers" true
-      (List.exists
-         (fun (_, reason) ->
-           Astring.String.is_infix ~affix:"subquery" reason)
-         a.Vida.declines)
   | Error e -> Alcotest.failf "analyze failed: %s" (Vida.error_to_string e)
 
 let () =

@@ -159,11 +159,12 @@ let all_paths_agree e =
   let plan = Translate.plan_of_comp normalized in
   let ctx = make_ctx () in
   let optimized = Vida_optimizer.Optimizer.optimize ctx plan in
+  let sequential = { ctx with Plugins.domains = 1 } in
   let paths =
     [ ("naive", fun () -> Naive_exec.run ~sources plan);
       ("naive-optimized", fun () -> Naive_exec.run ~sources optimized);
-      ("compiled", fun () -> Compile.query ctx plan ());
-      ("compiled-optimized", fun () -> Compile.query ctx optimized ());
+      ("compiled", fun () -> Compile.query sequential plan ());
+      ("compiled-optimized", fun () -> Compile.query sequential optimized ());
       ("interpreted", fun () -> Interp.query ctx plan ())
     ]
   in
@@ -180,11 +181,9 @@ let prop_all_paths_agree =
   QCheck.Test.make ~name:"all execution paths agree" ~count:300 arb_query
     all_paths_agree
 
-(* The same property for the morsel-parallel engine: wherever it accepts a
-   plan (original or optimized) at a random domain budget, its answer must
-   match the calculus semantics. [None] (shape outside the parallel
-   fragment) passes trivially — the facade falls back to the engines the
-   property above already pins down. *)
+(* The same property for the JIT at a random domain budget: every plan
+   (original or optimized) must match the calculus semantics, whether a
+   kernel splits it into morsels or the closure engine answers it. *)
 let arb_parallel_case =
   QCheck.make
     ~print:(fun (e, d) -> Printf.sprintf "domains=%d %s" d (print_query e))
@@ -197,14 +196,12 @@ let parallel_agrees (e, domains) =
   let optimized = Vida_optimizer.Optimizer.optimize ctx plan in
   List.for_all
     (fun (name, p) ->
-      match Parallel.try_query ctx ~domains p with
-      | None -> true
-      | Some actual ->
-        Value.equal expected (canon actual)
-        || QCheck.Test.fail_reportf
-             "parallel (%s, d=%d) disagrees on %s:\n  expected %s\n  got %s" name
-             domains (print_query e) (Value.to_string expected)
-             (Value.to_string (canon actual)))
+      let actual = Compile.query { ctx with Plugins.domains } p () in
+      Value.equal expected (canon actual)
+      || QCheck.Test.fail_reportf
+           "parallel (%s, d=%d) disagrees on %s:\n  expected %s\n  got %s" name
+           domains (print_query e) (Value.to_string expected)
+           (Value.to_string (canon actual)))
     [ ("plan", plan); ("optimized", optimized) ]
 
 let prop_parallel_agrees =

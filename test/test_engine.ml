@@ -258,11 +258,26 @@ let test_binarray_zone_pruning () =
   check_value "exact edge" (Value.Int 1)
     (Compile.query ctx (plan_of "for { c <- Cells, c.v = 2048 } yield count c") ());
   (* interpreted engine (no pruning) agrees *)
-  check_value "interp agrees" (Value.Int 100) (Interp.query ctx plan ())
+  check_value "interp agrees" (Value.Int 100) (Interp.query ctx plan ());
+  (* a kernel below its split floor prunes at any domain budget *)
+  let ctx4 = { (Plugins.create_ctx registry) with Plugins.domains = 4 } in
+  let ba4 =
+    Structures.binarray ctx4.Plugins.structures
+      (Option.get (Registry.find registry "Cells"))
+  in
+  let kernels = (Vector.stats ()).Vector.kernels in
+  check_value "kernel band sum" (Value.Float 300.)
+    (Compile.query ctx4
+       (plan_of "for { c <- Cells, c.v >= 1000, c.v < 1100 } yield sum c.w") ());
+  check_bool "a kernel ran" true ((Vector.stats ()).Vector.kernels > kernels);
+  check_bool "kernel skipped blocks" true (Vida_raw.Binarray.blocks_skipped ba4 > 0)
 
 let test_parallel_reduce () =
   let ctx = make_ctx () in
-  (* the fixtures are tiny; lower the morsel floor so they parallelize *)
+  (* the fixtures are tiny; lower the morsel floor. They stay below a
+     kernel's split floor (sixteen times it), so this checks answers and
+     fallbacks at a four-domain budget; test_parallel's
+     [formats x domain counts] runs split kernels *)
   Vida_raw.Morsel.set_min_parallel_rows 1;
   Fun.protect ~finally:(fun () -> Vida_raw.Morsel.set_min_parallel_rows 2048)
   @@ fun () ->
@@ -272,13 +287,18 @@ let test_parallel_reduce () =
     let plan =
       Analysis.neutralize_count (Vida_optimizer.Optimizer.optimize ctx (plan_of q))
     in
-    let sequential = Compile.query ctx plan () in
-    match Parallel.try_query ctx ~domains:4 plan with
-    | None -> Alcotest.failf "expected parallel support for %s" q
-    | Some parallel ->
-      if not (Value.equal sequential parallel) then
-        Alcotest.failf "parallel disagrees on %s: %s vs %s" q
-          (Value.to_string sequential) (Value.to_string parallel)
+    let fallbacks () = (Vector.stats ()).Vector.fallbacks in
+    let before = fallbacks () in
+    let sequential = Compile.query { ctx with Plugins.domains = 1 } plan () in
+    let kernel = fallbacks () = before in
+    let parallel = Compile.query { ctx with Plugins.domains = 4 } plan () in
+    (* a plan that runs as a kernel on one domain runs as one on four *)
+    if kernel && fallbacks () <> before then
+      Alcotest.failf "the kernel fell back at 4 domains on %s (%s)" q
+        (String.concat "; " (Vector.stats ()).Vector.last_fallbacks);
+    if not (Value.equal sequential parallel) then
+      Alcotest.failf "parallel disagrees on %s: %s vs %s" q
+        (Value.to_string sequential) (Value.to_string parallel)
   in
   check_same "for { p <- Patients } yield sum p.age";
   check_same "for { p <- Patients, p.age > 40 } yield count p";
@@ -298,10 +318,9 @@ let test_parallel_reduce () =
   check_same "for { r <- Regions, r.volume > 3.0 } yield count r";
   (* collection-monoid reduce of records *)
   check_same "for { p <- Patients, p.age > 30 } yield bag p.city";
-  (* inline non-record elements have no columnar view: declined, not
-     mis-executed *)
-  check_bool "inline scalar list declined" true
-    (Parallel.try_query ctx ~domains:4 (plan_of "for { n <- Numbers } yield list n") = None)
+  (* inline non-record elements have no columnar view: the kernels
+     decline and the closure engine answers *)
+  check_same "for { n <- Numbers } yield list n"
 
 let test_compiled_outer_unnest () =
   let ctx = make_ctx () in

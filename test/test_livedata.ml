@@ -564,10 +564,11 @@ let query_ok db ?reuse q =
   | Error e -> Alcotest.failf "%s: %s" q (Vida.error_to_string e)
 
 (* After each append every cached fold is continued, not recomputed, and
-   equals the recompute bit for bit: at one domain the fold goes on from
-   the stored carrier, row by row. *)
-let repair_differential label ~register ~path queries chunks =
+   equals the recompute bit for bit: the fold goes on from the stored
+   carrier, row by row, on one domain whatever the instance's budget. *)
+let repair_differential ?domains label ~register ~path queries chunks =
   let db = Vida.create ~domains:1 () in
+  Option.iter (Vida.set_domains db) domains;
   register db;
   List.iter (fun q -> ignore (query_ok db q)) queries;
   List.iteri
@@ -610,6 +611,20 @@ let test_repair_differential_json () =
     repair_queries
     [ repair_objects ~first:81 30; "\n" ^ repair_objects ~first:111 2 ];
   rm path
+
+(* An append above the morsel floor on an instance with a budget of 2 or
+   4 domains: the repair still folds on one domain, so a float sum or
+   average equals the recompute bit for bit. *)
+let test_repair_differential_domains () =
+  List.iter
+    (fun domains ->
+      let path = tmp_file ("id,v,f,s\n" ^ repair_rows ~first:1 150) in
+      repair_differential (Printf.sprintf "csv, %d domains" domains) ~domains ~path
+        ~register:(fun db -> Vida.csv db ~name:"S" ~path ())
+        repair_queries
+        [ repair_rows ~first:151 ((2 * Vida_raw.Morsel.parallel_row_floor ()) + 500) ];
+      rm path)
+    [ 2; 4 ]
 
 (* in-order list folds need an ordered source: XML elements *)
 let test_repair_differential_xml () =
@@ -945,6 +960,8 @@ let () =
         [ Alcotest.test_case "csv differential" `Quick test_repair_differential_csv;
           Alcotest.test_case "json differential" `Quick test_repair_differential_json;
           Alcotest.test_case "xml differential" `Quick test_repair_differential_xml;
+          Alcotest.test_case "differential across domain counts" `Quick
+            test_repair_differential_domains;
           Alcotest.test_case "falls back" `Quick test_repair_falls_back;
           Alcotest.test_case "concurrent sessions" `Quick test_repair_concurrent ] );
       ( "io-fault",

@@ -125,7 +125,7 @@ let queries =
     "for { p <- People, r <- Regions, p.id = r.id } yield list p.id"
   ]
 
-(* the morsel split reassociates float additions: sums/averages of
+(* a kernel's morsel split reassociates float additions: sums/averages of
    non-representable fractions may differ in the last ulps *)
 let rec agrees a b =
   match (a, b) with
@@ -140,6 +140,14 @@ let rec agrees a b =
     List.length xs = List.length ys && List.for_all2 agrees xs ys
   | a, b -> Value.equal a b
 
+(* [run ()] and the vectorized->closure fallbacks it recorded *)
+let with_fallbacks run =
+  let before = (Vector.stats ()).Vector.fallbacks in
+  let v = run () in
+  (v, (Vector.stats ()).Vector.fallbacks - before)
+
+(* every domain count agrees with one domain, and a plan that runs as a
+   kernel on one domain still runs as one (no fallback) at every count *)
 let test_differential_formats () =
   with_tiny_floors @@ fun () ->
   let ctx = Plugins.create_ctx (make_registry ()) in
@@ -150,15 +158,20 @@ let test_differential_formats () =
       let plan =
         Analysis.neutralize_count (Vida_optimizer.Optimizer.optimize ctx (plan_of q))
       in
-      let sequential = Compile.query ctx plan () in
+      let sequential, fell_back =
+        with_fallbacks (Compile.query { ctx with Plugins.domains = 1 } plan)
+      in
       List.iter
         (fun d ->
-          match Parallel.try_query ctx ~domains:d plan with
-          | None -> Alcotest.failf "expected parallel support (d=%d) for %s" d q
-          | Some parallel ->
-            if not (agrees sequential parallel) then
-              Alcotest.failf "d=%d disagrees on %s: %s vs %s" d q
-                (Value.to_string sequential) (Value.to_string parallel))
+          let parallel, fallbacks =
+            with_fallbacks (Compile.query { ctx with Plugins.domains = d } plan)
+          in
+          if fell_back = 0 && fallbacks > 0 then
+            Alcotest.failf "d=%d: the kernel fell back on %s (%s)" d q
+              (String.concat "; " (Vector.stats ()).Vector.last_fallbacks);
+          if not (agrees sequential parallel) then
+            Alcotest.failf "d=%d disagrees on %s: %s vs %s" d q
+              (Value.to_string sequential) (Value.to_string parallel))
         [ 2; 3; 4; 8 ])
     queries
 
@@ -191,6 +204,67 @@ let test_vida_facade_domains () =
       (* grouping is outside the parallel fragment: falls back, same answer *)
       "for { p <- People } yield count p.city"
     ]
+
+(* What the kernels decline runs on the closure engine on one domain, so
+   its answer is the one-domain answer bit for bit at every domain count:
+   conditional heads, collection heads, a column mixing ints and floats. *)
+let test_declined_folds_domains () =
+  with_tiny_floors @@ fun () ->
+  let floats =
+    let b = Buffer.create (4000 * 24) in
+    Buffer.add_string b "x,y\n";
+    for i = 1 to 4000 do
+      Printf.bprintf b "%.4f,%.4f\n"
+        (float_of_int (i * 7919 mod 10007) /. 97.)
+        (float_of_int (i * 104729 mod 1009) /. 7.)
+    done;
+    tmp_file ".csv" (Buffer.contents b)
+  in
+  let mixed =
+    let b = Buffer.create (4000 * 16) in
+    for i = 1 to 4000 do
+      if i mod 3 = 0 then Printf.bprintf b "{\"v\": %d}\n" i
+      else Printf.bprintf b "{\"v\": %.3f}\n" (float_of_int (i mod 101) /. 1.7)
+    done;
+    tmp_file ".jsonl" (Buffer.contents b)
+  in
+  let ordered =
+    Value.List
+      (List.init 3000 (fun i ->
+           Value.Record [ ("k", Value.Int i); ("z", Value.Float (float_of_int (i mod 89) /. 3.3)) ]))
+  in
+  let run d q =
+    let db = Vida.create () in
+    Vida.set_domains db d;
+    Vida.csv db ~name:"F" ~path:floats ();
+    Vida.json db ~name:"M" ~path:mixed ();
+    Vida.inline db ~name:"L" ordered;
+    match Vida.query ~reuse:false db q with
+    | Ok r ->
+      check_int (q ^ ": no kernel ran") 0 r.Vida.governor.G.batches;
+      r.Vida.value
+    | Error e -> Alcotest.failf "%s (domains=%d): %s" q d (Vida.error_to_string e)
+  in
+  List.iter
+    (fun q ->
+      let one = run 1 q in
+      List.iter
+        (fun d ->
+          let v = run d q in
+          let exact = function
+            | Value.Float f -> Printf.sprintf "%.17g" f
+            | v -> Value.to_string v
+          in
+          if not (Value.equal one v) then
+            Alcotest.failf "%s: %s at one domain, %s at %d" q (exact one) (exact v) d)
+        [ 2; 4; 8 ])
+    [ "for { p <- F } yield sum (if p.x > 50.0 then p.x else 0.1)";
+      "for { p <- F, p.y > 20.0 } yield avg (if p.x > p.y then p.x else p.y)";
+      "for { p <- F, p.x > 30.0 } yield bag p.x + p.y";
+      "for { l <- L, l.k > 10 } yield list l.z * 1.1";
+      "for { m <- M } yield sum m.v";
+      "for { m <- M, m.v > 5.0 } yield avg m.v" ];
+  List.iter Sys.remove [ floats; mixed ]
 
 (* --- work and fallbacks do not depend on the domain count --- *)
 
@@ -437,7 +511,9 @@ let () =
           Alcotest.test_case "counters across domain counts" `Quick
             test_counters_domain_independent;
           Alcotest.test_case "declined joins across domain counts" `Quick
-            test_declined_joins_domains
+            test_declined_joins_domains;
+          Alcotest.test_case "declined folds across domain counts" `Quick
+            test_declined_folds_domains
         ] );
       ( "aux builds",
         [ Alcotest.test_case "positional map" `Quick test_parallel_posmap_build;

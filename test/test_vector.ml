@@ -101,43 +101,53 @@ let ctx =
   let _ = Registry.register_csv registry ~name:"VC" ~path:(csv_fixture ()) () in
   let _ = Registry.register_json registry ~name:"VJ" ~path:(json_fixture ()) () in
   let _ = Registry.register_binarray registry ~name:"VB" ~path:(binarray_fixture ()) in
-  Plugins.create_ctx registry
+  { (Plugins.create_ctx registry) with Plugins.domains = 1 }
 
 let formats = [ "VC"; "VJ"; "VB" ]
 
 (* --- the differential harness ----------------------------------------- *)
 
-(* vectorized, closure and generic engines must agree; and inside the
-   parallel engine, vectorized morsels must agree with row-at-a-time
-   morsels (same morsel split, so float folds associate identically). *)
+(* Floats may reassociate when a parallel fold splits its input. *)
+let rec agrees a b =
+  match a, b with
+  | Value.Float x, Value.Float y ->
+    Float.equal x y || Float.abs (x -. y) <= 1e-9 *. Float.max 1. (Float.abs x)
+  | Value.Record fa, Value.Record fb ->
+    List.length fa = List.length fb
+    && List.for_all2 (fun (na, va) (nb, vb) -> String.equal na nb && agrees va vb) fa fb
+  | (Value.Bag xs | Value.List xs), (Value.Bag ys | Value.List ys) ->
+    List.length xs = List.length ys && List.for_all2 agrees xs ys
+  | a, b -> Value.equal a b
+
+(* vectorized, closure and generic engines must agree exactly; a kernel
+   split into morsels on four domains must reach the closure engine's
+   outcome, its float folds up to reassociation. *)
 let engines_agree ~fail q =
   let plan = plan_of q in
   let vec = outcome (fun () -> Compile.query ctx plan ()) in
-  let clo = outcome (fun () -> with_vector_off (fun () -> Compile.query ctx plan ())) in
+  let clo_value =
+    match with_vector_off (fun () -> Compile.query ctx plan ()) with
+    | v -> Ok v
+    | exception Eval.Error m -> Error m
+  in
+  let clo = Result.map Value.to_string clo_value in
   let gen = outcome (fun () -> Interp.query ctx plan ()) in
   if vec <> clo then
     fail (Printf.sprintf "%s: vectorized %s vs closure %s" q (show vec) (show clo));
   if clo <> gen then
     fail (Printf.sprintf "%s: closure %s vs generic %s" q (show clo) (show gen));
-  let show_par = function
-    | None -> "<unsupported>"
-    | Some o -> show o
-  in
-  List.iter
-    (fun domains ->
-      let par () =
-        match Parallel.try_query ctx ~domains plan with
-        | Some v -> Some (Ok (Value.to_string v))
-        | None -> None
-        | exception Eval.Error m -> Some (Error m)
-      in
-      let pv = par () in
-      let pc = with_vector_off par in
-      if pv <> pc then
-        fail
-          (Printf.sprintf "%s (domains=%d): vectorized morsels %s vs row morsels %s" q
-             domains (show_par pv) (show_par pc)))
-    [ 1; 4 ]
+  match Compile.query { ctx with Plugins.domains = 4 } plan (), clo_value with
+  | v, Ok expected when agrees expected v -> ()
+  | v, _ ->
+    fail
+      (Printf.sprintf "%s (domains=4): vectorized morsels %s vs closure %s" q
+         (Value.to_string v) (show clo))
+  | exception Eval.Error m -> (
+    match clo_value with
+    | Error m' when String.equal m m' -> ()
+    | _ ->
+      fail (Printf.sprintf "%s (domains=4): vectorized morsels raised %s vs closure %s" q m
+              (show clo)))
 
 (* --- random differential property ------------------------------------- *)
 
@@ -238,7 +248,8 @@ let sctx =
   let _ = Registry.register_csv registry ~name:"SC" ~path:csv () in
   let _ = Registry.register_json registry ~name:"SJ" ~path:json () in
   { (Plugins.create_ctx registry) with
-    Plugins.params = [ ("city", Value.String "s2"); ("nowhere", Value.String "zz") ] }
+    Plugins.domains = 1;
+    params = [ ("city", Value.String "s2"); ("nowhere", Value.String "zz") ] }
 
 (* the kernel, the closure engine and the interpreter agree exactly, and
    the kernel ran: batches, no fallback *)
@@ -399,7 +410,7 @@ let join_registry () =
   let _ = Registry.register_json registry ~name:"JN" ~path:(join_nested ()) () in
   registry
 
-let jctx = Plugins.create_ctx (join_registry ())
+let jctx = { (Plugins.create_ctx (join_registry ())) with Plugins.domains = 1 }
 
 (* numeric fields of each join table: (field, is_float) *)
 let join_tables =
@@ -419,28 +430,16 @@ let rec has_join (p : Plan.t) =
   | Plan.Join _ -> true
   | p -> List.exists has_join (Plan.children p)
 
-(* Floats may reassociate when a parallel fold splits its input. *)
-let rec agrees a b =
-  match a, b with
-  | Value.Float x, Value.Float y ->
-    Float.equal x y || Float.abs (x -. y) <= 1e-9 *. Float.max 1. (Float.abs x)
-  | Value.Record fa, Value.Record fb ->
-    List.length fa = List.length fb
-    && List.for_all2 (fun (na, va) (nb, vb) -> String.equal na nb && agrees va vb) fa fb
-  | (Value.Bag xs | Value.List xs), (Value.Bag ys | Value.List ys) ->
-    List.length xs = List.length ys && List.for_all2 agrees xs ys
-  | a, b -> Value.equal a b
-
 let kernel_accepts plan =
   match Vector.compile jctx ~domains:1 plan with
   | `Run _ -> true
   | `Decline _ | `Silent -> false
 
-(* Sequentially the join kernel must equal the closure engine and the
+(* On one domain the join kernel must equal the closure engine and the
    generic interpreter exactly (order included) and record no fallback;
-   inside the parallel engine at 2 and 4 domains it must agree too, and
-   answer whenever the kernel accepts the plan. [~kernel] demands that it
-   does (the optimizer may leave a Product inside a random plan). *)
+   at 2 and 4 domains it must agree too, and still run as a kernel (no
+   fallback) whenever the kernel accepts the plan. [~kernel] demands that
+   it does (the optimizer may leave a Product inside a random plan). *)
 let join_agree ?(kernel = false) ~fail q =
   let plan =
     Analysis.neutralize_count (Vida_optimizer.Optimizer.optimize jctx (translate q))
@@ -462,20 +461,24 @@ let join_agree ?(kernel = false) ~fail q =
     fail (Printf.sprintf "%s: closure %s vs generic %s" q (show clo) (show gen));
   List.iter
     (fun domains ->
-      match Parallel.try_query jctx ~domains plan, clo with
-      | Some v, Ok expected ->
+      let before = (Vector.stats ()).Vector.fallbacks in
+      let result =
+        try Ok (Compile.query { jctx with Plugins.domains } plan ()) with Eval.Error m -> Error m
+      in
+      if accepted && (Vector.stats ()).Vector.fallbacks <> before then
+        fail
+          (Printf.sprintf "%s (domains=%d): join kernel fell back (%s)" q domains
+             (String.concat "; " (Vector.stats ()).Vector.last_fallbacks));
+      match result, clo with
+      | Ok v, Ok expected ->
         let closure = with_vector_off (fun () -> Compile.query jctx plan ()) in
         if not (agrees closure v) then
           fail
             (Printf.sprintf "%s (domains=%d): parallel %s vs closure %s" q domains
                (Value.to_string v) expected)
-      | None, _ ->
-        if accepted then fail (Printf.sprintf "%s (domains=%d): parallel declined" q domains)
-      | Some _, Error _ -> fail (Printf.sprintf "%s (domains=%d): closure failed" q domains)
-      | exception Eval.Error m -> (
-        match clo with
-        | Error m' when String.equal m m' -> ()
-        | _ -> fail (Printf.sprintf "%s (domains=%d): parallel raised %s" q domains m)))
+      | Error m, Error m' when String.equal m m' -> ()
+      | Ok _, Error _ -> fail (Printf.sprintf "%s (domains=%d): closure failed" q domains)
+      | Error m, _ -> fail (Printf.sprintf "%s (domains=%d): parallel raised %s" q domains m))
     [ 2; 4 ]
 
 type join_case = { jq : string; jbatch : int }
@@ -860,10 +863,10 @@ let test_fallback_ladder () =
   check_value "generic sum" (Value.Int 1275) r.Vida.value;
   check_bool "jit->generic recorded" true (has_stage r "jit->generic")
 
-(* The closure engine, the kernel on one domain and in morsels, and the
-   row fold a decline falls back to record the same filter selectivities
-   (each filter seeing the rows the closure engine shows it), so the plans
-   that follow do not depend on which of them ran. *)
+(* The closure engine and the kernel, on one domain and in morsels, record
+   the same filter selectivities (each filter seeing the rows the closure
+   engine shows it), so the plans that follow do not depend on which of
+   them ran. *)
 let test_feedback_parity () =
   let q = "for { p <- VC, p.x < 1.0, p.a > 0, p.b != 2 } yield sum p.a" in
   let plan = plan_of q in
@@ -872,7 +875,7 @@ let test_feedback_parity () =
     @ List.concat_map preds (Plan.children p)
   in
   let observed run =
-    let c = Plugins.create_ctx ctx.Plugins.registry in
+    let c = { (Plugins.create_ctx ctx.Plugins.registry) with Plugins.domains = 1 } in
     ignore (run c);
     List.map
       (fun pred ->
@@ -885,13 +888,10 @@ let test_feedback_parity () =
   List.iter
     (fun (name, run) -> Alcotest.(check (list string)) name closure (observed run))
     [ ("kernel", fun c -> Compile.query c plan ());
-      ("kernel in morsels", fun c -> Option.get (Parallel.try_query c ~domains:4 plan));
-      ( "row fold in morsels",
-        fun c -> with_vector_off (fun () -> Option.get (Parallel.try_query c ~domains:4 plan)) )
-    ]
+      ("kernel in morsels", fun c -> Compile.query { c with Plugins.domains = 4 } plan ()) ]
 
 (* A kernel stays on one domain below sixteen times the row floor; from
-   there it takes the row fold's domain count, not a fraction of it, so
+   there it takes Morsel.domains_for_rows' count, not a fraction of it, so
    the tests' floor of 1 splits every input of sixteen rows or more. *)
 let test_kernel_split_floor () =
   Fun.protect ~finally:(fun () -> Vida_raw.Morsel.set_min_parallel_rows 1) @@ fun () ->
